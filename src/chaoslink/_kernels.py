@@ -13,7 +13,7 @@ try:
     from numba import njit
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is the optional `fast` extra
     HAVE_NUMBA = False
 
     def njit(*args, **kwargs):

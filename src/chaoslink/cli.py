@@ -20,7 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis
-from .codecs import PacketCorruptionError, bits_to_packet, decompress_audio, decompress_image, packet_to_bits, read_pgm, read_wav, write_pgm, write_wav, compress_audio, compress_image
+from .codecs import (
+    PacketCorruptionError,
+    bits_to_packet,
+    compress_audio,
+    file_to_packet,
+    packet_to_bits,
+    packet_to_file,
+)
 from .core_map import DegenerateTrajectoryError, generate_trajectory
 from .io_formats import (
     read_masked_series,
@@ -36,7 +43,8 @@ from .link import (
     ber_measure,
     ber_predict,
     ber_sweep,
-    integrate_and_dump,
+    channel_awgn,
+    decide_zero,
     mask_transmit,
     optimal_threshold,
     prbs,
@@ -407,24 +415,14 @@ def cmd_send_file(settings: Settings) -> int:
     seed = settings.seed()
     cfg = settings.modulation()
     payload = Path(settings.args.input)
-    suffix = payload.suffix.lower()
-    keep = float(settings["codec.keep_fraction"])
-    selection = str(settings["codec.selection"])
-    value_bits = int(settings["codec.value_bits"])
-    try:
-        if suffix == ".wav":
-            packet = compress_audio(
-                read_wav(payload), keep, selection=selection, value_bits=value_bits
-            )
-        elif suffix == ".pgm":
-            packet = compress_image(
-                read_pgm(payload), keep, selection=selection, value_bits=value_bits
-            )
-        else:
-            raise CliError(f"unsupported payload {suffix!r}", EXIT_VALIDATION)
-    except OSError as exc:
-        raise CliError(f"cannot read payload: {exc}", EXIT_IO)
+    _, packet = file_to_packet(
+        payload,
+        float(settings["codec.keep_fraction"]),
+        selection=str(settings["codec.selection"]),
+        value_bits=int(settings["codec.value_bits"]),
+    )
     bits = packet_to_bits(packet)
+    # the file header records this seed, so the transmitter uses it as given
     masked = mask_transmit(params, bits, cfg, seed=seed)
     out = Path(settings.args.output)
     write_masked_series(out, masked)
@@ -446,29 +444,15 @@ def cmd_send_file(settings: Settings) -> int:
 
 def cmd_recv_file(settings: Settings) -> int:
     seed = settings.seed()
-    try:
-        masked = read_masked_series(settings.args.input)
-    except OSError as exc:
-        raise CliError(f"cannot read masked series: {exc}", EXIT_IO)
+    masked = read_masked_series(settings.args.input)
+    # receiver initial state from --seed, channel noise from --seed + 1
     noise = float(settings["link.noise_sigma"])
-    received = masked.w_star
-    if noise > 0:
-        from .link import channel_awgn
-
-        received = channel_awgn(received, noise, seed=seed + 1)
-    cfg = masked.config
-    n_symbols = (received.size - masked.preamble_samples) // cfg.samples_per_bit
+    received = channel_awgn(masked.w_star, noise, seed=seed + 1)
     recovered = unmask_receive(masked, received=received, seed=seed)
-    symbol_means = integrate_and_dump(
-        recovered[: n_symbols * cfg.samples_per_bit], cfg
-    )
-    bits = (symbol_means > 0.0).astype(np.uint8)
+    bits = decide_zero(recovered, masked.config)
     packet = bits_to_packet(bits)  # raises PacketCorruptionError on CRC failure
     out = Path(settings.args.output)
-    if packet.kind == "audio":
-        write_wav(out, decompress_audio(packet))
-    else:
-        write_pgm(out, decompress_image(packet))
+    packet_to_file(packet, out)
     report = _out_path(settings, "recv_report.json")
     write_json_report(
         report,

@@ -39,14 +39,7 @@ from pathlib import Path
 import numpy as np
 from scipy import fft as sfft
 
-from .link import (
-    ModulationConfig,
-    ber_measure,
-    channel_awgn,
-    integrate_and_dump,
-    mask_transmit,
-    unmask_receive,
-)
+from .link import ModulationConfig, ber_measure, decide_zero, transmit_receive
 from .params import DEFAULT_PARAMS, SystemParams
 
 PACKET_MAGIC = 0x43504B31  # "CPK1"
@@ -505,17 +498,25 @@ def bits_to_packet(bits) -> CoefficientPacket:
     if version != PACKET_VERSION:
         raise PacketCorruptionError("header", 4, f"unsupported version {version}")
 
+    if kind > 1 or sel > 1 or not 2 <= value_bits <= 16:
+        raise PacketCorruptionError(
+            "header", 5, f"kind {kind}, selection {sel}, value_bits {value_bits}"
+        )
+    # magnitude positions index one audio frame or the whole image
+    limit = frame_len if kind == 0 else dim0 * dim1
+    if not 1 <= keep <= limit:
+        raise PacketCorruptionError(
+            "header", 20, f"keep_count {keep} outside [1, {limit}]"
+        )
     selection = "lowfreq" if sel == 0 else "magnitude"
     per_coeff = value_bits + (INDEX_BITS if selection == "magnitude" else 0)
-    per_run = _chunk_sizes(keep)
+    frame_counts = _chunk_sizes(keep)
     if kind == 0:
-        if n_frames % max(len(per_run), 1):
-            raise PacketCorruptionError("header", 24, "chunk count mismatch")
-        frame_counts = per_run * (n_frames // len(per_run))
-    else:
-        frame_counts = per_run
-        if len(frame_counts) != n_frames:
-            raise PacketCorruptionError("header", 24, "chunk count mismatch")
+        frame_counts *= -(-dim0 // frame_len)
+    if len(frame_counts) != n_frames:
+        raise PacketCorruptionError(
+            "header", 24, f"{n_frames} chunks, layout needs {len(frame_counts)}"
+        )
     payload_bits = sum(32 + k * per_coeff for k in frame_counts)
     payload_bytes_len = (payload_bits + 7) // 8
     total_bytes = 36 + payload_bytes_len + 4
@@ -531,7 +532,6 @@ def bits_to_packet(bits) -> CoefficientPacket:
     reader = _BitReader(_bytes_to_bits(payload_raw))
     qmax_mask = 1 << (value_bits - 1)
     scales, indices, values = [], [], []
-    cursor = 0
     for k in frame_counts:
         (scale,) = struct.unpack("<f", reader.read(32).to_bytes(4, "little"))
         scales.append(float(scale))
@@ -541,13 +541,16 @@ def bits_to_packet(bits) -> CoefficientPacket:
             for i in range(k):
                 prev = prev + 1 + reader.read(INDEX_BITS)
                 pos[i] = prev
+            if k and prev >= limit:
+                raise PacketCorruptionError(
+                    "payload", 36 + reader.pos // 8, f"position {prev} >= {limit}"
+                )
             indices.append(pos)
         q = np.empty(k, dtype=np.int32)
         for i in range(k):
             v = reader.read(value_bits)
             q[i] = v - (1 << value_bits) if v & qmax_mask else v
         values.append(q)
-        cursor += k
     return CoefficientPacket(
         kind="audio" if kind == 0 else "image",
         dim0=dim0,
@@ -653,6 +656,41 @@ def write_pgm(path, img: GrayImage) -> None:
 
 
 # ---------------------------------------------------------------------------
+# payload files
+
+
+def file_to_packet(
+    path,
+    keep_fraction: float,
+    selection: str = "lowfreq",
+    value_bits: int = 8,
+):
+    """Read a .wav or .pgm payload and compress it; returns (payload, packet)."""
+    suffix = Path(path).suffix.lower()
+    if suffix == ".wav":
+        payload = read_wav(path)
+        compress = compress_audio
+    elif suffix == ".pgm":
+        payload = read_pgm(path)
+        compress = compress_image
+    else:
+        raise ValueError(f"unsupported payload type {suffix!r} (use .wav or .pgm)")
+    packet = compress(payload, keep_fraction, selection=selection, value_bits=value_bits)
+    return payload, packet
+
+
+def packet_to_file(packet: CoefficientPacket, path=None):
+    """Decompress a packet by its kind; write it as WAV/PGM when ``path`` is given."""
+    if packet.kind == "audio":
+        payload, write = decompress_audio(packet), write_wav
+    else:
+        payload, write = decompress_image(packet), write_pgm
+    if path is not None:
+        write(path, payload)
+    return payload
+
+
+# ---------------------------------------------------------------------------
 # end-to-end transmission
 
 
@@ -669,39 +707,6 @@ class TransmissionReport:
     seed: int
 
 
-def transmit_payload(
-    packet: CoefficientPacket,
-    params: SystemParams = DEFAULT_PARAMS,
-    cfg: ModulationConfig = ModulationConfig(),
-    seed: int = 0,
-    noise_sigma: float = 0.0,
-    mismatch: float = 0.0,
-):
-    """Send a serialized packet through the masked link; return decoded bits.
-
-    Decisions use the zero threshold of the symmetric NRZ constellation
-    (the receiver has no labels to fit). Returns (sent_bits, decided_bits).
-    """
-    bits = packet_to_bits(packet)
-    ss = np.random.SeedSequence(seed)
-    tx_seed, ch_seed, rx_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(3))
-    masked = mask_transmit(params, bits, cfg, seed=tx_seed)
-    received = channel_awgn(masked.w_star, noise_sigma, seed=ch_seed)
-    recv_params = params
-    if mismatch:
-        recv_params = params.replace(
-            a=params.a * (1.0 + mismatch),
-            b=params.b * (1.0 + mismatch),
-            c=params.c * (1.0 + mismatch),
-        )
-    recovered = unmask_receive(
-        masked, received=received, recv_params=recv_params, seed=rx_seed
-    )
-    symbol_means = integrate_and_dump(recovered, cfg)
-    decided = (symbol_means > 0.0).astype(np.uint8)
-    return bits, decided
-
-
 def transmit_file(
     path,
     params: SystemParams = DEFAULT_PARAMS,
@@ -716,63 +721,32 @@ def transmit_file(
 ) -> TransmissionReport:
     """Compress a WAV or PGM file, transmit it masked, decode, and score it.
 
-    The payload type is taken from the file extension (.wav or .pgm). The
-    recovered payload is written to ``output_path`` when given. CRC failure
-    on the received packet is reported in the result (there is no
-    retransmission protocol).
+    The payload type is taken from the file extension (.wav or .pgm).
+    Decisions use the zero threshold of the symmetric NRZ constellation (the
+    receiver has no labels to fit). The recovered payload is written to
+    ``output_path`` when given. CRC failure on the received packet is
+    reported in the result (there is no retransmission protocol).
     """
-    path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix == ".wav":
-        clip = read_wav(path)
-        packet = compress_audio(
-            clip, keep_fraction, selection=selection, value_bits=value_bits
-        )
-        original = clip.samples
-    elif suffix == ".pgm":
-        img = read_pgm(path)
-        packet = compress_image(
-            img, keep_fraction, selection=selection, value_bits=value_bits
-        )
-        original = img.pixels
-    else:
-        raise ValueError(f"unsupported payload type {suffix!r} (use .wav or .pgm)")
-
-    sent, decided = transmit_payload(
-        packet,
-        params=params,
-        cfg=cfg,
-        seed=seed,
-        noise_sigma=noise_sigma,
-        mismatch=mismatch,
-    )
-    ber = ber_measure(sent, decided)
-    crc_ok = True
-    payload = None
-    fidelity: dict = {}
+    original, packet = file_to_packet(path, keep_fraction, selection, value_bits)
+    sent = packet_to_bits(packet)
+    recovered = transmit_receive(params, sent, cfg, seed, noise_sigma, mismatch)
+    decided = decide_zero(recovered, cfg)
     try:
-        received_packet = bits_to_packet(decided)
+        payload = packet_to_file(bits_to_packet(decided), output_path)
     except PacketCorruptionError:
-        crc_ok = False
-        received_packet = None
-    if received_packet is not None:
-        if suffix == ".wav":
-            payload = decompress_audio(received_packet)
-            fidelity["relative_rms_error"] = relative_rms_error(
-                original, payload.samples
-            )
-            if output_path is not None:
-                write_wav(output_path, payload)
-        else:
-            payload = decompress_image(received_packet)
-            fidelity["psnr_db"] = psnr(original, payload.pixels)
-            if output_path is not None:
-                write_pgm(output_path, payload)
+        payload = None
+    fidelity: dict = {}
+    if isinstance(payload, AudioClip):
+        fidelity["relative_rms_error"] = relative_rms_error(
+            original.samples, payload.samples
+        )
+    elif payload is not None:
+        fidelity["psnr_db"] = psnr(original.pixels, payload.pixels)
     return TransmissionReport(
         payload=payload,
-        ber=ber,
+        ber=ber_measure(sent, decided),
         compression_ratio=packet.compression_ratio,
-        crc_ok=crc_ok,
+        crc_ok=payload is not None,
         fidelity=fidelity,
         bits=sent.size,
         seed=seed,

@@ -35,6 +35,35 @@ def _params_from(raw: bytes) -> SystemParams:
     return SystemParams(**dict(zip(_PARAMS_FIELDS, struct.unpack("<5d", raw))))
 
 
+def _read_binary(path, magic: bytes, kind: str, fields: str, row_width: int):
+    """Validate and split a magic/version/params/fields + float64-rows file.
+
+    The last header field is the row count ``n``; the body must hold exactly
+    ``n`` rows of ``row_width`` little-endian doubles. Returns (params,
+    header fields, rows as an (n, row_width) array).
+    """
+    raw = Path(path).read_bytes()
+    if raw[:4] != magic:
+        raise ValueError(f"{path}: not a {kind} file")
+    header = 46 + struct.calcsize(fields)
+    if len(raw) < header:
+        raise ValueError(
+            f"{path}: truncated header: expected {header} bytes, got {len(raw)}"
+        )
+    (version,) = struct.unpack("<H", raw[4:6])
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported format version {version}")
+    values = struct.unpack(fields, raw[46:header])
+    n = values[-1]
+    expected = header + 8 * row_width * n
+    if len(raw) != expected:
+        raise ValueError(
+            f"{path}: expected {expected} bytes for {n} rows, got {len(raw)}"
+        )
+    rows = np.frombuffer(raw, dtype="<f8", offset=header).reshape(n, row_width)
+    return _params_from(raw[6:46]), values, rows
+
+
 def write_trajectory_csv(path, traj: Trajectory) -> None:
     """CSV with columns n, x, y, z, w and a JSON metadata comment line."""
     meta = {
@@ -70,15 +99,9 @@ def write_trajectory_dump(path, traj: Trajectory) -> None:
 
 
 def read_trajectory_dump(path) -> Trajectory:
-    raw = Path(path).read_bytes()
-    if raw[:4] != TRAJECTORY_MAGIC:
-        raise ValueError(f"{path}: not a trajectory dump")
-    (version,) = struct.unpack("<H", raw[4:6])
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
-    params = _params_from(raw[6:46])
-    t_n, seed, transient, n = struct.unpack("<dqqQ", raw[46:78])
-    rows = np.frombuffer(raw, dtype="<f8", count=4 * n, offset=78).reshape(n, 4)
+    params, (t_n, seed, transient, _), rows = _read_binary(
+        path, TRAJECTORY_MAGIC, "trajectory dump", "<dqqQ", 4
+    )
     return Trajectory(
         states=rows[:, :3].copy(),
         params=params,
@@ -116,19 +139,12 @@ def write_masked_series(path, masked: MaskedSeries) -> None:
 
 
 def read_masked_series(path) -> MaskedSeries:
-    raw = Path(path).read_bytes()
-    if raw[:4] != MASKED_MAGIC:
-        raise ValueError(f"{path}: not a masked-series file")
-    (version,) = struct.unpack("<H", raw[4:6])
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
-    params = _params_from(raw[6:46])
-    amplitude, spb, f_clk, bit_rate, seed, settle, pilot, n = struct.unpack(
-        "<dIddqIIQ", raw[46:98]
+    params, fields, rows = _read_binary(
+        path, MASKED_MAGIC, "masked-series", "<dIddqIIQ", 1
     )
-    samples = np.frombuffer(raw, dtype="<f8", count=n, offset=98).copy()
+    amplitude, spb, f_clk, bit_rate, seed, settle, pilot, _ = fields
     return MaskedSeries(
-        w_star=samples,
+        w_star=rows[:, 0].copy(),
         config=ModulationConfig(
             amplitude=amplitude,
             samples_per_bit=spb,

@@ -403,6 +403,46 @@ def ber_measure(sent, recovered) -> BerResult:
     )
 
 
+def transmit_receive(
+    params: SystemParams,
+    bits,
+    cfg: ModulationConfig,
+    seed: int,
+    noise_sigma: float = 0.0,
+    mismatch: float = 0.0,
+) -> np.ndarray:
+    """Mask, send through AWGN, and unmask; return the recovered data samples.
+
+    The master ``seed`` is split into transmitter, channel and receiver
+    seeds. ``mismatch`` scales the receiver's a, b, c coefficients by
+    (1 + mismatch) to emulate component tolerances.
+    """
+    children = np.random.SeedSequence(seed).spawn(3)
+    tx_seed, ch_seed, rx_seed = (int(c.generate_state(1)[0]) for c in children)
+    masked = mask_transmit(params, bits, cfg, seed=tx_seed)
+    received = channel_awgn(masked.w_star, noise_sigma, seed=ch_seed)
+    recv_params = params
+    if mismatch:
+        scale = 1.0 + mismatch
+        recv_params = params.replace(
+            a=params.a * scale, b=params.b * scale, c=params.c * scale
+        )
+    return unmask_receive(
+        masked, received=received, recv_params=recv_params, seed=rx_seed
+    )
+
+
+def decide_zero(recovered, cfg: ModulationConfig) -> np.ndarray:
+    """Zero-threshold decisions on every whole symbol of recovered samples.
+
+    The symmetric NRZ constellation puts the optimal threshold at 0 when the
+    receiver has no labels to fit one.
+    """
+    recovered = np.asarray(recovered, dtype=float)
+    whole = recovered.size // cfg.samples_per_bit * cfg.samples_per_bit
+    return (integrate_and_dump(recovered[:whole], cfg) > 0.0).astype(np.uint8)
+
+
 def run_link(
     params: SystemParams,
     bits,
@@ -414,30 +454,15 @@ def run_link(
 ):
     """Full transmit/channel/receive chain returning decisions and statistics.
 
-    ``mismatch`` scales the receiver's a, b, c coefficients by (1 + mismatch)
-    to emulate component tolerances. With ``filtered`` False the per-sample
-    values are thresholded directly (one "symbol" per sample of the first
-    sample of each bit is not meaningful, so instead every sample is its own
-    statistic and labels are repeated); this models a receiver without the
+    The chain and ``mismatch`` are those of ``transmit_receive``. With
+    ``filtered`` False every recovered sample is its own statistic and the
+    labels are repeated per sample; this models a receiver without the
     matched filter.
 
     Returns (symbol_stats, fitted SymbolStats, threshold, decisions).
     """
     bits = np.asarray(bits, dtype=np.uint8)
-    ss = np.random.SeedSequence(seed)
-    tx_seed, ch_seed, rx_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(3))
-    masked = mask_transmit(params, bits, cfg, seed=tx_seed)
-    received = channel_awgn(masked.w_star, noise_sigma, seed=ch_seed)
-    recv_params = params
-    if mismatch:
-        recv_params = params.replace(
-            a=params.a * (1.0 + mismatch),
-            b=params.b * (1.0 + mismatch),
-            c=params.c * (1.0 + mismatch),
-        )
-    recovered = unmask_receive(
-        masked, received=received, recv_params=recv_params, seed=rx_seed
-    )
+    recovered = transmit_receive(params, bits, cfg, seed, noise_sigma, mismatch)
     if filtered:
         values = integrate_and_dump(recovered, cfg)
         labels = bits

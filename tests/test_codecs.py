@@ -1,11 +1,16 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from chaoslink import DEFAULT_PARAMS
 from chaoslink.codecs import (
     AudioClip,
+    CoefficientPacket,
     GrayImage,
     PacketCorruptionError,
     bits_to_packet,
@@ -25,7 +30,42 @@ from chaoslink.codecs import (
     write_wav,
     zigzag_order,
 )
+from chaoslink.link import ModulationConfig, run_link
 from chaoslink.signals import synth_image, synth_speech
+
+HEADER_LAYOUT = "<IBBBBIIIIIf"
+HEADER_FIELDS = (
+    "magic", "version", "kind", "selection", "value_bits", "dim0", "dim1",
+    "frame_len", "keep_count", "n_chunks", "mean",
+)
+
+
+def with_header(bits, **changes):
+    """Rewrite header fields of serialized packet bits and refresh the header CRC."""
+    raw = bytearray(np.packbits(bits).tobytes())
+    fields = dict(zip(HEADER_FIELDS, struct.unpack(HEADER_LAYOUT, raw[:32])))
+    fields.update(changes)
+    raw[:32] = struct.pack(HEADER_LAYOUT, *fields.values())
+    raw[32:36] = struct.pack("<I", zlib.crc32(bytes(raw[:32])))
+    return np.unpackbits(np.frombuffer(bytes(raw), dtype=np.uint8))
+
+
+def hand_packet(kind, dim0, frame_len, keep, positions=None, n_values=None):
+    """A CoefficientPacket built field by field; one chunk of zero values."""
+    n_values = keep if n_values is None else n_values
+    return CoefficientPacket(
+        kind=kind,
+        dim0=dim0,
+        dim1=8000 if kind == "audio" else 8,
+        frame_len=frame_len,
+        keep_count=keep,
+        selection="lowfreq" if positions is None else "magnitude",
+        value_bits=8,
+        mean=0.0,
+        scales=(1.0,) if n_values else (),
+        indices=None if positions is None else (np.asarray(positions),),
+        values=(np.zeros(n_values, dtype=np.int32),) if n_values else (),
+    )
 
 
 def brute_force_dct(x):
@@ -211,6 +251,78 @@ class TestSerialization:
             assert compress_audio(clip, keep).compression_ratio > 1.0
 
 
+class TestPacketHeaderChecks:
+    """Packets with valid CRCs whose header fields do not make sense."""
+
+    def audio_bits(self):
+        return packet_to_bits(compress_audio(synth_speech(duration=0.25, seed=6), 0.25))
+
+    def test_valid_crc_rewrite_still_parses(self):
+        bits = self.audio_bits()
+        assert np.array_equal(with_header(bits), bits)
+
+    @pytest.mark.parametrize(
+        "packet",
+        [
+            hand_packet("audio", dim0=16, frame_len=16, keep=0),
+            hand_packet("image", dim0=8, frame_len=0, keep=0),
+        ],
+        ids=["audio", "image"],
+    )
+    def test_zero_keep_count(self, packet):
+        with pytest.raises(PacketCorruptionError) as info:
+            bits_to_packet(packet_to_bits(packet))
+        assert info.value.section == "header" and info.value.offset == 20
+
+    def test_audio_keep_count_above_frame_len(self):
+        packet = hand_packet("audio", dim0=16, frame_len=16, keep=20)
+        with pytest.raises(PacketCorruptionError, match="keep_count 20"):
+            bits_to_packet(packet_to_bits(packet))
+
+    def test_image_keep_count_above_pixel_count(self):
+        bits = packet_to_bits(compress_image(synth_image(8, 8, seed=1), 0.5))
+        with pytest.raises(PacketCorruptionError, match="keep_count 65"):
+            bits_to_packet(with_header(bits, keep_count=65))
+
+    def test_audio_chunk_count_must_cover_every_frame(self):
+        # 40 samples in 16-sample frames need 3 chunks of 2 kept values
+        packet = hand_packet("audio", dim0=40, frame_len=16, keep=2)
+        with pytest.raises(PacketCorruptionError) as info:
+            bits_to_packet(packet_to_bits(packet))
+        assert info.value.offset == 24
+
+    def test_audio_frame_count_from_samples(self):
+        bits = self.audio_bits()
+        with pytest.raises(PacketCorruptionError, match="chunks"):
+            bits_to_packet(with_header(bits, dim0=10 * 1024))
+
+    @pytest.mark.parametrize(
+        "packet",
+        [
+            hand_packet("audio", dim0=16, frame_len=16, keep=2, positions=[3, 16]),
+            hand_packet("image", dim0=8, frame_len=0, keep=2, positions=[0, 64]),
+        ],
+        ids=["audio", "image"],
+    )
+    def test_magnitude_position_out_of_range(self, packet):
+        with pytest.raises(PacketCorruptionError) as info:
+            bits_to_packet(packet_to_bits(packet))
+        assert info.value.section == "payload"
+
+    def test_in_range_positions_parse(self):
+        packet = hand_packet("image", dim0=8, frame_len=0, keep=2, positions=[0, 63])
+        parsed = bits_to_packet(packet_to_bits(packet))
+        assert list(parsed.indices[0]) == [0, 63]
+
+    @pytest.mark.parametrize(
+        "changes", [{"kind": 2}, {"selection": 2}, {"value_bits": 1}, {"value_bits": 17}]
+    )
+    def test_unknown_codes(self, changes):
+        with pytest.raises(PacketCorruptionError) as info:
+            bits_to_packet(with_header(self.audio_bits(), **changes))
+        assert info.value.offset == 5
+
+
 class TestFileFormats:
     def test_wav_round_trip(self, tmp_path):
         clip = synth_speech(duration=0.3, seed=2)
@@ -265,6 +377,25 @@ class TestTransmitFile:
         report = transmit_file(path, seed=5, keep_fraction=0.22, noise_sigma=0.5)
         assert not report.crc_ok
         assert report.payload is None
+
+    @pytest.mark.parametrize("sigma, mismatch", [(0.01, 0.0), (0.006, 0.002)])
+    def test_same_chain_as_run_link(self, tmp_path, sigma, mismatch):
+        # one seed split, one channel and one receiver: the zero-threshold
+        # errors of run_link's symbol means are exactly transmit_file's
+        path = tmp_path / "speech.wav"
+        write_wav(path, synth_speech(duration=0.1, seed=3))
+        cfg = ModulationConfig(samples_per_bit=10)
+        report = transmit_file(
+            path, cfg=cfg, seed=5, noise_sigma=sigma, mismatch=mismatch
+        )
+        bits = packet_to_bits(compress_audio(read_wav(path), 0.22))
+        values, _, _, _ = run_link(
+            DEFAULT_PARAMS, bits, cfg, seed=5, noise_sigma=sigma, mismatch=mismatch
+        )
+        errors = int(np.count_nonzero((values > 0) != bits))
+        assert 0 < errors < bits.size // 10
+        assert report.ber.errors == errors
+        assert report.bits == bits.size
 
     def test_unknown_extension_rejected(self, tmp_path):
         path = tmp_path / "payload.txt"

@@ -5,7 +5,14 @@ import pytest
 
 import chaoslink as cl
 from chaoslink.cli import main
-from chaoslink.codecs import read_pgm, read_wav, relative_rms_error, write_pgm, write_wav
+from chaoslink.codecs import (
+    packet_to_bits,
+    read_pgm,
+    read_wav,
+    relative_rms_error,
+    write_pgm,
+    write_wav,
+)
 from chaoslink.io_formats import (
     read_masked_series,
     read_trajectory_dump,
@@ -15,6 +22,7 @@ from chaoslink.io_formats import (
 )
 from chaoslink.link import ModulationConfig, mask_transmit, prbs
 from chaoslink.signals import synth_image, synth_speech
+from test_codecs import hand_packet
 
 
 class TestTrajectoryFiles:
@@ -51,6 +59,14 @@ class TestTrajectoryFiles:
         assert float(first[1]) == traj.states[0, 0]
         assert float(first[4]) == traj.w[0]
 
+    @pytest.mark.parametrize("cut", [50, -8], ids=["short_header", "truncated_body"])
+    def test_dump_length_checked(self, tmp_path, cut):
+        path = tmp_path / "traj.bin"
+        write_trajectory_dump(path, cl.generate_trajectory(10, seed=1))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=r"expected \d+ bytes.*got \d+"):
+            read_trajectory_dump(path)
+
     def test_dump_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 100)
@@ -72,6 +88,53 @@ class TestMaskedSeriesFile:
         assert back.preamble_samples == masked.preamble_samples
         # reference data stays with the transmitter
         assert back.true_bits is None and back.w_clean is None
+
+
+def masked_file(tmp_path, bits):
+    """Write a short-symbol masked series carrying ``bits``."""
+    cfg = ModulationConfig(samples_per_bit=4)
+    path = tmp_path / "masked.bin"
+    write_masked_series(path, mask_transmit(cl.DEFAULT_PARAMS, bits, cfg, seed=1))
+    return path
+
+
+def recv(tmp_path, path, capsys):
+    code = main(
+        ["recv-file", "--input", str(path), "--output", str(tmp_path / "x.wav"),
+         "--seed", "2", "--out-dir", str(tmp_path)]
+    )
+    return code, capsys.readouterr().err
+
+
+class TestUntrustedReceive:
+    """recv-file on malformed input: a documented exit code, never a traceback."""
+
+    @pytest.mark.parametrize("cut", [60, -8], ids=["short_header", "truncated_body"])
+    def test_masked_file_length_checked(self, tmp_path, capsys, cut):
+        path = masked_file(tmp_path, prbs(20, seed=3))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut])
+        code, err = recv(tmp_path, path, capsys)
+        assert code == 2
+        assert str(path) in err
+        assert f"got {len(raw[:cut])}" in err
+        expected = 98 if cut == 60 else len(raw)
+        assert f"expected {expected} bytes" in err
+
+    @pytest.mark.parametrize(
+        "packet",
+        [
+            hand_packet("audio", dim0=16, frame_len=16, keep=0),
+            hand_packet("audio", dim0=16, frame_len=16, keep=20),
+            hand_packet("image", dim0=8, frame_len=0, keep=2, positions=[5, 64]),
+        ],
+        ids=["keep_count_zero", "audio_keep_above_frame", "position_out_of_range"],
+    )
+    def test_inconsistent_packet_is_runtime_failure(self, tmp_path, capsys, packet):
+        path = masked_file(tmp_path, packet_to_bits(packet))
+        code, err = recv(tmp_path, path, capsys)
+        assert code == 3
+        assert "packet corrupt" in err
 
 
 class TestCli:
