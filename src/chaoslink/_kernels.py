@@ -2,7 +2,15 @@
 
 Every kernel is plain Python that numba can compile in nopython mode; if the
 import fails the same functions run interpreted, which is slower but
-bit-identical.
+bit-identical. One body serves both backends, so there is nothing to keep
+in step between a compiled and an interpreted copy of a loop.
+
+Float-boundary rule: the per-sample kernels convert their start state, their
+coefficients and every array element they read to a Python ``float`` with
+``float(...)`` before any arithmetic. Interpreted, arithmetic on Python
+floats costs a fraction of the same arithmetic on numpy scalars, and both
+are IEEE double operations in the same order, so the results do not change.
+Under numba ``float(...)`` of a float64 is a no-op.
 """
 
 from __future__ import annotations
@@ -80,6 +88,8 @@ def iterate_map(x, y, z, a, b, c, beta, weight, transient, out):
     ``weight`` is the settling blend; 1.0 selects the exact update so ideal
     trajectories are reproduced bit-for-bit with no arithmetic detour.
     """
+    x, y, z = float(x), float(y), float(z)
+    a, b, c, beta, weight = float(a), float(b), float(c), float(beta), float(weight)
     for _ in range(transient):
         fx = fold_scalar(a * x + b * z, beta)
         fy = fold_scalar(c * y + z, beta)
@@ -119,12 +129,14 @@ def receiver_chain(w, x, y, z, a, b, c, beta, gamma, out):
     w[0..k-1]; the update with w[k] happens after recording so transmitter
     and receiver advance in lockstep.
     """
+    x, y, z = float(x), float(y), float(z)
+    a, b, c, beta, gamma = float(a), float(b), float(c), float(beta), float(gamma)
     n = w.shape[0]
     for k in range(n):
         out[k, 0] = x
         out[k, 1] = y
         out[k, 2] = z
-        zt = w[k] - gamma * x
+        zt = float(w[k]) - gamma * x
         fx = fold_scalar(a * x + b * zt, beta)
         fy = fold_scalar(c * y + zt, beta)
         fz = fold_scalar(x + y, beta)
@@ -200,12 +212,15 @@ def masked_transmit_chain(info, x, y, z, a, b, c, beta, gamma, w_clean, w_star):
     reproduces the same dynamics exactly. w_star is emitted as
     ``w_clean + info`` so the additive relation is bit-exact.
     """
+    x, y, z = float(x), float(y), float(z)
+    a, b, c, beta, gamma = float(a), float(b), float(c), float(beta), float(gamma)
     n = info.shape[0]
     for k in range(n):
-        zs = z + info[k]
+        ik = float(info[k])
+        zs = z + ik
         wc = gamma * x + z
         w_clean[k] = wc
-        w_star[k] = wc + info[k]
+        w_star[k] = wc + ik
         fx = fold_scalar(a * x + b * zs, beta)
         fy = fold_scalar(c * y + zs, beta)
         fz = fold_scalar(x + y, beta)
@@ -214,14 +229,25 @@ def masked_transmit_chain(info, x, y, z, a, b, c, beta, gamma, w_clean, w_star):
 
 @njit(nogil=True)
 def lfsr_bits(state, taps, degree, out):
-    """Fibonacci LFSR: emit out.shape[0] bits, MSB of the register first."""
-    mask = (1 << degree) - 1
-    state = state & mask
-    for k in range(out.shape[0]):
-        fb = 0
-        for t in taps:
-            fb ^= state >> (t - 1)
-        fb &= 1
-        out[k] = (state >> (degree - 1)) & 1
-        state = ((state << 1) | fb) & mask
-    return state
+    """Fibonacci LFSR: fill out with the register's output bits, MSB first.
+
+    The register shifts left and feeds back the XOR of its bits ``t - 1`` for
+    each tap ``t``, so after the first ``degree`` bits (the start state, MSB
+    first) the output obeys ``out[k] = XOR_t out[k - t]``. That recurrence is
+    filled in slices of length ``min(taps)``, each reading only bits already
+    written.
+    """
+    n = out.shape[0]
+    for k in range(min(degree, n)):
+        out[k] = (state >> (degree - 1 - k)) & 1
+    step = degree
+    for t in taps:
+        if t < step:
+            step = t
+    first = taps[0]
+    for k in range(degree, n, step):
+        end = min(k + step, n)
+        bits = out[k:end]
+        bits[:] = out[k - first : end - first]
+        for t in taps[1:]:
+            bits ^= out[k - t : end - t]

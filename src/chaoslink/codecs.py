@@ -596,13 +596,18 @@ def psnr(original, reconstructed, peak: float = 255.0) -> float:
 
 def read_wav(path) -> AudioClip:
     """Read a mono 16-bit PCM WAV file."""
-    with wave.open(str(path), "rb") as fh:
-        if fh.getnchannels() != 1:
-            raise ValueError("only mono WAV input is supported")
-        if fh.getsampwidth() != 2:
-            raise ValueError("only 16-bit PCM WAV input is supported")
-        rate = fh.getframerate()
-        raw = fh.readframes(fh.getnframes())
+    try:
+        with wave.open(str(path), "rb") as fh:
+            if fh.getnchannels() != 1:
+                raise ValueError("only mono WAV input is supported")
+            if fh.getsampwidth() != 2:
+                raise ValueError("only 16-bit PCM WAV input is supported")
+            rate = fh.getframerate()
+            raw = fh.readframes(fh.getnframes())
+    except EOFError as exc:
+        raise ValueError(f"{path}: not a WAV file: ends inside its header") from exc
+    except wave.Error as exc:
+        raise ValueError(f"{path}: not a WAV file: {exc}") from exc
     samples = np.frombuffer(raw, dtype="<i2")
     return AudioClip(samples=samples, sample_rate=rate, bit_depth=16)
 
@@ -635,17 +640,27 @@ def read_pgm(path) -> GrayImage:
             while pos < len(raw) and raw[pos] != 0x0A:
                 pos += 1
             continue
+        if pos == len(raw):
+            raise ValueError(f"{path}: PGM header ends after {len(fields)} of 4 fields")
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
         fields.append(raw[start:pos])
     if fields[0] != b"P5":
         raise ValueError("only binary (P5) PGM files are supported")
+    if not all(field.isdigit() for field in fields[1:]):
+        raise ValueError(f"{path}: PGM width, height and maxval must be decimal integers")
     width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if maxval != 255:
         raise ValueError("only maxval 255 PGM files are supported")
     pos += 1  # the single whitespace after maxval
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=width * height, offset=pos)
+    expected = width * height
+    if len(raw) - pos < expected:
+        raise ValueError(
+            f"{path}: expected {expected} pixel bytes for {width}x{height}, "
+            f"got {max(len(raw) - pos, 0)}"
+        )
+    pixels = np.frombuffer(raw, dtype=np.uint8, count=expected, offset=pos)
     return GrayImage(pixels=pixels.reshape(height, width))
 
 

@@ -39,8 +39,19 @@ def wrap_unit(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("wrap_unit requires finite input")
-    out = np.mod(arr + 1.0, 2.0) - 1.0
+    out = _wrap(arr)
     return out if out.ndim else float(out)
+
+
+def _wrap(u):
+    """``(u + 1) % 2 - 1`` bit for bit on finite floats, without numpy's slow remainder.
+
+    With v = u + 1, both v/2 and 2*floor(v/2) are exact, so the one rounding
+    in v - 2*floor(v/2) sees the same exact value as the fmod-then-add-2
+    of a floored ``%``.
+    """
+    v = u + 1.0
+    return v - 2.0 * np.floor(v * 0.5) - 1.0
 
 
 def fold(x, beta):
@@ -54,21 +65,32 @@ def fold(x, beta):
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    g = np.asarray(wrap_unit(x), dtype=float)
-    flat = np.atleast_1d(g)
-    if beta == 0.0:
-        out = flat.copy()
-    elif beta == 1.0:
-        out = np.where(flat > 0.0, 1.0 - flat, np.where(flat < 0.0, -1.0 - flat, 0.0))
-    else:
-        hi = 1.0 - beta
-        out = flat / (1.0 - beta)
-        upper = flat > hi
-        lower = flat < -hi
-        out[upper] = (1.0 - flat[upper]) / beta
-        out[lower] = (-1.0 - flat[lower]) / beta
-    out = out.reshape(g.shape)
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("fold requires finite input")
+    with np.errstate(over="ignore"):
+        out = _fold_unchecked(np.atleast_1d(arr), beta).reshape(arr.shape)
     return out if out.ndim else float(out)
+
+
+def _fold_unchecked(u, beta):
+    """fold's arithmetic on a 1-d float array, without fold's input checks.
+
+    Agrees bit for bit with ``_kernels.fold_scalar`` on every finite
+    element; callers have validated ``beta`` and the input. Each branch is
+    evaluated on the whole array and np.where keeps the one that applies.
+    For beta within about 1e-308 of 0 or 1 a discarded branch can
+    overflow, so callers silence numpy's overflow warning; a kept value
+    always lies in [-1, 1]. Returns a new array.
+    """
+    g = _wrap(u)
+    if beta == 0.0:
+        return g
+    if beta == 1.0:
+        return np.where(g > 0.0, 1.0 - g, np.where(g < 0.0, -1.0 - g, 0.0))
+    hi = 1.0 - beta
+    inner = np.where(g < -hi, (-1.0 - g) / beta, g / (1.0 - beta))
+    return np.where(g > hi, (1.0 - g) / beta, inner)
 
 
 def fold_slopes(u, beta):

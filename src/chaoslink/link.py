@@ -170,8 +170,7 @@ def prbs(length: int, seed: int, degree: int = 23) -> np.ndarray:
     if state == 0:
         raise ValueError("seed must be nonzero modulo 2**degree (LFSR lockup)")
     out = np.empty(length, dtype=np.uint8)
-    taps = np.asarray(LFSR_TAPS[degree], dtype=np.int64)
-    _kernels.lfsr_bits(state, taps, degree, out)
+    _kernels.lfsr_bits(state, LFSR_TAPS[degree], degree, out)
     return out
 
 

@@ -9,12 +9,13 @@ eigenvalues of the coupled matrix scaled by the worst-case fold slope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .core_map import _as_state, fold, generate_trajectory
+from .core_map import _as_state, _fold_unchecked, fold, generate_trajectory
 from .params import DEFAULT_PARAMS, SystemParams
 
 SYNC_DISCARD = 100  # settle window dropped before error statistics
@@ -82,10 +83,27 @@ def receiver_run(w, init, params: SystemParams = DEFAULT_PARAMS) -> np.ndarray:
 
     Returns an array (len(w), 3); row k is the receiver state at sample k,
     i.e. before consuming w[k], so transmitter and receiver rows align.
+
+    On the interpreted backend a long series with stable params runs block
+    by block in lockstep (see _receiver_blocks); the result is bit-identical
+    to the sequential kernel, which handles every other case.
     """
     w = np.asarray(w, dtype=float)
     start = _as_state(init)
     out = np.empty((w.size, 3))
+    warm = None if _kernels.HAVE_NUMBA else _warmup_steps(params)
+    if (
+        warm is not None
+        and w.size >= 2 * _block_length(warm)
+        and _stays_finite(w, start, params)
+    ):
+        _receiver_blocks(w, start, params, warm, out)
+    else:
+        _receiver_chain(w, start, params, out)
+    return out
+
+
+def _receiver_chain(w, start, params: SystemParams, out) -> None:
     _kernels.receiver_chain(
         w,
         start[0],
@@ -98,7 +116,106 @@ def receiver_run(w, init, params: SystemParams = DEFAULT_PARAMS) -> np.ndarray:
         params.gamma,
         out,
     )
-    return out
+
+
+def _warmup_steps(params: SystemParams):
+    """Steps after which a receiver started anywhere matches the true one.
+
+    Under stability_check's condition the synchronization error shrinks at
+    least by rho = 1 - min(margins)/bound per step, so
+    ceil(log(2**-53)/log(rho)) steps take a unit error below the last bit.
+    The slack covers start errors up to 2 and the y error, which the x
+    error keeps feeding. None for unstable params, which never forget their
+    start state.
+    """
+    verdict = stability_check(params)
+    if not verdict["stable"]:
+        return None
+    rho = 1.0 - min(verdict["margins"].values()) / verdict["bound"]
+    steps = math.ceil(math.log(2.0**-53) / math.log(rho)) if rho > 0.0 else 1
+    return steps + steps // 4 + 8
+
+
+def _block_length(warm: int) -> int:
+    """Rows per lockstep block: 1.25 warm-ups.
+
+    Each lockstep step costs a fixed numpy overhead plus a share per lane,
+    so short blocks (many lanes, few steps) win on short series and long
+    ones (less warm-up per row) on long series; 1.25 was within a few
+    percent of the best of 1, 1.5 and 2 at both 2e4 and 2e5 samples.
+    """
+    return warm + warm // 4
+
+
+def _stays_finite(w, start, params: SystemParams) -> bool:
+    """True when no receiver intermediate can overflow from ``w`` and ``start``.
+
+    States after a fold lie in [-1, 1], so every intermediate is bounded by
+    the product below. The lockstep path needs finite values: IEEE 754
+    leaves NaN payloads open, and vector and scalar code may propagate them
+    differently.
+    """
+    lo, hi = float(w.min()), float(w.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return False
+    size = max(1.0, float(np.abs(start).max())) + max(-lo, hi)
+    gain = (abs(params.a) + abs(params.b) + abs(params.c) + 2.0) * (1.0 + abs(params.gamma))
+    return gain * (size + 1.0) < 1e300
+
+
+def _lockstep(state, wk, params: SystemParams, u):
+    """receiver_chain's update on (3, lanes) states, one sample ``wk`` per lane."""
+    x, y = state[0], state[1]
+    zt = wk - params.gamma * x
+    u[0] = params.a * x + params.b * zt
+    u[1] = params.c * y + zt
+    np.add(x, y, out=u[2])
+    return _fold_unchecked(u.reshape(-1), params.beta).reshape(u.shape)
+
+
+def _receiver_blocks(w, start, params: SystemParams, warm: int, out):
+    """Block-parallel receiver_chain, exact by construction.
+
+    Block j covers rows [j*block, (j+1)*block), where block comes from
+    _block_length and is at least ``warm``. Block 0 starts from ``start``.
+    Every later block starts from ``start`` placed ``warm`` samples earlier
+    (inside the block before it) and runs over those samples first, which
+    lets it forget the wrong start (see _warmup_steps). All blocks then step together as
+    numpy vectors and write straight into ``out``. A block is kept only if
+    its first row equals, bit for bit, the true end state of the block
+    before it; otherwise the sequential kernel re-runs it from that state.
+    Rows past the last whole block run sequentially too.
+    """
+    n = w.size
+    block = _block_length(warm)
+    lanes = n // block
+    rows = out[: lanes * block].reshape(lanes, block, 3)
+    series = w[: lanes * block].reshape(lanes, block)
+    early = w[block - warm : lanes * block - warm].reshape(lanes - 1, block)
+    state = np.repeat(start[:, None], lanes - 1, axis=1)
+    with np.errstate(over="ignore"):  # see _fold_unchecked
+        u = np.empty((3, lanes - 1))
+        for s in range(warm):
+            state = _lockstep(state, early[:, s], params, u)
+        state = np.concatenate([start[:, None], state], axis=1)
+        u = np.empty((3, lanes))
+        for s in range(block):
+            rows[:, s, :] = state.T
+            state = _lockstep(state, series[:, s], params, u)
+    starts = rows[:, 0, :].copy()
+    true_end = state[:, 0]
+    for j in range(1, lanes):
+        if starts[j].tobytes() == true_end.tobytes():
+            true_end = state[:, j]
+            continue
+        begin = j * block
+        # one row past the block is the next block's true start; a block
+        # that ends the series has no such row and needs none
+        stop = min(begin + block + 1, n)
+        _receiver_chain(w[begin:stop], true_end, params, out[begin:stop])
+        true_end = out[stop - 1].copy()
+    if lanes * block < n:
+        _receiver_chain(w[lanes * block :], true_end, params, out[lanes * block :])
 
 
 def response_estimate(w, states, gamma: float) -> np.ndarray:

@@ -346,6 +346,35 @@ class TestFileFormats:
         path.write_bytes(raw)
         assert np.array_equal(read_pgm(path).pixels, img.pixels)
 
+    @pytest.mark.parametrize("pixels", [0, 2, 15])
+    def test_pgm_short_pixel_data_rejected(self, tmp_path, pixels):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n4 4\n255\n" + bytes(pixels))
+        with pytest.raises(ValueError, match=f"expected 16 pixel bytes for 4x4, got {pixels}$"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"P5\n4", "header ends after 2 of 4 fields"),
+            (b"P5\n4 # 4 255\n", "header ends after 2 of 4 fields"),
+            (b"P5\n4 x 255\n", "must be decimal integers"),
+        ],
+        ids=["cut", "comment_to_end", "not_a_number"],
+    )
+    def test_pgm_bad_header_rejected_with_path(self, tmp_path, raw, message):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=message) as info:
+            read_pgm(path)
+        assert str(path) in str(info.value)
+
+    def test_non_wav_rejected_with_path(self, tmp_path):
+        path = tmp_path / "clip.wav"
+        path.write_bytes(b"hello")
+        with pytest.raises(ValueError, match="not a WAV file"):
+            read_wav(path)
+
 
 class TestTransmitFile:
     def test_audio_noiseless_bit_exact_vs_local(self, tmp_path):

@@ -137,6 +137,35 @@ class TestUntrustedReceive:
         assert "packet corrupt" in err
 
 
+class TestUntrustedSend:
+    """send-file on a malformed payload file: exit 2 naming the file, no traceback."""
+
+    def send(self, tmp_path, payload, capsys):
+        code = main(
+            ["send-file", "--input", str(payload), "--output", str(tmp_path / "x.masked"),
+             "--seed", "2", "--out-dir", str(tmp_path)]
+        )
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw", [b"hello", b"RIFF\x04\x00\x00\x00WAVEjunk"], ids=["not_riff", "no_chunks"]
+    )
+    def test_wav_that_is_not_a_wav(self, tmp_path, capsys, raw):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(raw)
+        code, err = self.send(tmp_path, path, capsys)
+        assert code == 2
+        assert f"{path}: not a WAV file" in err
+        assert "Traceback" not in err
+
+    def test_pgm_with_short_pixel_data(self, tmp_path, capsys):
+        path = tmp_path / "short.pgm"
+        path.write_bytes(b"P5\n4 4\n255\n" + bytes(2))
+        code, err = self.send(tmp_path, path, capsys)
+        assert code == 2
+        assert f"{path}: expected 16 pixel bytes for 4x4, got 2" in err
+
+
 class TestCli:
     def test_selftest_passes(self, capsys):
         assert main(["selftest", "--seed", "1"]) == 0

@@ -1,0 +1,214 @@
+"""Oracle tests: the fast PRBS, transmitter and receiver paths against plain references."""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import chaoslink as cl
+from chaoslink import _kernels, sync
+from chaoslink.core_map import _fold_unchecked, fold, generate_trajectory, random_initial_state
+from chaoslink.link import (
+    LFSR_TAPS,
+    ModulationConfig,
+    channel_awgn,
+    mask_transmit,
+    prbs,
+)
+
+P = cl.DEFAULT_PARAMS
+
+
+def register_bits(length, seed, degree):
+    """Bit-by-bit Fibonacci register: output the MSB, shift in the tap XOR."""
+    taps = LFSR_TAPS[degree]
+    mask = (1 << degree) - 1
+    state = seed & mask
+    out = []
+    for _ in range(length):
+        feedback = 0
+        for t in taps:
+            feedback ^= state >> (t - 1)
+        out.append((state >> (degree - 1)) & 1)
+        state = ((state << 1) | (feedback & 1)) & mask
+    return np.array(out, dtype=np.uint8)
+
+
+class TestPrbsOracle:
+    @pytest.mark.parametrize("degree", sorted(LFSR_TAPS))
+    def test_matches_register(self, degree):
+        step = min(LFSR_TAPS[degree])
+        ragged = degree + 3 * step + 1  # not a whole number of recurrence slices
+        assert (ragged - degree) % step != 0
+        lengths = [1, degree - 1, degree, ragged, 100_000]
+        for length in (n for n in lengths if n >= 1):
+            for seed in (1, 0b101, (1 << degree) - 1):
+                got = prbs(length, seed=seed, degree=degree)
+                assert got.dtype == np.uint8
+                assert np.array_equal(got, register_bits(length, seed, degree)), (
+                    degree,
+                    length,
+                    seed,
+                )
+
+
+BETAS = [0.0, 0.25, 0.5, 0.8, 1.0]
+EDGES = [
+    0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 0.25, -0.25, 0.75, -0.75, 0.2, -0.2,
+    1.0 - 2.0**-53, -1.0 + 2.0**-53, 1.0 + 2.0**-52, -1.0 - 2.0**-52, -3.0 - 2.0**-51,
+    2.0**-1074, -(2.0**-1074), 2.0**53, -(2.0**53) - 2.0, 1e300, -1.7976931348623157e308,
+]
+
+
+def scalar_fold(values, beta):
+    return np.array([_kernels.fold_scalar(float(v), beta) for v in values])
+
+
+class TestFoldOracle:
+    """The vector fold used by the lockstep receiver equals the kernels' scalar fold."""
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_edge_values(self, beta):
+        u = np.array(EDGES)
+        assert _fold_unchecked(u, beta).tobytes() == scalar_fold(u, beta).tobytes()
+
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+        st.sampled_from(BETAS),
+    )
+    def test_any_finite_input(self, values, beta):
+        u = np.array(values)
+        assert _fold_unchecked(u, beta).tobytes() == scalar_fold(u, beta).tobytes()
+
+    @given(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=40), st.sampled_from(BETAS))
+    def test_operating_range(self, values, beta):
+        u = np.array(values)
+        assert _fold_unchecked(u, beta).tobytes() == scalar_fold(u, beta).tobytes()
+
+
+def reference_transmit(params, info, start):
+    """mask_transmit's loop, one sample at a time on core_map.fold."""
+    x, y, z = start
+    w_clean = np.empty(info.size)
+    w_star = np.empty(info.size)
+    for k, i in enumerate(info):
+        zs = z + i
+        w_clean[k] = params.gamma * x + z
+        w_star[k] = w_clean[k] + i
+        x, y, z = (
+            fold(params.a * x + params.b * zs, params.beta),
+            fold(params.c * y + zs, params.beta),
+            fold(x + y, params.beta),
+        )
+    return w_clean, w_star
+
+
+class TestMaskTransmitOracle:
+    @pytest.mark.parametrize(
+        "params",
+        [P, P.replace(beta=0.0), P.replace(beta=1.0), P.replace(beta=0.3, c=0.25, gamma=-4 / 3)],
+        ids=["beta0.5", "beta0", "beta1", "beta0.3"],
+    )
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_stepwise_fold(self, params, seed):
+        cfg = ModulationConfig(amplitude=0.07, samples_per_bit=5)
+        masked = mask_transmit(params, prbs(300, seed=seed + 1), cfg, seed=seed, settle_steps=50)
+        start = generate_trajectory(1, params=params, seed=seed).states[0]
+        w_clean, w_star = reference_transmit(params, masked.info, start)
+        assert masked.w_clean.tobytes() == w_clean.tobytes()
+        assert masked.w_star.tobytes() == w_star.tobytes()
+
+
+def chain(w, init, params):
+    """The sequential receiver kernel: the oracle for receiver_run."""
+    out = np.empty((w.size, 3))
+    _kernels.receiver_chain(
+        w, *init, params.a, params.b, params.c, params.beta, params.gamma, out
+    )
+    return out
+
+
+def drive(n, params=P, sigma=0.0, seed=3):
+    bits = prbs(n, seed=seed + 1)
+    cfg = ModulationConfig(amplitude=0.07, samples_per_bit=1)
+    masked = mask_transmit(params, bits, cfg, seed=seed)
+    return channel_awgn(masked.w_star, sigma, seed=seed + 1)
+
+
+class TestReceiverRunOracle:
+    """receiver_run must equal the sequential kernel byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def interpreted(self, monkeypatch):
+        """Count block-path calls; take the block path under numba too."""
+        monkeypatch.setattr(sync._kernels, "HAVE_NUMBA", False)
+        self.calls = {"blocks": 0, "chain": 0}
+        blocks, chain_fn = sync._receiver_blocks, sync._receiver_chain
+
+        def count_blocks(*args):
+            self.calls["blocks"] += 1
+            return blocks(*args)
+
+        def count_chain(*args):
+            self.calls["chain"] += 1
+            return chain_fn(*args)
+
+        monkeypatch.setattr(sync, "_receiver_blocks", count_blocks)
+        monkeypatch.setattr(sync, "_receiver_chain", count_chain)
+
+    def check(self, w, params=P, seed=11):
+        init = random_initial_state(seed)
+        got = sync.receiver_run(w, init, params)
+        assert got.tobytes() == chain(w, init, params).tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.012])
+    @pytest.mark.parametrize("n", [5000, 5003])
+    def test_clean_and_noisy(self, sigma, n):
+        self.check(drive(n, sigma=sigma))
+        assert self.calls["blocks"] == 1
+
+    def test_receiver_mismatch(self):
+        scale = 1.002
+        params = P.replace(a=P.a * scale, b=P.b * scale, c=P.c * scale)
+        self.check(drive(6000, sigma=0.003), params)
+        assert self.calls["blocks"] == 1
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_constant_slope_folds(self, beta):
+        params = P.replace(beta=beta)
+        assert sync.stability_check(params)["stable"]
+        self.check(drive(6000, params, sigma=0.005), params)
+        assert self.calls["blocks"] == 1
+
+    def test_non_finite_samples(self):
+        w = drive(6000)
+        w[[10, 700, 3000]] = [np.nan, np.inf, -np.inf]
+        self.check(w)
+        self.check(w, P.replace(beta=1.0))
+
+    def test_huge_samples(self):
+        w = drive(6000)
+        w[2000] = 1e308
+        self.check(w)
+
+    def test_shorter_than_two_blocks(self):
+        block = sync._block_length(sync._warmup_steps(P))
+        w = drive(2 * block)
+        self.check(w[: 2 * block - 1])
+        assert self.calls["blocks"] == 0
+        self.check(w[: 2 * block])
+        assert self.calls["blocks"] == 1
+
+    def test_unstable_params(self):
+        params = P.replace(gamma=-0.5)
+        assert sync._warmup_steps(params) is None
+        self.check(drive(6000), params)
+        assert self.calls["blocks"] == 0
+
+    def test_seams_fall_back_when_warmup_too_short(self, monkeypatch):
+        monkeypatch.setattr(sync, "_warmup_steps", lambda params: 2)
+        w = drive(3000, sigma=0.012)
+        self.check(w)
+        lanes = w.size // sync._block_length(2)
+        assert self.calls["blocks"] == 1
+        assert self.calls["chain"] > lanes // 2
