@@ -392,38 +392,46 @@ def decompress_image(packet: CoefficientPacket) -> GrayImage:
 
 # ---------------------------------------------------------------------------
 # bit packing
+#
+# Every payload field has a width the header fixes before any bit is read:
+# per chunk a 32-bit float32 scale, then (magnitude mode) one 16-bit position
+# delta per kept value, then the kept values at value_bits each, all MSB
+# first. The layout labels each payload bit with the class of its field, so
+# the packer scatters, and the parser gathers, one class at a time.
+
+_SCALE, _INDEX, _VALUE = 0, 1, 2
 
 
-class _BitWriter:
-    def __init__(self):
-        self.chunks = []
-        self.acc = 0
-        self.nbits = 0
-
-    def write(self, value: int, bits: int):
-        self.acc = (self.acc << bits) | (value & ((1 << bits) - 1))
-        self.nbits += bits
-
-    def to_bits(self) -> np.ndarray:
-        pad = (-self.nbits) % 8
-        total = self.nbits + pad
-        raw = (self.acc << pad).to_bytes(total // 8, "big")
-        return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+def _payload_layout(index_counts, value_counts, value_bits: int) -> np.ndarray:
+    """Field class (_SCALE, _INDEX or _VALUE) of every payload bit, in order."""
+    lengths = np.column_stack(
+        [
+            np.full(len(value_counts), 32),
+            INDEX_BITS * np.asarray(index_counts, dtype=np.int64),
+            value_bits * np.asarray(value_counts, dtype=np.int64),
+        ]
+    )
+    classes = np.array([_SCALE, _INDEX, _VALUE], dtype=np.uint8)
+    return np.repeat(np.tile(classes, len(value_counts)), lengths.ravel())
 
 
-class _BitReader:
-    def __init__(self, bits: np.ndarray):
-        self.bits = np.asarray(bits).astype(np.uint8)
-        self.pos = 0
+def _uint_to_bits(values: np.ndarray, width: int) -> np.ndarray:
+    """Low ``width`` bits of each value, MSB first, as one flat 0/1 array."""
+    words = (values & ((1 << width) - 1)).astype(">u4")
+    bits = np.unpackbits(words.view(np.uint8).reshape(-1, 4), axis=1)
+    return bits[:, 32 - width :].ravel()
 
-    def read(self, nbits: int) -> int:
-        if self.pos + nbits > self.bits.size:
-            raise PacketCorruptionError("payload", self.pos // 8, "truncated")
-        value = 0
-        for b in self.bits[self.pos : self.pos + nbits]:
-            value = (value << 1) | int(b)
-        self.pos += nbits
-        return value
+
+def _bits_to_uint(bits: np.ndarray, width: int) -> np.ndarray:
+    """Consecutive ``width``-bit MSB-first fields of ``bits`` as int64."""
+    padded = np.zeros((bits.size // width, 32), dtype=np.uint8)
+    padded[:, 32 - width :] = bits.reshape(-1, width)
+    return np.packbits(padded, axis=1).view(">u4").ravel().astype(np.int64)
+
+
+def _concat(arrays) -> np.ndarray:
+    """The per-chunk arrays end to end as int64."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *arrays]).astype(np.int64)
 
 
 def _bits_to_bytes(bits: np.ndarray) -> bytes:
@@ -454,25 +462,35 @@ def packet_to_bits(packet: CoefficientPacket) -> np.ndarray:
     )
     header += struct.pack("<I", zlib.crc32(header))
 
-    writer = _BitWriter()
-    for f, q in enumerate(packet.values):
-        writer.write(
-            int.from_bytes(struct.pack("<f", packet.scales[f]), "little"), 32
-        )
-        if packet.selection == "magnitude":
-            prev = -1
-            for idx in packet.indices[f]:
-                delta = int(idx) - prev - 1
-                if delta >= 1 << INDEX_BITS:
-                    raise ValueError(
-                        "coefficient positions too sparse for 16-bit deltas; "
-                        "use lowfreq selection for payloads this large"
-                    )
-                writer.write(delta, INDEX_BITS)
-                prev = int(idx)
-        for v in q:
-            writer.write(int(v), packet.value_bits)
-    payload_bytes = _bits_to_bytes(writer.to_bits())
+    n = len(packet.values)
+    value_counts = [len(v) for v in packet.values]
+    index_counts, deltas = [0] * n, _concat([])
+    if packet.selection == "magnitude":
+        index_counts = [len(p) for p in packet.indices]
+        positions = _concat(packet.indices)
+        # each chunk's deltas count from position -1
+        previous = np.roll(positions, 1)
+        ends = np.cumsum(index_counts)
+        starts = ends - index_counts
+        previous[starts[starts < positions.size]] = -1
+        deltas = positions - previous - 1
+        too_far = np.flatnonzero(deltas >= 1 << INDEX_BITS)
+        if too_far.size:
+            # fields go out in order, so a bad scale up to this chunk wins
+            chunk = np.searchsorted(ends, too_far[0], "right")
+            struct.pack(f">{chunk + 1}f", *packet.scales[: chunk + 1])
+            raise ValueError(
+                "coefficient positions too sparse for 16-bit deltas; "
+                "use lowfreq selection for payloads this large"
+            )
+    # struct's float32 conversion raises on overflow, as a field-by-field pack would
+    scale_bits = _bytes_to_bits(struct.pack(f">{n}f", *packet.scales[:n]))
+    layout = _payload_layout(index_counts, value_counts, packet.value_bits)
+    payload = np.empty(layout.size, dtype=np.uint8)
+    payload[layout == _SCALE] = scale_bits
+    payload[layout == _INDEX] = _uint_to_bits(deltas, INDEX_BITS)
+    payload[layout == _VALUE] = _uint_to_bits(_concat(packet.values), packet.value_bits)
+    payload_bytes = _bits_to_bytes(payload)
     footer = struct.pack("<I", zlib.crc32(payload_bytes))
     return _bytes_to_bits(header + payload_bytes + footer)
 
@@ -487,7 +505,7 @@ def bits_to_packet(bits) -> CoefficientPacket:
     if bits.size < 36 * 8 + 32:
         raise PacketCorruptionError("header", 0, "too short for a packet")
     raw = _bits_to_bytes(bits[: (bits.size // 8) * 8])
-    magic, version, kind, sel, value_bits, dim0, dim1, frame_len, keep, n_frames, mean = struct.unpack(
+    magic, version, kind, sel, value_bits, dim0, dim1, frame_len, keep, n_chunks, mean = struct.unpack(
         "<IBBBBIIIIIf", raw[:32]
     )
     (header_crc,) = struct.unpack("<I", raw[32:36])
@@ -510,14 +528,14 @@ def bits_to_packet(bits) -> CoefficientPacket:
         )
     selection = "lowfreq" if sel == 0 else "magnitude"
     per_coeff = value_bits + (INDEX_BITS if selection == "magnitude" else 0)
-    frame_counts = _chunk_sizes(keep)
-    if kind == 0:
-        frame_counts *= -(-dim0 // frame_len)
-    if len(frame_counts) != n_frames:
+    # sizes from the header are checked as numbers before anything is allocated
+    frames = -(-dim0 // frame_len) if kind == 0 else 1
+    needed = -(-keep // QUANT_CHUNK) * frames
+    if needed != n_chunks:
         raise PacketCorruptionError(
-            "header", 24, f"{n_frames} chunks, layout needs {len(frame_counts)}"
+            "header", 24, f"{n_chunks} chunks, layout needs {needed}"
         )
-    payload_bits = sum(32 + k * per_coeff for k in frame_counts)
+    payload_bits = 32 * n_chunks + per_coeff * keep * frames
     payload_bytes_len = (payload_bits + 7) // 8
     total_bytes = 36 + payload_bytes_len + 4
     if bits.size < total_bytes * 8:
@@ -529,28 +547,33 @@ def bits_to_packet(bits) -> CoefficientPacket:
     if zlib.crc32(payload_raw) != payload_crc:
         raise PacketCorruptionError("payload", 36, "payload CRC mismatch")
 
-    reader = _BitReader(_bytes_to_bits(payload_raw))
-    qmax_mask = 1 << (value_bits - 1)
-    scales, indices, values = [], [], []
-    for k in frame_counts:
-        (scale,) = struct.unpack("<f", reader.read(32).to_bytes(4, "little"))
-        scales.append(float(scale))
-        if selection == "magnitude":
-            pos = np.empty(k, dtype=np.int64)
-            prev = -1
-            for i in range(k):
-                prev = prev + 1 + reader.read(INDEX_BITS)
-                pos[i] = prev
-            if k and prev >= limit:
-                raise PacketCorruptionError(
-                    "payload", 36 + reader.pos // 8, f"position {prev} >= {limit}"
-                )
-            indices.append(pos)
-        q = np.empty(k, dtype=np.int32)
-        for i in range(k):
-            v = reader.read(value_bits)
-            q[i] = v - (1 << value_bits) if v & qmax_mask else v
-        values.append(q)
+    counts = np.tile(_chunk_sizes(keep), frames)
+    index_counts = counts if selection == "magnitude" else np.zeros_like(counts)
+    layout = _payload_layout(index_counts, counts, value_bits)
+    payload = _bytes_to_bits(payload_raw)[:payload_bits]
+    ends = np.cumsum(counts)
+    scales = struct.unpack(f">{n_chunks}f", _bits_to_bytes(payload[layout == _SCALE]))
+    indices = None
+    if selection == "magnitude":
+        # positions restart from -1 in every chunk
+        steps = np.cumsum(_bits_to_uint(payload[layout == _INDEX], INDEX_BITS) + 1)
+        before = np.concatenate(([0], steps))[ends - counts]
+        positions = steps - np.repeat(before, counts) - 1
+        bad = np.flatnonzero(positions[ends - 1] >= limit)
+        if bad.size:
+            # the first bad chunk, at the bit where its last delta ends
+            c = int(bad[0])
+            start = 32 * c + per_coeff * int(ends[c] - counts[c])
+            index_end = start + 32 + INDEX_BITS * int(counts[c])
+            raise PacketCorruptionError(
+                "payload",
+                36 + index_end // 8,
+                f"position {positions[ends[c] - 1]} >= {limit}",
+            )
+        indices = tuple(np.split(positions, ends)[:-1])
+    q = _bits_to_uint(payload[layout == _VALUE], value_bits)
+    q -= (q >> (value_bits - 1)) << value_bits  # two's complement sign
+    values = tuple(np.split(q.astype(np.int32), ends)[:-1])
     return CoefficientPacket(
         kind="audio" if kind == 0 else "image",
         dim0=dim0,
@@ -560,9 +583,9 @@ def bits_to_packet(bits) -> CoefficientPacket:
         selection=selection,
         value_bits=value_bits,
         mean=float(mean),
-        scales=tuple(scales),
-        indices=tuple(indices) if selection == "magnitude" else None,
-        values=tuple(values),
+        scales=scales,
+        indices=indices,
+        values=values,
     )
 
 

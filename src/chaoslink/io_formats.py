@@ -143,6 +143,10 @@ def read_masked_series(path) -> MaskedSeries:
         path, MASKED_MAGIC, "masked-series", "<dIddqIIQ", 1
     )
     amplitude, spb, f_clk, bit_rate, seed, settle, pilot, _ = fields
+    # one NaN or inf sample would leave every later receiver state non-finite
+    bad = np.flatnonzero(~np.isfinite(rows[:, 0]))
+    if bad.size:
+        raise ValueError(f"{path}: sample {bad[0]} is not finite ({rows[bad[0], 0]})")
     return MaskedSeries(
         w_star=rows[:, 0].copy(),
         config=ModulationConfig(

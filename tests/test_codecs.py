@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from chaoslink import DEFAULT_PARAMS
 from chaoslink.codecs import (
+    INDEX_BITS,
+    QUANT_CHUNK,
     AudioClip,
     CoefficientPacket,
     GrayImage,
@@ -65,6 +68,159 @@ def hand_packet(kind, dim0, frame_len, keep, positions=None, n_values=None):
         scales=(1.0,) if n_values else (),
         indices=None if positions is None else (np.asarray(positions),),
         values=(np.zeros(n_values, dtype=np.int32),) if n_values else (),
+    )
+
+
+# ---------------------------------------------------------------------------
+# bit-by-bit reference packer and parser: the writer grows one Python integer
+# field by field, the reader builds each field from a loop over its bits
+
+
+class RefBitWriter:
+    def __init__(self):
+        self.acc = 0
+        self.nbits = 0
+
+    def write(self, value, bits):
+        self.acc = (self.acc << bits) | (value & ((1 << bits) - 1))
+        self.nbits += bits
+
+    def to_bytes(self):
+        pad = (-self.nbits) % 8
+        return (self.acc << pad).to_bytes((self.nbits + pad) // 8, "big")
+
+
+class RefBitReader:
+    def __init__(self, raw):
+        self.bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+        self.pos = 0
+
+    def read(self, nbits):
+        value = 0
+        for b in self.bits[self.pos : self.pos + nbits]:
+            value = (value << 1) | int(b)
+        self.pos += nbits
+        return value
+
+
+def reference_packet_to_bits(packet):
+    header = struct.pack(
+        HEADER_LAYOUT, 0x43504B31, 1, ("audio", "image").index(packet.kind),
+        ("lowfreq", "magnitude").index(packet.selection), packet.value_bits,
+        packet.dim0, packet.dim1, packet.frame_len, packet.keep_count,
+        len(packet.values), packet.mean,
+    )
+    header += struct.pack("<I", zlib.crc32(header))
+    writer = RefBitWriter()
+    for f, q in enumerate(packet.values):
+        writer.write(int.from_bytes(struct.pack("<f", packet.scales[f]), "little"), 32)
+        if packet.selection == "magnitude":
+            prev = -1
+            for idx in packet.indices[f]:
+                delta = int(idx) - prev - 1
+                if delta >= 1 << INDEX_BITS:
+                    raise ValueError("coefficient positions too sparse for 16-bit deltas")
+                writer.write(delta, INDEX_BITS)
+                prev = int(idx)
+        for v in q:
+            writer.write(int(v), packet.value_bits)
+    payload = writer.to_bytes()
+    raw = header + payload + struct.pack("<I", zlib.crc32(payload))
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+
+
+def reference_bits_to_packet(bits):
+    """Field-by-field parse of a packet whose header and CRCs are valid."""
+    raw = np.packbits(bits).tobytes()
+    h = dict(zip(HEADER_FIELDS, struct.unpack(HEADER_LAYOUT, raw[:32])))
+    kind, keep, width = h["kind"], h["keep_count"], h["value_bits"]
+    magnitude = h["selection"] == 1
+    limit = h["frame_len"] if kind == 0 else h["dim0"] * h["dim1"]
+    sizes = [min(QUANT_CHUNK, keep - s) for s in range(0, keep, QUANT_CHUNK)]
+    if kind == 0:
+        sizes *= -(-h["dim0"] // h["frame_len"])
+    reader = RefBitReader(raw[36:])
+    scales, indices, values = [], [], []
+    for k in sizes:
+        (scale,) = struct.unpack("<f", reader.read(32).to_bytes(4, "little"))
+        scales.append(scale)
+        if magnitude:
+            pos = np.empty(k, dtype=np.int64)
+            prev = -1
+            for i in range(k):
+                prev = prev + 1 + reader.read(INDEX_BITS)
+                pos[i] = prev
+            if prev >= limit:
+                raise PacketCorruptionError(
+                    "payload", 36 + reader.pos // 8, f"position {prev} >= {limit}"
+                )
+            indices.append(pos)
+        q = np.empty(k, dtype=np.int32)
+        for i in range(k):
+            v = reader.read(width)
+            q[i] = v - (1 << width) if v >> (width - 1) else v
+        values.append(q)
+    return CoefficientPacket(
+        kind=("audio", "image")[kind], dim0=h["dim0"], dim1=h["dim1"],
+        frame_len=h["frame_len"], keep_count=keep,
+        selection="magnitude" if magnitude else "lowfreq", value_bits=width,
+        mean=h["mean"], scales=tuple(scales),
+        indices=tuple(indices) if magnitude else None, values=tuple(values),
+    )
+
+
+def assert_packets_equal(got, expected):
+    """Equal field by field, with the same dtypes and scale types; NaN scales by bits."""
+    for name in ("kind", "dim0", "dim1", "frame_len", "keep_count", "selection", "value_bits"):
+        assert getattr(got, name) == getattr(expected, name), name
+    as_bits = lambda xs: [(type(x), struct.pack("<d", x)) for x in xs]
+    assert as_bits([got.mean]) == as_bits([expected.mean])
+    assert as_bits(got.scales) == as_bits(expected.scales)
+    assert (got.indices is None) == (expected.indices is None)
+    for field in ("indices", "values") if got.indices is not None else ("values",):
+        a, b = getattr(got, field), getattr(expected, field)
+        assert len(a) == len(b), field
+        for x, y in zip(a, b):
+            assert x.dtype == y.dtype and np.array_equal(x, y), field
+
+
+@st.composite
+def packets(draw, value_bits=None):
+    """Well-formed packets: every kind, selection and value width, ragged last
+    chunks, zero and extreme scales, values up to +-qmax, deltas 0..65535."""
+    kind = draw(st.sampled_from(["audio", "image"]))
+    selection = draw(st.sampled_from(["lowfreq", "magnitude"]))
+    if value_bits is None:
+        value_bits = draw(st.integers(2, 16))
+    qmax = (1 << (value_bits - 1)) - 1
+    keep = draw(st.integers(1, 3 * QUANT_CHUNK + 1))
+    frames = draw(st.integers(1, 3)) if kind == "audio" else 1
+    sizes = [min(QUANT_CHUNK, keep - s) for s in range(0, keep, QUANT_CHUNK)] * frames
+    scales = [draw(st.one_of(st.just(0.0), st.floats(width=32))) for _ in sizes]
+    values = [
+        draw(hnp.arrays(np.int32, k, elements=st.integers(-qmax, qmax))) for k in sizes
+    ]
+    indices, top = None, keep - 1
+    if selection == "magnitude":
+        deltas = st.integers(0, (1 << INDEX_BITS) - 1)
+        indices = tuple(
+            np.cumsum(draw(hnp.arrays(np.int64, k, elements=deltas)) + 1) - 1
+            for k in sizes
+        )
+        top = max(top, max(int(p[-1]) for p in indices))
+    # positions lie below frame_len (audio) or dim0 * dim1 (image)
+    limit = top + 1 + draw(st.integers(0, 100))
+    if kind == "audio":
+        frame_len, dim1 = limit, 8000
+        dim0 = (frames - 1) * frame_len + draw(st.integers(1, frame_len))
+    else:
+        frame_len, dim1 = 0, draw(st.integers(1, 64))
+        dim0 = -(-limit // dim1)
+    return CoefficientPacket(
+        kind=kind, dim0=dim0, dim1=dim1, frame_len=frame_len, keep_count=keep,
+        selection=selection, value_bits=value_bits,
+        mean=draw(st.floats(width=32)) if kind == "image" else 0.0,
+        scales=tuple(scales), indices=indices, values=tuple(values),
     )
 
 
@@ -321,6 +477,142 @@ class TestPacketHeaderChecks:
         with pytest.raises(PacketCorruptionError) as info:
             bits_to_packet(with_header(self.audio_bits(), **changes))
         assert info.value.offset == 5
+
+
+u32_values = st.one_of(
+    st.sampled_from([0, 1, 63, 64, 65, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1)
+)
+header_changes = st.fixed_dictionaries(
+    {},
+    optional={
+        **{f: st.integers(0, 255) for f in ("version", "kind", "selection", "value_bits")},
+        **{f: u32_values for f in ("dim0", "dim1", "frame_len", "keep_count", "n_chunks")},
+        "mean": st.floats(width=32),
+    },
+)
+
+
+class TestPacketLayer:
+    """The vectorized packer and parser against the bit-by-bit reference."""
+
+    @pytest.mark.parametrize("value_bits", range(2, 17))
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_matches_reference(self, value_bits, data):
+        packet = data.draw(packets(value_bits))
+        bits = packet_to_bits(packet)
+        assert bits.dtype == np.uint8 and bits.size == packet.serialized_bits
+        assert bits.tobytes() == reference_packet_to_bits(packet).tobytes()
+        assert_packets_equal(bits_to_packet(bits), reference_bits_to_packet(bits))
+
+    @pytest.mark.parametrize("selection", ["lowfreq", "magnitude"])
+    def test_codec_packets_match_reference(self, selection):
+        for packet in (
+            compress_audio(synth_speech(duration=0.5, seed=1), 0.3, selection=selection),
+            compress_image(synth_image(64, 64, seed=2), 0.2, selection=selection),
+        ):
+            bits = packet_to_bits(packet)
+            assert bits.tobytes() == reference_packet_to_bits(packet).tobytes()
+            parsed = bits_to_packet(bits)
+            assert_packets_equal(parsed, reference_bits_to_packet(bits))
+            assert_packets_equal(parsed, packet)
+
+    def test_extreme_deltas(self):
+        # deltas 0, 0, 65535, 0
+        positions = [0, 1, 65537, 65538]
+        packet = hand_packet("image", dim0=9000, frame_len=0, keep=4, positions=positions)
+        bits = packet_to_bits(packet)
+        assert bits.tobytes() == reference_packet_to_bits(packet).tobytes()
+        assert list(bits_to_packet(bits).indices[0]) == positions
+
+    def test_delta_beyond_index_bits_rejected(self):
+        packet = hand_packet("image", dim0=9000, frame_len=0, keep=2, positions=[0, 65537])
+        with pytest.raises(ValueError, match="too sparse for 16-bit deltas"):
+            packet_to_bits(packet)
+        with pytest.raises(ValueError, match="too sparse for 16-bit deltas"):
+            reference_packet_to_bits(packet)
+
+    @pytest.mark.parametrize(
+        "bad_chunks, offset",
+        # chunk 0 ends its 64 deltas at bit 32 + 64*16; chunk 1 starts at bit
+        # 32 + 64*(16 + 8) and ends its 6 deltas 32 + 6*16 bits later
+        [((1,), 36 + (32 + 64 * 24 + 32 + 6 * 16) // 8), ((0, 1), 36 + (32 + 64 * 16) // 8)],
+        ids=["second_chunk", "first_of_two"],
+    )
+    def test_position_error_offset(self, bad_chunks, offset):
+        positions = [np.arange(64), np.array([0, 1, 2, 3, 4, 5])]
+        for c in bad_chunks:
+            positions[c][-1] = 128  # 16 x 8 image: positions below 128
+        packet = CoefficientPacket(
+            kind="image", dim0=16, dim1=8, frame_len=0, keep_count=70,
+            selection="magnitude", value_bits=8, mean=0.0, scales=(1.0, 1.0),
+            indices=tuple(positions),
+            values=(np.zeros(64, dtype=np.int32), np.zeros(6, dtype=np.int32)),
+        )
+        bits = packet_to_bits(packet)
+        for parse in (bits_to_packet, reference_bits_to_packet):
+            with pytest.raises(PacketCorruptionError, match="position 128 >= 128") as info:
+                parse(bits)
+            assert (info.value.section, info.value.offset) == ("payload", offset)
+
+
+class TestUntrustedPacket:
+    """Any input either parses or raises PacketCorruptionError."""
+
+    @staticmethod
+    def parse_or_corrupt(bits):
+        try:
+            bits_to_packet(bits)
+        except PacketCorruptionError:
+            pass
+
+    @given(hnp.arrays(np.uint8, st.integers(0, 3000), elements=st.integers(0, 1)))
+    @settings(max_examples=100, deadline=None)
+    def test_arbitrary_bits(self, bits):
+        self.parse_or_corrupt(bits)
+
+    @given(packets(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_truncated(self, packet, data):
+        bits = packet_to_bits(packet)
+        cut = data.draw(st.integers(0, bits.size - 1))
+        with pytest.raises(PacketCorruptionError):
+            bits_to_packet(bits[:cut])
+
+    @given(
+        packets(),
+        header_changes,
+        st.sampled_from([None, "same size", "any size"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_header_rewrites(self, packet, changes, refill, seed):
+        """Valid header CRC; the payload kept, or refilled at random with a valid CRC."""
+        raw = np.packbits(with_header(packet_to_bits(packet), **changes)).tobytes()
+        if refill is not None:
+            rng = np.random.default_rng(seed)
+            size = len(raw) - 40 if refill == "same size" else rng.integers(0, 2000)
+            body = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+            raw = raw[:36] + body + struct.pack("<I", zlib.crc32(body))
+        self.parse_or_corrupt(np.unpackbits(np.frombuffer(raw, dtype=np.uint8)))
+
+    @pytest.mark.parametrize("n_chunks, offset", [(1, 24), (2**32 - 1, 36)])
+    def test_header_sizes_checked_before_allocation(self, n_chunks, offset):
+        # 2**32 - 1 one-sample frames of one coefficient each: the layout alone
+        # would be billions of chunks
+        bits = with_header(
+            packet_to_bits(hand_packet("audio", dim0=1, frame_len=1, keep=1)),
+            dim0=2**32 - 1, n_chunks=n_chunks,
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(PacketCorruptionError) as info:
+                bits_to_packet(bits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.value.offset == offset
+        assert peak < 4 * 2**20
 
 
 class TestFileFormats:

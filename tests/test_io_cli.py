@@ -1,7 +1,12 @@
 import json
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import chaoslink as cl
 from chaoslink.cli import main
@@ -135,6 +140,51 @@ class TestUntrustedReceive:
         code, err = recv(tmp_path, path, capsys)
         assert code == 3
         assert "packet corrupt" in err
+
+    @pytest.mark.parametrize("sample", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sample_named(self, tmp_path, capsys, sample):
+        path = masked_file(tmp_path, prbs(20, seed=3))
+        raw = bytearray(path.read_bytes())
+        raw[98 + 8 * 50 : 98 + 8 * 51] = struct.pack("<d", sample)  # header is 98 bytes
+        path.write_bytes(bytes(raw))
+        code, err = recv(tmp_path, path, capsys)
+        assert code == 2
+        assert f"{path}: sample 50 is not finite ({sample})" in err
+
+
+@st.composite
+def masked_file_bytes(draw):
+    """Arbitrary bytes, bytes after a valid magic and version, or a valid
+    masked-series file with some bytes overwritten and the end cut anywhere."""
+    with tempfile.TemporaryDirectory() as d:
+        valid = bytearray(masked_file(Path(d), prbs(8, seed=3)).read_bytes())
+    edits = st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255))
+    for i, b in draw(st.lists(edits, max_size=8)):
+        valid[i] = b
+    return draw(
+        st.one_of(
+            st.binary(max_size=400),
+            st.binary(max_size=400).map(lambda tail: b"CLMS\x01\x00" + tail),
+            st.integers(0, len(valid)).map(lambda cut: bytes(valid[:cut])),
+        )
+    )
+
+
+class TestUntrustedMaskedFile:
+    @given(masked_file_bytes())
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_arbitrary_bytes_read_or_raise_value_error(self, tmp_path, raw):
+        path = tmp_path / "masked.bin"
+        path.write_bytes(raw)
+        try:
+            series = read_masked_series(path)
+        except ValueError:
+            return
+        assert np.all(np.isfinite(series.w_star))
 
 
 class TestUntrustedSend:
