@@ -5,17 +5,20 @@ import fails the same functions run interpreted, which is slower but
 bit-identical. One body serves both backends, so there is nothing to keep
 in step between a compiled and an interpreted copy of a loop.
 
-Float-boundary rule: the per-sample kernels convert their start state, their
-coefficients and every array element they read to a Python ``float`` with
-``float(...)`` before any arithmetic. Interpreted, arithmetic on Python
-floats costs a fraction of the same arithmetic on numpy scalars, and both
-are IEEE double operations in the same order, so the results do not change.
-Under numba ``float(...)`` of a float64 is a no-op.
+Float-boundary rule: the per-sample kernels (``iterate_map``,
+``receiver_chain``, ``masked_transmit_chain`` and ``qr_log_sums``) convert
+their start state, their coefficients and every array element they read to
+a Python ``float`` with ``float(...)`` before any arithmetic, and keep small
+state such as the QR frame in scalar locals rather than arrays.
+Interpreted, arithmetic on Python floats costs a fraction of the same
+arithmetic on numpy scalars, and both are IEEE double operations in the
+same order, so the results do not change. Under numba ``float(...)`` of a
+float64 is a no-op.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 try:
     from numba import njit
@@ -148,59 +151,80 @@ def qr_log_sums(states, a, b, c, beta, weight):
     """Accumulate QR-orthonormalized log stretch factors along a trajectory.
 
     The Jacobian at each recorded state is diag(slopes) @ A blended with the
-    identity by the settling weight. Returns (log_sums[3], steps_used,
-    breakpoint_count); breakpoint steps use the central-branch slope and are
-    counted so callers can report them.
+    identity by the settling weight. Returns ((s0, s1, s2), steps_used,
+    breakpoint_count), s<col> being the log stretch sum of column col;
+    breakpoint steps use the central-branch slope and are counted so
+    callers can report them.
+
+    The orthonormal frame Q is nine floats, q<row><col>, and J @ Q is
+    written out over the nonzero entries of J, followed by modified
+    Gram-Schmidt on its three columns.
     """
-    n = states.shape[0]
-    q = np.eye(3)
-    sums = np.zeros(3)
+    a, b, c, beta, weight = float(a), float(b), float(c), float(beta), float(weight)
+    rem = 1.0 - weight
+    q00, q01, q02 = 1.0, 0.0, 0.0
+    q10, q11, q12 = 0.0, 1.0, 0.0
+    q20, q21, q22 = 0.0, 0.0, 1.0
+    s0 = s1 = s2 = 0.0
     bp = 0
+    n = states.shape[0]
     for k in range(n):
-        x = states[k, 0]
-        y = states[k, 1]
-        z = states[k, 2]
-        s0, h0 = fold_slope_scalar(a * x + b * z, beta)
-        s1, h1 = fold_slope_scalar(c * y + z, beta)
-        s2, h2 = fold_slope_scalar(x + y, beta)
+        x = float(states[k, 0])
+        y = float(states[k, 1])
+        z = float(states[k, 2])
+        d0, h0 = fold_slope_scalar(a * x + b * z, beta)
+        d1, h1 = fold_slope_scalar(c * y + z, beta)
+        d2, h2 = fold_slope_scalar(x + y, beta)
         if h0 or h1 or h2:
             bp += 1
-        # J = (1 - weight) * I + weight * diag(s) @ A
-        j = np.empty((3, 3))
-        j[0, 0] = weight * s0 * a
-        j[0, 1] = 0.0
-        j[0, 2] = weight * s0 * b
-        j[1, 0] = 0.0
-        j[1, 1] = weight * s1 * c
-        j[1, 2] = weight * s1
-        j[2, 0] = weight * s2
-        j[2, 1] = weight * s2
-        j[2, 2] = 0.0
-        if weight != 1.0:
-            rem = 1.0 - weight
-            j[0, 0] += rem
-            j[1, 1] += rem
-            j[2, 2] += rem
-        m = j @ q
-        # Modified Gram-Schmidt on the three columns of m.
-        for col in range(3):
-            for prev in range(col):
-                dot = (
-                    m[0, col] * q[0, prev]
-                    + m[1, col] * q[1, prev]
-                    + m[2, col] * q[2, prev]
-                )
-                m[0, col] -= dot * q[0, prev]
-                m[1, col] -= dot * q[1, prev]
-                m[2, col] -= dot * q[2, prev]
-            norm = np.sqrt(m[0, col] ** 2 + m[1, col] ** 2 + m[2, col] ** 2)
-            if norm <= 0.0:
-                return sums, k, bp
-            sums[col] += np.log(norm)
-            q[0, col] = m[0, col] / norm
-            q[1, col] = m[1, col] / norm
-            q[2, col] = m[2, col] / norm
-    return sums, n, bp
+        # J = (1 - weight) * I + weight * diag(d) @ A; J[0,1] = J[1,0] = 0
+        j00 = weight * d0 * a + rem
+        j02 = weight * d0 * b
+        j11 = weight * d1 * c + rem
+        j12 = weight * d1
+        j20 = weight * d2
+        j21 = weight * d2
+        j22 = rem
+        # column 0 of J @ Q, normalized
+        m0 = j00 * q00 + j02 * q20
+        m1 = j11 * q10 + j12 * q20
+        m2 = j20 * q00 + j21 * q10 + j22 * q20
+        norm = math.sqrt(m0 * m0 + m1 * m1 + m2 * m2)
+        if norm <= 0.0:
+            return (s0, s1, s2), k, bp
+        s0 += math.log(norm)
+        q00, q10, q20 = m0 / norm, m1 / norm, m2 / norm
+        # column 1, minus its projection on the new column 0
+        m0 = j00 * q01 + j02 * q21
+        m1 = j11 * q11 + j12 * q21
+        m2 = j20 * q01 + j21 * q11 + j22 * q21
+        dot = m0 * q00 + m1 * q10 + m2 * q20
+        m0 -= dot * q00
+        m1 -= dot * q10
+        m2 -= dot * q20
+        norm = math.sqrt(m0 * m0 + m1 * m1 + m2 * m2)
+        if norm <= 0.0:
+            return (s0, s1, s2), k, bp
+        s1 += math.log(norm)
+        q01, q11, q21 = m0 / norm, m1 / norm, m2 / norm
+        # column 2, minus its projections on the new columns 0 and 1
+        m0 = j00 * q02 + j02 * q22
+        m1 = j11 * q12 + j12 * q22
+        m2 = j20 * q02 + j21 * q12 + j22 * q22
+        dot = m0 * q00 + m1 * q10 + m2 * q20
+        m0 -= dot * q00
+        m1 -= dot * q10
+        m2 -= dot * q20
+        dot = m0 * q01 + m1 * q11 + m2 * q21
+        m0 -= dot * q01
+        m1 -= dot * q11
+        m2 -= dot * q21
+        norm = math.sqrt(m0 * m0 + m1 * m1 + m2 * m2)
+        if norm <= 0.0:
+            return (s0, s1, s2), k, bp
+        s2 += math.log(norm)
+        q02, q12, q22 = m0 / norm, m1 / norm, m2 / norm
+    return (s0, s1, s2), n, bp
 
 
 @njit(nogil=True)

@@ -14,6 +14,7 @@ Four Lyapunov estimators with different trust models:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -147,10 +148,19 @@ def le_qr(traj: Trajectory) -> LeSpectrum:
     )
 
 
+def _require_finite(states: np.ndarray) -> None:
+    """Raise ValueError naming the first row that holds a NaN or inf."""
+    bad = ~np.isfinite(states).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"series row {row} is not finite: {states[row].tolist()}")
+
+
 def _as_series(series) -> np.ndarray:
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError(f"series must have shape (n, 3), got {arr.shape}")
+    _require_finite(arr)
     return arr
 
 
@@ -186,7 +196,10 @@ def le_eckmann_ruelle(
             RuntimeWarning,
         )
 
-    tree = cKDTree(states[:-1])
+    # +2 candidates so the point itself and its successor can be dropped.
+    _, neighbors = cKDTree(states[:-1]).query(
+        states[:n_reference], k=n_neighbors + 2
+    )
     q = np.eye(3)
     sums = np.zeros(3)
     used = 0
@@ -194,8 +207,7 @@ def le_eckmann_ruelle(
     resid_power = 0.0
     target_power = 0.0
     for i in range(n_reference):
-        # +2 candidates so the point itself and its successor can be dropped.
-        dists, idx = tree.query(states[i], k=n_neighbors + 2)
+        idx = neighbors[i]
         keep = idx[(idx != i) & (idx != i + 1)][:n_neighbors]
         if keep.size < 4:
             short += 1
@@ -264,33 +276,39 @@ def le_wolf(
     if n < min_points:
         raise ValueError(f"need at least {min_points} points, got {n}")
 
-    tree = cKDTree(states)
+    # One batched query: row i holds the candidates for fiducial point i in
+    # ascending distance, padded with index n when n < n_candidates (the
+    # reshape keeps n_candidates = 1 two-dimensional).
+    cand_dists, cand_idx = cKDTree(states).query(states, k=n_candidates)
+    cand_dists = cand_dists.reshape(n, -1)
+    cand_idx = cand_idx.reshape(n, -1)
+    admissible = (
+        (cand_idx < n - 1)
+        & (np.abs(cand_idx - np.arange(n)[:, None]) > theiler)
+        & (cand_dists >= min_separation)
+    )
+    near = admissible & (cand_dists <= max_separation)
+
+    def separation(i, j):
+        # np.linalg.norm of a 1-d array is sqrt(v.dot(v)); same value, less overhead
+        v = states[j] - states[i]
+        return math.sqrt(v.dot(v))
 
     def replacement(i, direction):
-        dists, idx = tree.query(states[i], k=n_candidates)
-        best = -1
-        best_score = np.inf
-        norm_dir = np.linalg.norm(direction)
-        for d, j in zip(dists, idx):
-            if j >= n - 1 or abs(j - i) <= theiler or d < min_separation:
-                continue
-            if d > max_separation:
-                break
-            if norm_dir > 0:
-                cosang = np.dot(states[j] - states[i], direction) / (d * norm_dir)
-                cosang = min(1.0, max(-1.0, cosang))
-                score = d * (1.0 + 2.0 * np.arccos(cosang))
-            else:
-                score = d
-            if score < best_score:
-                best_score = score
-                best = j
-        if best < 0:
+        keep = near[i]
+        if not keep.any():
             # fall back to the nearest admissible neighbor regardless of angle
-            for d, j in zip(dists, idx):
-                if j < n - 1 and abs(j - i) > theiler and d >= min_separation:
-                    return j
-        return best
+            first = np.flatnonzero(admissible[i])
+            return int(cand_idx[i, first[0]]) if first.size else -1
+        d = cand_dists[i, keep]
+        j = cand_idx[i, keep]
+        norm_dir = math.sqrt(direction.dot(direction))
+        if norm_dir > 0:
+            cosang = ((states[j] - states[i]) @ direction) / (d * norm_dir)
+            score = d * (1.0 + 2.0 * np.arccos(cosang.clip(-1.0, 1.0)))
+        else:
+            score = d
+        return int(j[score.argmin()])
 
     i = 0
     j = replacement(0, np.zeros(3))
@@ -299,12 +317,12 @@ def le_wolf(
     log_sum = 0.0
     steps = 0
     replacements = 0
-    dist = np.linalg.norm(states[j] - states[i])
+    dist = separation(i, j)
     while i + 1 < n and j + 1 < n:
         i += 1
         j += 1
         steps += 1
-        new_dist = np.linalg.norm(states[j] - states[i])
+        new_dist = separation(i, j)
         if new_dist > max_separation or j + 1 >= n or new_dist == 0.0:
             if new_dist > 0.0 and dist > 0.0:
                 log_sum += np.log(new_dist / dist)
@@ -313,12 +331,12 @@ def le_wolf(
             replacements += 1
             if j < 0:
                 break
-            dist = np.linalg.norm(states[j] - states[i])
+            dist = separation(i, j)
     if steps == 0:
         raise DegenerateTrajectoryError("could not follow any neighbor trajectory")
     # close the last open segment
     if j >= 0 and dist > 0.0:
-        tail = np.linalg.norm(states[j] - states[i])
+        tail = separation(i, j)
         if tail > 0.0:
             log_sum += np.log(tail / dist)
     exponent = log_sum / steps
@@ -328,6 +346,18 @@ def le_wolf(
         sample_count=steps,
         meta={"replacements": replacements},
     )
+
+
+def _pair_counts(states: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Ordered pairs of distinct points closer than each ascending radius.
+
+    The last radius is inclusive (d <= r). One dual KD-tree pass counts all
+    radii; the tree counts d <= r, so the inner radii step down one ulp, and
+    every point pairs with itself once at distance 0.
+    """
+    tree = cKDTree(states)
+    bounds = np.append(np.nextafter(radii[:-1], -np.inf), radii[-1])
+    return tree.count_neighbors(tree, bounds) - states.shape[0]
 
 
 def correlation_dimension(
@@ -346,10 +376,12 @@ def correlation_dimension(
     from 0.08 to 0.55 standard deviations: the lower cutoff keeps enough
     pairs per radius for stable counts, the upper one stays well below the
     attractor extent where the sum saturates. Points beyond ``max_points``
-    are thinned deterministically (every k-th sample) to bound the pairwise
-    distance work.
+    are thinned deterministically (every k-th sample). The pair counts come
+    from one dual KD-tree pass over all radii, so the cap no longer bounds
+    a quadratic cost; it stays so that the results do not change.
 
-    Raises NoScalingRegionError when no window is linear enough.
+    Raises NoScalingRegionError when no window is linear enough, and
+    ValueError on a non-finite series or radius.
     """
     states = np.asarray(series, dtype=float)
     if states.ndim == 1:
@@ -357,6 +389,7 @@ def correlation_dimension(
     n = states.shape[0]
     if n < 100:
         raise ValueError(f"need at least 100 points, got {n}")
+    _require_finite(states)
     if n > max_points:
         stride = int(np.ceil(n / max_points))
         states = states[::stride]
@@ -369,27 +402,10 @@ def correlation_dimension(
         radii = np.sort(np.asarray(radii, dtype=float))
         if radii.size < min_window:
             raise ValueError("need at least as many radii as the fit window")
+        if not np.all(np.isfinite(radii)) or radii[0] < 0:
+            raise ValueError("radii must be finite and non-negative")
 
-    # chunked pairwise distances -> counts below each radius
-    counts = np.zeros(radii.size, dtype=np.int64)
-    edges = np.concatenate(([0.0], radii))
-    sq_norms = np.sum(states**2, axis=1)
-    chunk = max(1, int(2e7 // n))
-    for start in range(0, n, chunk):
-        block = states[start : start + chunk]
-        d = np.sqrt(
-            np.maximum(
-                0.0,
-                sq_norms[start : start + chunk, None]
-                + sq_norms[None, :]
-                - 2.0 * block @ states.T,
-            )
-        )
-        hist, _ = np.histogram(d, bins=edges)
-        counts += np.cumsum(hist)
-    # every row contributed exactly one zero-distance self-pair per radius
-    counts -= n
-    csums = counts / (n * (n - 1))
+    csums = _pair_counts(states, radii) / (n * (n - 1))
 
     valid = csums > 0
     log_r = np.log(radii[valid])

@@ -9,6 +9,7 @@ thresholding, which recovers most of the signal-to-noise cost.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -53,8 +54,10 @@ class ModulationConfig:
     bit_rate: float = 1.0e4
 
     def __post_init__(self):
-        if self.amplitude <= 0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
+        if not (math.isfinite(self.amplitude) and self.amplitude > 0):
+            raise ValueError(
+                f"amplitude must be finite and positive, got {self.amplitude}"
+            )
         if self.samples_per_bit < 1:
             raise ValueError(
                 f"samples_per_bit must be >= 1, got {self.samples_per_bit}"
@@ -251,8 +254,8 @@ def mask_transmit(
 
 def channel_awgn(series, sigma: float, seed: int) -> np.ndarray:
     """Add white Gaussian noise of standard deviation ``sigma`` per sample."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     series = np.asarray(series, dtype=float)
     if sigma == 0:
         return series.copy()
@@ -492,8 +495,9 @@ def ber_sweep(
     ascending.
     """
     amplitudes = [float(a) for a in amplitudes]
-    if any(a <= 0 for a in amplitudes) or amplitudes != sorted(amplitudes):
-        raise ValueError("amplitudes must be positive and ascending")
+    finite_positive = all(math.isfinite(a) and a > 0 for a in amplitudes)
+    if not finite_positive or amplitudes != sorted(amplitudes):
+        raise ValueError("amplitudes must be finite, positive and ascending")
     children = np.random.SeedSequence(seed).spawn(len(amplitudes))
     subs = [int(c.generate_state(1)[0]) for c in children]
 

@@ -29,8 +29,10 @@ class CouplingConfig:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(
+                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}"
+            )
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import chaoslink as cl
+from chaoslink import _kernels
 from chaoslink import analysis as an
 from chaoslink.core_map import DegenerateTrajectoryError
 
@@ -276,3 +280,375 @@ class TestSettling:
     def test_rejects_nonpositive_hold_times(self):
         with pytest.raises(ValueError):
             an.le_vs_settling(cl.DEFAULT_PARAMS, [0.0], n=1000, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the straightforward loops the fast estimators
+# replaced. Correlation dimension, Wolf and Eckmann-Ruelle must match them bit
+# for bit; the float-boundary QR kernel to a fixed tolerance.
+
+
+def reference_pair_counts(states, radii):
+    """Chunked distance matrix -> histogram: ordered pairs with d < r (d <= r
+    at the last radius, the histogram's closed last bin), self-pairs removed."""
+    n = states.shape[0]
+    counts = np.zeros(radii.size, dtype=np.int64)
+    edges = np.concatenate(([0.0], radii))
+    sq_norms = np.sum(states**2, axis=1)
+    chunk = max(1, int(2e7 // n))
+    for start in range(0, n, chunk):
+        block = states[start : start + chunk]
+        d = np.sqrt(
+            np.maximum(
+                0.0,
+                sq_norms[start : start + chunk, None]
+                + sq_norms[None, :]
+                - 2.0 * block @ states.T,
+            )
+        )
+        hist, _ = np.histogram(d, bins=edges)
+        counts += np.cumsum(hist)
+    return counts - n
+
+
+def brute_force_pair_counts(states, radii):
+    """Difference-based distances of every ordered pair of distinct points."""
+    diff = states[:, None, :] - states[None, :, :]
+    d = np.sqrt(np.sum(diff**2, axis=-1))
+    d = np.sort(d[~np.eye(len(states), dtype=bool)])
+    inner = np.searchsorted(d, radii[:-1], side="left")  # d < r
+    last = np.searchsorted(d, radii[-1:], side="right")  # d <= r
+    return np.concatenate((inner, last))
+
+
+def reference_le_wolf(
+    series, max_separation=0.1, min_separation=1e-6, theiler=10, n_candidates=50
+):
+    """One tree query and one Python scoring loop per replacement."""
+    states = np.asarray(series, dtype=float)
+    n = states.shape[0]
+    tree = cKDTree(states)
+
+    def replacement(i, direction):
+        dists, idx = tree.query(states[i], k=n_candidates)
+        best = -1
+        best_score = np.inf
+        norm_dir = np.linalg.norm(direction)
+        for d, j in zip(dists, idx):
+            if j >= n - 1 or abs(j - i) <= theiler or d < min_separation:
+                continue
+            if d > max_separation:
+                break
+            if norm_dir > 0:
+                cosang = np.dot(states[j] - states[i], direction) / (d * norm_dir)
+                cosang = min(1.0, max(-1.0, cosang))
+                score = d * (1.0 + 2.0 * np.arccos(cosang))
+            else:
+                score = d
+            if score < best_score:
+                best_score = score
+                best = j
+        if best < 0:
+            for d, j in zip(dists, idx):
+                if j < n - 1 and abs(j - i) > theiler and d >= min_separation:
+                    return j
+        return best
+
+    i = 0
+    j = replacement(0, np.zeros(3))
+    if j < 0:
+        raise DegenerateTrajectoryError("no admissible neighbor found")
+    log_sum = 0.0
+    steps = 0
+    replacements = 0
+    dist = np.linalg.norm(states[j] - states[i])
+    while i + 1 < n and j + 1 < n:
+        i += 1
+        j += 1
+        steps += 1
+        new_dist = np.linalg.norm(states[j] - states[i])
+        if new_dist > max_separation or j + 1 >= n or new_dist == 0.0:
+            if new_dist > 0.0 and dist > 0.0:
+                log_sum += np.log(new_dist / dist)
+            direction = states[j] - states[i]
+            j = replacement(i, direction)
+            replacements += 1
+            if j < 0:
+                break
+            dist = np.linalg.norm(states[j] - states[i])
+    if j >= 0 and dist > 0.0:
+        tail = np.linalg.norm(states[j] - states[i])
+        if tail > 0.0:
+            log_sum += np.log(tail / dist)
+    return an.LeSpectrum(
+        (log_sum / steps,), method="wolf", sample_count=steps,
+        meta={"replacements": replacements},
+    )
+
+
+def reference_le_eckmann_ruelle(series, n_reference, n_neighbors):
+    """One tree query per reference point."""
+    states = np.asarray(series, dtype=float)
+    tree = cKDTree(states[:-1])
+    q = np.eye(3)
+    sums = np.zeros(3)
+    used = 0
+    resid_power = 0.0
+    target_power = 0.0
+    for i in range(n_reference):
+        dists, idx = tree.query(states[i], k=n_neighbors + 2)
+        keep = idx[(idx != i) & (idx != i + 1)][:n_neighbors]
+        if keep.size < 4:
+            continue
+        dx = states[keep] - states[i]
+        dy = states[keep + 1] - states[i + 1]
+        jac, res, rank, _ = np.linalg.lstsq(dx, dy, rcond=None)
+        if rank < 3:
+            continue
+        pred = dx @ jac
+        resid_power += np.sum((dy - pred) ** 2)
+        target_power += np.sum(dy**2)
+        q, r = np.linalg.qr(jac.T @ q)
+        diag = np.abs(np.diag(r))
+        if np.any(diag == 0.0):
+            continue
+        signs = np.sign(np.diag(r))
+        signs[signs == 0] = 1.0
+        q = q * signs
+        sums += np.log(diag)
+        used += 1
+    fit_quality = 1.0 - resid_power / target_power if target_power > 0 else 0.0
+    return an.LeSpectrum(
+        tuple(np.sort(sums / used)[::-1]),
+        method="eckmann-ruelle",
+        sample_count=used,
+        meta={
+            "n_neighbors": n_neighbors,
+            "coverage": used / n_reference,
+            "fit_quality": fit_quality,
+            "low_confidence": bool(fit_quality < 0.3),
+        },
+    )
+
+
+def reference_qr_log_sums(states, a, b, c, beta, weight):
+    """Per-step 3x3 numpy arrays, J @ Q by matmul, Gram-Schmidt by loops."""
+    n = states.shape[0]
+    q = np.eye(3)
+    sums = np.zeros(3)
+    bp = 0
+    for k in range(n):
+        x, y, z = states[k]
+        s0, h0 = _kernels.fold_slope_scalar(a * x + b * z, beta)
+        s1, h1 = _kernels.fold_slope_scalar(c * y + z, beta)
+        s2, h2 = _kernels.fold_slope_scalar(x + y, beta)
+        if h0 or h1 or h2:
+            bp += 1
+        j = np.array(
+            [
+                [weight * s0 * a, 0.0, weight * s0 * b],
+                [0.0, weight * s1 * c, weight * s1],
+                [weight * s2, weight * s2, 0.0],
+            ]
+        )
+        if weight != 1.0:
+            j += (1.0 - weight) * np.eye(3)
+        m = j @ q
+        for col in range(3):
+            for prev in range(col):
+                m[:, col] -= (m[:, col] @ q[:, prev]) * q[:, prev]
+            norm = np.sqrt(np.sum(m[:, col] ** 2))
+            if norm <= 0.0:
+                return sums, k, bp
+            sums[col] += np.log(norm)
+            q[:, col] = m[:, col] / norm
+    return sums, n, bp
+
+
+ORACLE_BETAS = [0.0, 0.3, 0.5, 1.0]
+
+
+@pytest.fixture(scope="module")
+def oracle_trajectories():
+    return {
+        beta: cl.generate_trajectory(6_000, params=cl.SystemParams(beta=beta), seed=17)
+        for beta in ORACLE_BETAS
+    }
+
+
+def line_segment(n):
+    t = np.linspace(0, 1, n)
+    return np.stack([t, 2 * t, -t], axis=1)
+
+
+def contracting_rotation():
+    """The TestWolf contracting-rotation series (1500 noisy points)."""
+    c, s = np.cos(0.7), np.sin(0.7)
+    rot_z = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    c, s = np.cos(0.35), np.sin(0.35)
+    rot_x = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    m = 0.98 * rot_x @ rot_z
+    rng = np.random.default_rng(2)
+    state = np.array([1.0, -0.6, 0.8])
+    points = []
+    for _ in range(1500):
+        state = m @ state
+        points.append(state + rng.normal(0, 1e-12, 3))
+    return np.array(points)
+
+
+def assert_same_fit(fit, ref):
+    assert np.array_equal(fit.radii, ref.radii)
+    assert np.array_equal(fit.correlation_sums, ref.correlation_sums)
+    assert fit.dimension == ref.dimension
+    assert fit.error == ref.error
+    assert fit.fit_window == ref.fit_window
+    assert fit.r_squared == ref.r_squared
+
+
+def assert_same_spectrum(spec, ref):
+    assert spec.exponents == ref.exponents
+    assert spec.sample_count == ref.sample_count
+    assert spec.meta == ref.meta
+
+
+class TestPairCountOracle:
+    def fit_pair(self, monkeypatch, states, **kwargs):
+        fit = an.correlation_dimension(states, **kwargs)
+        monkeypatch.setattr(an, "_pair_counts", reference_pair_counts)
+        return fit, an.correlation_dimension(states, **kwargs)
+
+    @pytest.mark.parametrize("beta", ORACLE_BETAS)
+    def test_fit_matches_histogram_reference(self, monkeypatch, oracle_trajectories, beta):
+        states = oracle_trajectories[beta].states
+        fit, ref = self.fit_pair(monkeypatch, states)
+        assert_same_fit(fit, ref)
+
+    def test_thinned_fit_matches_histogram_reference(self, monkeypatch, oracle_trajectories):
+        fit, ref = self.fit_pair(monkeypatch, oracle_trajectories[0.5].states, max_points=2500)
+        assert_same_fit(fit, ref)
+
+    def test_line_segment_matches_histogram_reference(self, monkeypatch):
+        fit, ref = self.fit_pair(monkeypatch, line_segment(5000))
+        assert_same_fit(fit, ref)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_counts_match_brute_force(self, oracle_trajectories, beta):
+        states = oracle_trajectories[beta].states[:1200]
+        radii = np.geomspace(0.08, 0.55, 24) * np.std(states)
+        counts = an._pair_counts(states, radii)
+        assert np.array_equal(counts, brute_force_pair_counts(states, radii))
+        assert np.array_equal(counts, reference_pair_counts(states, radii))
+
+    def test_exact_ties_follow_the_histogram_edges(self):
+        # integer lattice: many pairs lie exactly on a radius; inner radii
+        # exclude them (d < r), the last radius includes them (d <= r)
+        grid = np.arange(5.0)
+        states = np.stack(np.meshgrid(grid, grid, grid), axis=-1).reshape(-1, 3)
+        radii = np.sqrt([1.0, 2.0, 3.0, 4.0, 5.0, 9.0])
+        counts = an._pair_counts(states, radii)
+        assert np.array_equal(counts, brute_force_pair_counts(states, radii))
+        assert np.array_equal(counts, reference_pair_counts(states, radii))
+        assert counts[0] == 0  # no two lattice points are closer than 1
+
+
+class TestWolfOracle:
+    @pytest.mark.parametrize("beta", ORACLE_BETAS)
+    def test_matches_loop_reference(self, oracle_trajectories, beta):
+        states = oracle_trajectories[beta].states
+        assert_same_spectrum(an.le_wolf(states), reference_le_wolf(states))
+
+    def test_line_segment(self):
+        states = line_segment(3000)
+        assert_same_spectrum(an.le_wolf(states), reference_le_wolf(states))
+
+    def test_contracting_rotation(self):
+        states = contracting_rotation()
+        assert_same_spectrum(
+            an.le_wolf(states, min_points=500), reference_le_wolf(states)
+        )
+
+    def test_fewer_points_than_candidates(self, oracle_trajectories):
+        # 40 points, 50 candidates: the query pads every row with index n
+        states = oracle_trajectories[0.5].states[:40]
+        wolf = an.le_wolf(states, max_separation=1.0, theiler=2, min_points=10)
+        ref = reference_le_wolf(states, max_separation=1.0, theiler=2)
+        assert_same_spectrum(wolf, ref)
+        assert wolf.meta["replacements"] > 0
+
+
+class TestEckmannRuelleOracle:
+    @pytest.mark.parametrize("beta", ORACLE_BETAS)
+    def test_matches_loop_reference(self, oracle_trajectories, beta):
+        states = oracle_trajectories[beta].states
+        er = an.le_eckmann_ruelle(states, n_reference=800)
+        ref = reference_le_eckmann_ruelle(states, 800, er.meta["n_neighbors"])
+        assert_same_spectrum(er, ref)
+
+    def test_contracting_rotation(self):
+        states = contracting_rotation()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            er = an.le_eckmann_ruelle(states, n_reference=600, min_points=500)
+        ref = reference_le_eckmann_ruelle(states, 600, er.meta["n_neighbors"])
+        assert_same_spectrum(er, ref)
+
+
+class TestQrKernelOracle:
+    """Float-boundary QR against the numpy-matmul kernel: J @ Q by BLAS may
+    fuse or reorder the three products, so exponents agree to 1e-12."""
+
+    def compare(self, monkeypatch, traj):
+        spec = an.le_qr(traj)
+        monkeypatch.setattr(_kernels, "qr_log_sums", reference_qr_log_sums)
+        ref = an.le_qr(traj)
+        assert spec.sample_count == ref.sample_count
+        assert spec.meta == ref.meta
+        assert spec.exponents == pytest.approx(ref.exponents, abs=1e-12, rel=0)
+
+    @pytest.mark.parametrize("beta", ORACLE_BETAS)
+    def test_matches_matmul_reference(self, monkeypatch, oracle_trajectories, beta):
+        self.compare(monkeypatch, oracle_trajectories[beta])
+
+    def test_settling_trajectory(self, monkeypatch):
+        traj = cl.generate_trajectory(
+            6_000, seed=17, settling=cl.SettlingConfig(t_n=2.0)
+        )
+        self.compare(monkeypatch, traj)
+
+    def test_breakpoints_counted_like_reference(self, monkeypatch):
+        # beta = 0 at the wrap boundary: x + y = -1 is a breakpoint
+        states = np.tile([[-0.5, -0.5, 0.25], [0.1, -0.2, 0.3]], (20, 1))
+        traj = cl.Trajectory(states=states, params=cl.SystemParams(beta=0.0))
+        spec = an.le_qr(traj)
+        assert spec.meta["breakpoint_fraction"] == 0.5
+        self.compare(monkeypatch, traj)
+
+
+class TestNonFiniteSeries:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_correlation_dimension(self, bad):
+        states = line_segment(500)
+        states[123, 1] = bad
+        with pytest.raises(ValueError, match="series row 123 is not finite"):
+            an.correlation_dimension(states)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_le_wolf(self, bad, beta0_traj):
+        states = beta0_traj.states[:3000].copy()
+        states[2999, 2] = bad
+        with pytest.raises(ValueError, match="series row 2999 is not finite"):
+            an.le_wolf(states)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_le_eckmann_ruelle(self, bad, beta0_traj):
+        states = beta0_traj.states[:3000].copy()
+        states[0, 0] = bad
+        with pytest.raises(ValueError, match="series row 0 is not finite"):
+            an.le_eckmann_ruelle(states)
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -0.1])
+    def test_correlation_dimension_radii(self, radius):
+        radii = np.append(np.geomspace(0.01, 0.1, 8), radius)
+        with pytest.raises(ValueError, match="radii must be finite"):
+            an.correlation_dimension(line_segment(500), radii=radii)

@@ -216,6 +216,37 @@ class TestUntrustedSend:
         assert f"{path}: expected 16 pixel bytes for 4x4, got 2" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+class TestNonFiniteLinkFlags:
+    """A NaN or inf link parameter is a validation error (exit 2), not a
+    NaN-filled masked file or a packet failure further down the chain."""
+
+    def test_send_file_amplitude(self, tmp_path, capsys, value):
+        payload = tmp_path / "image.pgm"
+        write_pgm(payload, synth_image(8, 8, seed=1))
+        out = tmp_path / "masked.bin"
+        code = main(
+            ["send-file", "--input", str(payload), "--output", str(out),
+             "--seed", "2", "--out-dir", str(tmp_path), "--link-amplitude", value]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"amplitude must be finite and positive, got {float(value)}" in err
+        assert not out.exists()
+
+    def test_recv_file_noise_sigma(self, tmp_path, capsys, value):
+        path = masked_file(tmp_path, prbs(20, seed=3))
+        out = tmp_path / "x.wav"
+        code = main(
+            ["recv-file", "--input", str(path), "--output", str(out),
+             "--seed", "2", "--out-dir", str(tmp_path), "--link-noise-sigma", value]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"sigma must be finite and >= 0, got {float(value)}" in err
+        assert not out.exists()
+
+
 class TestCli:
     def test_selftest_passes(self, capsys):
         assert main(["selftest", "--seed", "1"]) == 0

@@ -110,6 +110,17 @@ class TestChannel:
         with pytest.raises(ValueError):
             channel_awgn(np.zeros(10), -0.1, seed=0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            channel_awgn(np.zeros(10), sigma, seed=0)
+
+
+@pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), 0.0, -0.1])
+def test_modulation_amplitude_must_be_finite_and_positive(amplitude):
+    with pytest.raises(ValueError, match="amplitude must be finite and positive"):
+        ModulationConfig(amplitude=amplitude)
+
 
 class TestUnmask:
     def test_noiseless_recovery_is_exact(self):
@@ -340,6 +351,9 @@ class TestEndToEnd:
             ber_sweep(PARAMS, [0.1, 0.05], CFG, n_bits=100, seed=1)
         with pytest.raises(ValueError):
             ber_sweep(PARAMS, [-0.1], CFG, n_bits=100, seed=1)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                ber_sweep(PARAMS, [0.05, bad], CFG, n_bits=100, seed=1)
 
     def test_threaded_sweep_matches_sequential(self):
         seq = ber_sweep(PARAMS, [0.05, 0.1], CFG, n_bits=2000, seed=4, noise_sigma=0.012)

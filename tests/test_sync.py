@@ -109,6 +109,12 @@ class TestStability:
         assert verdict["margins"]["c"] == pytest.approx(0.5 - 1.0 / 3.0)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+def test_coupling_noise_sigma_must_be_finite(sigma):
+    with pytest.raises(ValueError, match="noise_sigma must be finite"):
+        CouplingConfig(noise_sigma=sigma)
+
+
 class TestRunSync:
     def test_noiseless_error_tiny(self):
         run = run_sync(cl.DEFAULT_PARAMS, CouplingConfig(gamma=-1.0), n=5000, seed=4)
