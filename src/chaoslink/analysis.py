@@ -188,7 +188,8 @@ def le_eckmann_ruelle(
         raise ValueError(f"need at least {min_points} points, got {n}")
     if n_neighbors is None:
         n_neighbors = max(20, min(40, int(0.02 * n)))
-    n_neighbors = min(n_neighbors, n - 2)
+    # the tree holds n - 1 points and each query drops two of its k results
+    n_neighbors = min(n_neighbors, n - 3)
     n_reference = min(n_reference, n - 1)
     if n_reference < 500:
         warnings.warn(
@@ -397,6 +398,8 @@ def correlation_dimension(
 
     if radii is None:
         scale = np.std(states)
+        if scale == 0:
+            raise ValueError("series has no spread: every point is the same")
         radii = np.geomspace(0.08 * scale, 0.55 * scale, n_radii)
     else:
         radii = np.sort(np.asarray(radii, dtype=float))

@@ -28,7 +28,7 @@ from .codecs import (
     packet_to_bits,
     packet_to_file,
 )
-from .core_map import DegenerateTrajectoryError, generate_trajectory
+from .core_map import DegenerateTrajectoryError, Trajectory, generate_trajectory
 from .io_formats import (
     read_masked_series,
     write_csv,
@@ -48,6 +48,7 @@ from .link import (
     mask_transmit,
     optimal_threshold,
     prbs,
+    prbs_seed,
     run_link,
     unmask_receive,
 )
@@ -168,13 +169,30 @@ def _parse_grid(text: str):
         raise CliError(f"cannot parse grid {text!r}", EXIT_VALIDATION)
 
 
-def _out_path(settings, default_name: str) -> Path:
+def _write(settings, name: str, content) -> Path:
+    """Write one output file under ``--out-dir`` and return its path.
+
+    A trajectory goes to its CSV or binary dump by the name's suffix. A
+    ``(header, rows)`` table goes to a CSV and a dict to a JSON report; both
+    carry ``settings.echo()``, the CSV as its comment line.
+    """
     out_dir = Path(settings.args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CliError(f"cannot create output directory: {exc}", EXIT_IO)
-    return out_dir / default_name
+    path = out_dir / name
+    if isinstance(content, Trajectory):
+        if path.suffix == ".csv":
+            write_trajectory_csv(path, content)
+        else:
+            write_trajectory_dump(path, content)
+    elif isinstance(content, dict):
+        write_json_report(path, {**settings.echo(), **content})
+    else:
+        header, rows = content
+        write_csv(path, header, rows, settings.echo())
+    return path
 
 
 def cmd_map(settings: Settings) -> int:
@@ -190,10 +208,8 @@ def cmd_map(settings: Settings) -> int:
         settling=settling,
         transient=int(settings["run.transient"]),
     )
-    csv_path = _out_path(settings, "trajectory.csv")
-    write_trajectory_csv(csv_path, traj)
-    dump_path = _out_path(settings, "trajectory.bin")
-    write_trajectory_dump(dump_path, traj)
+    csv_path = _write(settings, "trajectory.csv", traj)
+    dump_path = _write(settings, "trajectory.bin", traj)
     print(f"wrote {csv_path} and {dump_path} ({len(traj)} states)")
     return EXIT_OK
 
@@ -201,29 +217,17 @@ def cmd_map(settings: Settings) -> int:
 def cmd_lyapunov(settings: Settings) -> int:
     params = settings.params()
     method = settings.args.method
-    meta = settings.echo()
+    lambdas = ["lambda1", "lambda2", "lambda3"]
     if method == "analytic":
         # the closed form exists only for the constant-slope folds and is the
         # same for beta 0 and 1, so evaluate it there for any configured beta
         if params.beta not in (0.0, 1.0):
             params = params.replace(beta=0.0)
         spectrum = analysis.le_analytic(params)
-        print(
-            "analytic exponents: "
-            + ", ".join(f"{v:.6f}" for v in spectrum.exponents)
-        )
-        path = _out_path(settings, "lyapunov_analytic.csv")
-        write_csv(
-            path,
-            ["method", "lambda1", "lambda2", "lambda3"],
-            [["analytic", *spectrum.exponents]],
-            meta,
-        )
-        print(f"wrote {path}")
-        return EXIT_OK
+    else:
+        seed = settings.seed()
+        n = int(settings["run.n"])
 
-    seed = settings.seed()
-    n = int(settings["run.n"])
     if method in ("qr", "er", "wolf"):
         traj = generate_trajectory(n, params=params, seed=seed)
         if method == "qr":
@@ -232,16 +236,6 @@ def cmd_lyapunov(settings: Settings) -> int:
             spectrum = analysis.le_eckmann_ruelle(traj.states)
         else:
             spectrum = analysis.le_wolf(traj.states)
-        print(f"{method} exponents: " + ", ".join(f"{v:.6f}" for v in spectrum.exponents))
-        path = _out_path(settings, f"lyapunov_{method}.csv")
-        write_csv(
-            path,
-            ["method", *[f"lambda{k+1}" for k in range(len(spectrum.exponents))]],
-            [[method, *spectrum.exponents]],
-            meta,
-        )
-        print(f"wrote {path}")
-        return EXIT_OK
 
     if method == "beta-sweep":
         betas = np.linspace(0.0, 1.0, int(settings.args.points))
@@ -256,18 +250,23 @@ def cmd_lyapunov(settings: Settings) -> int:
             rows.append([beta, "qr", *qr.exponents])
             rows.append([beta, "eckmann-ruelle", *er.exponents])
             rows.append([beta, "wolf", wolf.exponents[0], "", ""])
-        path = _out_path(settings, "lyapunov_beta_sweep.csv")
-        write_csv(path, ["beta", "method", "lambda1", "lambda2", "lambda3"], rows, meta)
-        print(f"wrote {path}")
-        return EXIT_OK
-
-    # settling sweep
-    grid = _parse_grid(settings.args.t_n_grid)
-    rows = []
-    for t_n, spectrum in analysis.le_vs_settling(params, grid, n=n, seed=seed):
-        rows.append([t_n, *spectrum.exponents])
-    path = _out_path(settings, "lyapunov_settling.csv")
-    write_csv(path, ["t_n", "lambda1", "lambda2", "lambda3"], rows, meta)
+        path = _write(
+            settings, "lyapunov_beta_sweep.csv", (["beta", "method", *lambdas], rows)
+        )
+    elif method == "settling-sweep":
+        grid = _parse_grid(settings.args.t_n_grid)
+        rows = [
+            [t_n, *spectrum.exponents]
+            for t_n, spectrum in analysis.le_vs_settling(params, grid, n=n, seed=seed)
+        ]
+        path = _write(settings, "lyapunov_settling.csv", (["t_n", *lambdas], rows))
+    else:
+        exponents = spectrum.exponents
+        print(f"{method} exponents: " + ", ".join(f"{v:.6f}" for v in exponents))
+        header = ["method", *lambdas[: len(exponents)]]
+        path = _write(
+            settings, f"lyapunov_{method}.csv", (header, [[method, *exponents]])
+        )
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -276,49 +275,37 @@ def cmd_sync(settings: Settings) -> int:
     params = settings.params()
     seed = settings.seed()
     n = int(settings["run.n"])
-    meta = settings.echo()
-    mode = settings.args.mode
     sigmas = _parse_grid(settings.args.sigmas)
-    if mode == "sigma":
-        coupling_gamma = float(settings["map.gamma"])
-        rows = []
-        dev_points = []
-        for k, sigma in enumerate(sigmas):
-            run = run_sync(
-                params,
-                CouplingConfig(gamma=coupling_gamma, noise_sigma=sigma),
-                n=n,
-                seed=seed + k,
-            )
-            rows.append([sigma, *run.rms_error, *run.correlation, run.delta_n])
-            dev_points.append((sigma, run.delta_n))
-        path = _out_path(settings, "sync_sigma.csv")
-        write_csv(
-            path,
-            ["sigma", "rms_x", "rms_y", "rms_z", "corr_x", "corr_y", "corr_z", "delta_n"],
-            rows,
-            meta,
+    if settings.args.mode == "grid":
+        gammas = _parse_grid(settings.args.gammas)
+        points = sync_sweep(
+            params, gammas, sigmas, n=n, seed=seed, max_workers=settings.args.threads
         )
-        fit = fit_deviation_model(dev_points)
-        report = _out_path(settings, "sync_deviation_fit.json")
-        write_json_report(
-            report,
-            {**meta, "fit": asdict(fit)},
-        )
-        print(f"wrote {path} and {report}")
+        rows = [[p["gamma"], p["sigma"], *p["run"].rms_error] for p in points]
+        header = ["gamma", "sigma", "rms_x", "rms_y", "rms_z"]
+        path = _write(settings, "sync_grid.csv", (header, rows))
+        print(f"wrote {path}")
         return EXIT_OK
 
-    gammas = _parse_grid(settings.args.gammas)
-    points = sync_sweep(
-        params, gammas, sigmas, n=n, seed=seed, max_workers=settings.args.threads
-    )
-    rows = [
-        [p["gamma"], p["sigma"], *p["run"].rms_error]
-        for p in points
+    coupling_gamma = float(settings["map.gamma"])
+    runs = [
+        run_sync(
+            params,
+            CouplingConfig(gamma=coupling_gamma, noise_sigma=sigma),
+            n=n,
+            seed=seed + k,
+        )
+        for k, sigma in enumerate(sigmas)
     ]
-    path = _out_path(settings, "sync_grid.csv")
-    write_csv(path, ["gamma", "sigma", "rms_x", "rms_y", "rms_z"], rows, meta)
-    print(f"wrote {path}")
+    rows = [
+        [sigma, *run.rms_error, *run.correlation, run.delta_n]
+        for sigma, run in zip(sigmas, runs)
+    ]
+    header = ["sigma", "rms_x", "rms_y", "rms_z", "corr_x", "corr_y", "corr_z", "delta_n"]
+    path = _write(settings, "sync_sigma.csv", (header, rows))
+    fit = fit_deviation_model([(sigma, run.delta_n) for sigma, run in zip(sigmas, runs)])
+    report = _write(settings, "sync_deviation_fit.json", {"fit": asdict(fit)})
+    print(f"wrote {path} and {report}")
     return EXIT_OK
 
 
@@ -326,17 +313,15 @@ def cmd_ber(settings: Settings) -> int:
     params = settings.params()
     seed = settings.seed()
     cfg = settings.modulation()
-    meta = settings.echo()
     mode = settings.args.mode
     n_bits = int(settings.args.bits)
     noise = float(settings["link.noise_sigma"])
     mismatch = float(settings["link.mismatch"])
 
     if mode == "sweep":
-        amplitudes = _parse_grid(settings.args.amplitudes)
         results = ber_sweep(
             params,
-            amplitudes,
+            _parse_grid(settings.args.amplitudes),
             cfg,
             n_bits=n_bits,
             seed=seed,
@@ -348,25 +333,19 @@ def cmd_ber(settings: Settings) -> int:
             [
                 r.amplitude,
                 r.measured_ber,
-                r.confidence_interval[0],
-                r.confidence_interval[1],
+                *r.confidence_interval,
                 r.predicted_ber,
                 r.errors,
                 r.bits,
             ]
             for r in results
         ]
-        path = _out_path(settings, "ber_amplitude.csv")
-        write_csv(
-            path,
-            ["amplitude", "ber", "ci_low", "ci_high", "predicted_ber", "errors", "bits"],
-            rows,
-            meta,
-        )
+        header = ["amplitude", "ber", "ci_low", "ci_high", "predicted_ber", "errors", "bits"]
+        path = _write(settings, "ber_amplitude.csv", (header, rows))
         print(f"wrote {path}")
         return EXIT_OK
 
-    bits = prbs(n_bits, seed=(seed % ((1 << 23) - 1)) + 1)
+    bits = prbs(n_bits, seed=prbs_seed(seed))
     values, fitted, threshold, decisions = run_link(
         params, bits, cfg, seed=seed, noise_sigma=noise, mismatch=mismatch,
         filtered=not settings.args.unfiltered,
@@ -378,13 +357,12 @@ def cmd_ber(settings: Settings) -> int:
             counts, _ = np.histogram(values[fitted.labels == cls], bins=edges)
             for lo, hi, count in zip(edges[:-1], edges[1:], counts):
                 rows.append([cls, lo, hi, int(count)])
-        path = _out_path(settings, "symbol_histogram.csv")
-        write_csv(path, ["bit", "bin_low", "bin_high", "count"], rows, meta)
-        report = _out_path(settings, "symbol_stats.json")
-        write_json_report(
-            report,
+        header = ["bit", "bin_low", "bin_high", "count"]
+        path = _write(settings, "symbol_histogram.csv", (header, rows))
+        report = _write(
+            settings,
+            "symbol_stats.json",
             {
-                **meta,
                 "mu0": fitted.mu0,
                 "sigma0": fitted.sigma0,
                 "mu1": fitted.mu1,
@@ -392,20 +370,18 @@ def cmd_ber(settings: Settings) -> int:
                 "p0": fitted.p0,
                 "p1": fitted.p1,
                 "optimal_threshold": threshold,
-                "measured_ber": ber_measure(bits, decisions).measured_ber,
+                # per-sample labels when unfiltered, so score against those
+                "measured_ber": ber_measure(fitted.labels, decisions).measured_ber,
             },
         )
-        print(f"wrote {path} and {report}")
-        return EXIT_OK
-
-    # threshold scan
-    grid = np.linspace(fitted.mu0, fitted.mu1, settings.args.bins)
-    rows = [[lam, float(ber_predict(fitted, lam))] for lam in grid]
-    lam_opt, ber_opt = optimal_threshold(fitted)
-    path = _out_path(settings, "threshold_scan.csv")
-    write_csv(path, ["threshold", "predicted_ber"], rows, meta)
-    report = _out_path(settings, "threshold_optimum.json")
-    write_json_report(report, {**meta, "lambda_opt": lam_opt, "ber_opt": ber_opt})
+    else:
+        grid = np.linspace(fitted.mu0, fitted.mu1, settings.args.bins)
+        rows = [[lam, float(ber_predict(fitted, lam))] for lam in grid]
+        lam_opt, ber_opt = optimal_threshold(fitted)
+        path = _write(settings, "threshold_scan.csv", (["threshold", "predicted_ber"], rows))
+        report = _write(
+            settings, "threshold_optimum.json", {"lambda_opt": lam_opt, "ber_opt": ber_opt}
+        )
     print(f"wrote {path} and {report}")
     return EXIT_OK
 
@@ -426,11 +402,10 @@ def cmd_send_file(settings: Settings) -> int:
     masked = mask_transmit(params, bits, cfg, seed=seed)
     out = Path(settings.args.output)
     write_masked_series(out, masked)
-    report = _out_path(settings, "send_report.json")
-    write_json_report(
-        report,
+    report = _write(
+        settings,
+        "send_report.json",
         {
-            **settings.echo(),
             "payload": str(payload),
             "masked_series": str(out),
             "payload_bits": int(bits.size),
@@ -453,11 +428,10 @@ def cmd_recv_file(settings: Settings) -> int:
     packet = bits_to_packet(bits)  # raises PacketCorruptionError on CRC failure
     out = Path(settings.args.output)
     packet_to_file(packet, out)
-    report = _out_path(settings, "recv_report.json")
-    write_json_report(
-        report,
+    report = _write(
+        settings,
+        "recv_report.json",
         {
-            **settings.echo(),
             "masked_series": str(settings.args.input),
             "recovered": str(out),
             "payload_kind": packet.kind,

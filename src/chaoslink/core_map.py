@@ -168,8 +168,19 @@ def drive_output(state, gamma: float):
 
 def random_initial_state(seed: int) -> np.ndarray:
     """Seeded draw from the uniform cube [-0.5, 0.5]^3."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return rng.uniform(-0.5, 0.5, size=3)
+    return np.random.default_rng(seed).uniform(-0.5, 0.5, size=3)
+
+
+def spawn_seeds(seed: int, n: int) -> list:
+    """Split a master seed into ``n`` independent integer sub-seeds.
+
+    Sub-seed k is the first 32-bit word of the k-th child spawned from
+    ``SeedSequence(seed)``; it does not depend on ``n``.
+    """
+    return [
+        int(child.generate_state(1)[0])
+        for child in np.random.SeedSequence(seed).spawn(n)
+    ]
 
 
 @dataclass(frozen=True)

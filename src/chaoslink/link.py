@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize, special, stats
 
 from . import _kernels
-from .core_map import generate_trajectory, random_initial_state
+from .core_map import generate_trajectory, random_initial_state, spawn_seeds
 from .params import SystemParams
 from .sync import receiver_run, stability_check
 
@@ -107,16 +107,8 @@ class MaskedSeries:
         """The injected NRZ waveform (zeros over the settle window)."""
         if self.true_bits is None:
             raise ValueError("information waveform unknown for received series")
-        pilot = np.ones(self.pilot_bits, dtype=np.uint8)
-        return np.concatenate(
-            [
-                np.zeros(self.settle_steps),
-                nrz_waveform(
-                    np.concatenate([pilot, self.true_bits]),
-                    self.config.amplitude,
-                    self.config.samples_per_bit,
-                ),
-            ]
+        return _frame_info(
+            self.true_bits, self.config, self.settle_steps, self.pilot_bits
         )
 
 
@@ -177,11 +169,35 @@ def prbs(length: int, seed: int, degree: int = 23) -> np.ndarray:
     return out
 
 
+def prbs_seed(seed: int) -> int:
+    """Map any integer seed onto a nonzero degree-23 PRBS register state."""
+    return (seed % ((1 << 23) - 1)) + 1
+
+
 def nrz_waveform(bits, amplitude: float, samples_per_bit: int) -> np.ndarray:
     """NRZ encoding: bit 1 -> +amplitude, bit 0 -> -amplitude, held N samples."""
     bits = np.asarray(bits)
     levels = np.where(bits > 0, amplitude, -amplitude).astype(float)
     return np.repeat(levels, samples_per_bit)
+
+
+def _frame_info(
+    bits, cfg: ModulationConfig, settle_steps: int, pilot_bits: int
+) -> np.ndarray:
+    """Information waveform of one frame.
+
+    ``settle_steps`` zeros, then the NRZ waveform of ``pilot_bits`` known
+    '1' symbols followed by ``bits``.
+    """
+    pilot = np.ones(pilot_bits, dtype=np.uint8)
+    return np.concatenate(
+        [
+            np.zeros(settle_steps),
+            nrz_waveform(
+                np.concatenate([pilot, bits]), cfg.amplitude, cfg.samples_per_bit
+            ),
+        ]
+    )
 
 
 def mask_transmit(
@@ -213,20 +229,10 @@ def mask_transmit(
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 1 or bits.size == 0:
         raise ValueError("bits must be a non-empty 1-d sequence")
-    n_total = settle_steps + (PILOT_BITS + bits.size) * cfg.samples_per_bit
-    info = np.concatenate(
-        [
-            np.zeros(settle_steps),
-            nrz_waveform(
-                np.concatenate([np.ones(PILOT_BITS, dtype=np.uint8), bits]),
-                cfg.amplitude,
-                cfg.samples_per_bit,
-            ),
-        ]
-    )
+    info = _frame_info(bits, cfg, settle_steps, PILOT_BITS)
     start = generate_trajectory(1, params=params, seed=seed).states[0]
-    w_clean = np.empty(n_total)
-    w_star = np.empty(n_total)
+    w_clean = np.empty(info.size)
+    w_star = np.empty(info.size)
     _kernels.masked_transmit_chain(
         info,
         start[0],
@@ -259,7 +265,7 @@ def channel_awgn(series, sigma: float, seed: int) -> np.ndarray:
     series = np.asarray(series, dtype=float)
     if sigma == 0:
         return series.copy()
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     return series + rng.normal(0.0, sigma, size=series.shape)
 
 
@@ -419,8 +425,7 @@ def transmit_receive(
     seeds. ``mismatch`` scales the receiver's a, b, c coefficients by
     (1 + mismatch) to emulate component tolerances.
     """
-    children = np.random.SeedSequence(seed).spawn(3)
-    tx_seed, ch_seed, rx_seed = (int(c.generate_state(1)[0]) for c in children)
+    tx_seed, ch_seed, rx_seed = spawn_seeds(seed, 3)
     masked = mask_transmit(params, bits, cfg, seed=tx_seed)
     received = channel_awgn(masked.w_star, noise_sigma, seed=ch_seed)
     recv_params = params
@@ -498,32 +503,21 @@ def ber_sweep(
     finite_positive = all(math.isfinite(a) and a > 0 for a in amplitudes)
     if not finite_positive or amplitudes != sorted(amplitudes):
         raise ValueError("amplitudes must be finite, positive and ascending")
-    children = np.random.SeedSequence(seed).spawn(len(amplitudes))
-    subs = [int(c.generate_state(1)[0]) for c in children]
+    subs = spawn_seeds(seed, len(amplitudes))
 
     def evaluate(point):
         amp, sub = point
-        bits = prbs(n_bits, seed=(sub % ((1 << 23) - 1)) + 1)
-        run_cfg = ModulationConfig(
-            amplitude=amp,
-            samples_per_bit=cfg.samples_per_bit,
-            f_clk=cfg.f_clk,
-            bit_rate=cfg.bit_rate,
-        )
+        bits = prbs(n_bits, seed=prbs_seed(sub))
         _, fitted, threshold, decisions = run_link(
             params,
             bits,
-            run_cfg,
+            replace(cfg, amplitude=amp),
             seed=sub,
             noise_sigma=noise_sigma,
             mismatch=mismatch,
         )
-        measured = ber_measure(bits, decisions)
-        return BerResult(
-            measured_ber=measured.measured_ber,
-            bits=measured.bits,
-            errors=measured.errors,
-            confidence_interval=measured.confidence_interval,
+        return replace(
+            ber_measure(bits, decisions),
             threshold=threshold,
             predicted_ber=float(ber_predict(fitted, threshold)),
             amplitude=amp,

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core_map import _as_state, _fold_unchecked, fold, generate_trajectory
+from .core_map import (
+    _as_state,
+    _fold_unchecked,
+    fold,
+    generate_trajectory,
+    spawn_seeds,
+)
 from .params import DEFAULT_PARAMS, SystemParams
 
 SYNC_DISCARD = 100  # settle window dropped before error statistics
@@ -312,19 +318,18 @@ def run_sync(
         raise ValueError("need at least 1000 samples after the settle window")
     run_params = params.replace(gamma=coupling.gamma)
     total = n + discard
-    ss = np.random.SeedSequence(seed)
-    drive_seed, recv_seed, noise_seed = ss.spawn(3)
+    drive_seed, recv_seed, noise_seed = np.random.SeedSequence(seed).spawn(3)
     drive = generate_trajectory(
         total,
         params=run_params,
-        init=np.random.Generator(np.random.PCG64(drive_seed)).uniform(-0.5, 0.5, 3),
+        init=np.random.default_rng(drive_seed).uniform(-0.5, 0.5, 3),
         seed=seed,
     )
     w = drive.w
     if coupling.noise_sigma > 0:
-        rng = np.random.Generator(np.random.PCG64(noise_seed))
+        rng = np.random.default_rng(noise_seed)
         w = w + rng.normal(0.0, coupling.noise_sigma, size=w.size)
-    recv_init = np.random.Generator(np.random.PCG64(recv_seed)).uniform(-0.5, 0.5, 3)
+    recv_init = np.random.default_rng(recv_seed).uniform(-0.5, 0.5, 3)
     response = response_estimate(w, receiver_run(w, recv_init, run_params), coupling.gamma)
 
     d = drive.states[discard:]
@@ -357,15 +362,11 @@ def sync_sweep(
     sigmas = [float(s) for s in sigmas]
     if not gammas or not sigmas:
         raise ValueError("gamma and sigma grids must be non-empty")
-    children = np.random.SeedSequence(seed).spawn(len(gammas) * len(sigmas))
-    points = [
-        (gamma, sigma, int(children[i * len(sigmas) + j].generate_state(1)[0]))
-        for i, gamma in enumerate(gammas)
-        for j, sigma in enumerate(sigmas)
-    ]
+    grid = [(gamma, sigma) for gamma in gammas for sigma in sigmas]
+    points = list(zip(grid, spawn_seeds(seed, len(grid))))
 
     def evaluate(point):
-        gamma, sigma, point_seed = point
+        (gamma, sigma), point_seed = point
         run = run_sync(
             params,
             CouplingConfig(gamma=gamma, noise_sigma=sigma),

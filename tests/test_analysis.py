@@ -108,6 +108,21 @@ class TestEckmannRuelle:
         with pytest.raises(ValueError):
             an.le_eckmann_ruelle(np.zeros((100, 3)))
 
+    @pytest.mark.parametrize(
+        "n, n_neighbors",
+        [(21, None), (400, 398)],
+        ids=["default_on_21_points", "398_on_400_points"],
+    )
+    def test_neighborhood_clamped_to_the_tree(self, n, n_neighbors):
+        # the tree holds n - 1 points and each query drops the point itself
+        # and its successor, so at most n - 3 neighbors remain
+        states = cl.generate_trajectory(n, seed=1).states
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            er = an.le_eckmann_ruelle(states, n_neighbors=n_neighbors, min_points=10)
+        assert er.meta["n_neighbors"] == n - 3
+        assert_same_spectrum(er, reference_le_eckmann_ruelle(states, n - 1, n - 3))
+
 
 class TestWolf:
     def test_dominant_exponent_reference_value(self, beta0_traj):
@@ -168,6 +183,10 @@ class TestCorrelationDimension:
         fit = an.correlation_dimension(np.stack([t, t, t], axis=1))
         assert fit.error >= 0.0
         assert fit.r_squared > 0.99
+
+    def test_constant_series_named(self):
+        with pytest.raises(ValueError, match="no spread"):
+            an.correlation_dimension(np.ones((200, 3)))
 
 
 class TestWelch:

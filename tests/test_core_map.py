@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaoslink as cl
-from chaoslink.core_map import FoldBreakpointError
+from chaoslink.core_map import FoldBreakpointError, spawn_seeds
 
 
 class TestWrapUnit:
@@ -203,6 +203,17 @@ class TestGenerateTrajectory:
 
     def test_seed_recorded(self):
         assert cl.generate_trajectory(10, seed=9).seed == 9
+
+
+class TestSpawnSeeds:
+    def test_distinct_32_bit_integers(self):
+        seeds = spawn_seeds(7, 5)
+        assert len(set(seeds)) == 5
+        assert all(type(s) is int and 0 <= s < 2**32 for s in seeds)
+
+    def test_prefix_stable(self):
+        # sub-seed k does not depend on how many are split off
+        assert spawn_seeds(7, 5)[:3] == spawn_seeds(7, 3)
 
 
 class TestUnits:

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import chaoslink as cl
+from chaoslink import cli
 from chaoslink.cli import main
 from chaoslink.codecs import (
     packet_to_bits,
@@ -314,6 +315,48 @@ class TestCli:
         ) == 0
         stats = json.loads((tmp_path / "symbol_stats.json").read_text())
         assert stats["mu0"] < 0 < stats["mu1"]
+
+    @pytest.mark.parametrize(
+        "argv, table, header, report",
+        [
+            (["lyapunov", "--method", "qr"], "lyapunov_qr.csv",
+             "method,lambda1,lambda2,lambda3", None),
+            (["lyapunov", "--method", "er"], "lyapunov_er.csv",
+             "method,lambda1,lambda2,lambda3", None),
+            (["lyapunov", "--method", "wolf"], "lyapunov_wolf.csv",
+             "method,lambda1", None),
+            (["lyapunov", "--method", "beta-sweep", "--points", "2"],
+             "lyapunov_beta_sweep.csv", "beta,method,lambda1,lambda2,lambda3", None),
+            (["lyapunov", "--method", "settling-sweep"], "lyapunov_settling.csv",
+             "t_n,lambda1,lambda2,lambda3", None),
+            (["sync", "--mode", "grid", "--gammas=-1.3,-1.0", "--sigmas", "0,0.02"],
+             "sync_grid.csv", "gamma,sigma,rms_x,rms_y,rms_z", None),
+            (["ber", "--mode", "sweep", "--amplitudes", "0.05,0.1"],
+             "ber_amplitude.csv",
+             "amplitude,ber,ci_low,ci_high,predicted_ber,errors,bits", None),
+            (["ber", "--mode", "threshold-scan"], "threshold_scan.csv",
+             "threshold,predicted_ber", "threshold_optimum.json"),
+            (["ber", "--mode", "histogram", "--unfiltered"], "symbol_histogram.csv",
+             "bit,bin_low,bin_high,count", "symbol_stats.json"),
+        ],
+        ids=["qr", "er", "wolf", "beta-sweep", "settling-sweep", "sync-grid",
+             "ber-sweep", "threshold-scan", "histogram-unfiltered"],
+    )
+    def test_table_modes(self, tmp_path, argv, table, header, report):
+        common = ["--seed", "6", "--run-n", "2000", "--out-dir", str(tmp_path)]
+        if argv[0] == "ber":
+            common += ["--bits", "600", "--link-noise-sigma", "0.006"]
+        assert main(argv + common) == 0
+        lines = (tmp_path / table).read_text().splitlines()
+        metas = [json.loads(lines[0].lstrip("# "))]
+        assert lines[1] == header
+        assert len(lines) > 2
+        if report is not None:
+            metas.append(json.loads((tmp_path / report).read_text()))
+        for meta in metas:
+            assert meta["seed"] == 6
+            assert set(meta["config"]) == set(cli.DEFAULTS)
+            assert int(meta["config"]["run.n"]) == 2000
 
     def test_wav_round_trip_via_files(self, tmp_path):
         payload = tmp_path / "speech.wav"

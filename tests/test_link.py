@@ -19,6 +19,7 @@ from chaoslink.link import (
     nrz_waveform,
     optimal_threshold,
     prbs,
+    prbs_seed,
     run_link,
     unmask_receive,
 )
@@ -53,6 +54,12 @@ class TestPrbs:
     def test_unknown_degree_rejected(self):
         with pytest.raises(ValueError):
             prbs(10, seed=1, degree=5)
+
+    @pytest.mark.parametrize("seed", [0, (1 << 23) - 2, (1 << 23) - 1, 1 << 23, 2**32 - 1])
+    def test_prbs_seed_never_locks_up(self, seed):
+        state = prbs_seed(seed)
+        assert 1 <= state < (1 << 23)
+        assert prbs(8, seed=state).size == 8
 
 
 class TestMaskTransmit:
