@@ -14,6 +14,15 @@ Interpreted, arithmetic on Python floats costs a fraction of the same
 arithmetic on numpy scalars, and both are IEEE double operations in the
 same order, so the results do not change. Under numba ``float(...)`` of a
 float64 is a no-op.
+
+The masked transmitter is the one loop that cannot be split into parallel
+blocks (its map expands, where the receiver's contracts), so its kernel
+goes further. ``masked_transmit_chain`` writes the three folds out in the
+loop body instead of calling ``fold_scalar``, and does its per-sample I/O
+on Python lists: it reads one chunk of the information signal as a list
+and returns the pre-update ``x`` and ``z`` of every sample as two lists.
+The caller copies those into arrays and forms the output series with
+numpy, so no numpy item is read or written per sample.
 """
 
 from __future__ import annotations
@@ -228,27 +237,63 @@ def qr_log_sums(states, a, b, c, beta, weight):
 
 
 @njit(nogil=True)
-def masked_transmit_chain(info, x, y, z, a, b, c, beta, gamma, w_clean, w_star):
-    """Advance the transmitter with the information injected into z.
+def masked_transmit_chain(info, x, y, z, a, b, c, beta):
+    """Advance the transmitter over one chunk with the information injected into z.
 
-    At each step the mixed third variable ``z + info[k]`` feeds the x and y
-    updates and the scalar output, so a matched receiver driven by w_star
-    reproduces the same dynamics exactly. w_star is emitted as
-    ``w_clean + info`` so the additive relation is bit-exact.
+    ``info`` is the chunk's information samples as a list. At each step the
+    mixed third variable ``z + info[k]`` feeds the x and y updates, so a
+    matched receiver driven by ``w_star`` reproduces the same dynamics
+    exactly. Returns ``(xs, zs, x, y, z)``: the pre-update x and z of every
+    sample as lists, from which the caller forms ``w_clean = gamma*x + z``
+    and ``w_star = w_clean + info``, then the state after the chunk, from
+    which the next chunk continues.
+
+    The three folds are ``fold_scalar`` written out in the loop body, with
+    the same operations in the same order, so the states are bit-identical
+    to calling it. ``hi == 0`` only at beta = 1, where the central branch
+    is reached only by g = 0 or NaN and returns 0, as ``fold_scalar``
+    does. At beta = 0 the outer tests are never true and ``g / 1.0 == g``.
     """
     x, y, z = float(x), float(y), float(z)
-    a, b, c, beta, gamma = float(a), float(b), float(c), float(beta), float(gamma)
-    n = info.shape[0]
-    for k in range(n):
-        ik = float(info[k])
-        zs = z + ik
-        wc = gamma * x + z
-        w_clean[k] = wc
-        w_star[k] = wc + ik
-        fx = fold_scalar(a * x + b * zs, beta)
-        fy = fold_scalar(c * y + zs, beta)
-        fz = fold_scalar(x + y, beta)
-        x, y, z = fx, fy, fz
+    a, b, c, beta = float(a), float(b), float(c), float(beta)
+    hi = 1.0 - beta
+    lo = -hi
+    xs = []
+    zs = []
+    for ik in info:
+        xs.append(x)
+        zs.append(z)
+        s = z + ik
+        g = (a * x + b * s + 1.0) % 2.0 - 1.0
+        if g > hi:
+            fx = (1.0 - g) / beta
+        elif g < lo:
+            fx = (-1.0 - g) / beta
+        elif hi != 0.0:
+            fx = g / hi
+        else:
+            fx = 0.0
+        g = (c * y + s + 1.0) % 2.0 - 1.0
+        if g > hi:
+            fy = (1.0 - g) / beta
+        elif g < lo:
+            fy = (-1.0 - g) / beta
+        elif hi != 0.0:
+            fy = g / hi
+        else:
+            fy = 0.0
+        g = (x + y + 1.0) % 2.0 - 1.0
+        if g > hi:
+            z = (1.0 - g) / beta
+        elif g < lo:
+            z = (-1.0 - g) / beta
+        elif hi != 0.0:
+            z = g / hi
+        else:
+            z = 0.0
+        x = fx
+        y = fy
+    return xs, zs, x, y, z
 
 
 @njit(nogil=True)

@@ -53,7 +53,7 @@ from .link import (
     unmask_receive,
 )
 from .params import SettlingConfig, SystemParams
-from .sync import CouplingConfig, fit_deviation_model, run_sync, stability_check, sync_sweep
+from .sync import fit_deviation_model, stability_check, sync_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -107,8 +107,29 @@ def load_config(path) -> dict:
     return config
 
 
+def _coerce(key: str, value):
+    """``value`` as the type of ``DEFAULTS[key]``; keys without a default pass through.
+
+    Flags arrive as strings and config values as JSON, so coercing both makes
+    the settings, and their echo in every output, independent of the source.
+    An int setting rejects a float, even a whole one, rather than truncate it.
+    """
+    if key not in DEFAULTS:
+        return value
+    kind = type(DEFAULTS[key])
+    try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)):
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError):
+        raise CliError(f"{key}: expected {kind.__name__}, got {value!r}", EXIT_VALIDATION)
+
+
 class Settings:
-    """Layered configuration: defaults, then config file, then CLI flags."""
+    """Layered configuration: defaults, then config file, then CLI flags.
+
+    Every dotted value has the type of its ``DEFAULTS`` entry.
+    """
 
     def __init__(self, args):
         self.values = dict(DEFAULTS)
@@ -121,6 +142,7 @@ class Settings:
             dotted = key.replace("__", ".")
             if "." in dotted and value is not None:
                 self.values[dotted] = value
+        self.values = {key: _coerce(key, value) for key, value in self.values.items()}
         self.args = args
 
     def __getitem__(self, key):
@@ -129,11 +151,11 @@ class Settings:
     def params(self) -> SystemParams:
         try:
             return SystemParams(
-                a=float(self["map.a"]),
-                b=float(self["map.b"]),
-                c=float(self["map.c"]),
-                beta=float(self["map.beta"]),
-                gamma=float(self["map.gamma"]),
+                a=self["map.a"],
+                b=self["map.b"],
+                c=self["map.c"],
+                beta=self["map.beta"],
+                gamma=self["map.gamma"],
             )
         except ValueError as exc:
             raise CliError(str(exc), EXIT_VALIDATION)
@@ -141,10 +163,10 @@ class Settings:
     def modulation(self) -> ModulationConfig:
         try:
             return ModulationConfig(
-                amplitude=float(self["link.amplitude"]),
-                samples_per_bit=int(self["link.samples_per_bit"]),
-                f_clk=float(self["link.f_clk"]),
-                bit_rate=float(self["link.bit_rate"]),
+                amplitude=self["link.amplitude"],
+                samples_per_bit=self["link.samples_per_bit"],
+                f_clk=self["link.f_clk"],
+                bit_rate=self["link.bit_rate"],
             )
         except ValueError as exc:
             raise CliError(str(exc), EXIT_VALIDATION)
@@ -202,11 +224,11 @@ def cmd_map(settings: Settings) -> int:
     if settings.args.t_n is not None:
         settling = SettlingConfig(t_n=settings.args.t_n)
     traj = generate_trajectory(
-        int(settings["run.n"]),
+        settings["run.n"],
         params=params,
         seed=seed,
         settling=settling,
-        transient=int(settings["run.transient"]),
+        transient=settings["run.transient"],
     )
     csv_path = _write(settings, "trajectory.csv", traj)
     dump_path = _write(settings, "trajectory.bin", traj)
@@ -226,7 +248,7 @@ def cmd_lyapunov(settings: Settings) -> int:
         spectrum = analysis.le_analytic(params)
     else:
         seed = settings.seed()
-        n = int(settings["run.n"])
+        n = settings["run.n"]
 
     if method in ("qr", "er", "wolf"):
         traj = generate_trajectory(n, params=params, seed=seed)
@@ -274,7 +296,7 @@ def cmd_lyapunov(settings: Settings) -> int:
 def cmd_sync(settings: Settings) -> int:
     params = settings.params()
     seed = settings.seed()
-    n = int(settings["run.n"])
+    n = settings["run.n"]
     sigmas = _parse_grid(settings.args.sigmas)
     if settings.args.mode == "grid":
         gammas = _parse_grid(settings.args.gammas)
@@ -287,23 +309,27 @@ def cmd_sync(settings: Settings) -> int:
         print(f"wrote {path}")
         return EXIT_OK
 
-    coupling_gamma = float(settings["map.gamma"])
-    runs = [
-        run_sync(
-            params,
-            CouplingConfig(gamma=coupling_gamma, noise_sigma=sigma),
-            n=n,
-            seed=seed + k,
+    # the deviation fit needs 3 points at 2 or more noise levels; check before any run
+    if len(sigmas) < 3 or len(set(sigmas)) < 2:
+        raise CliError(
+            "sigma mode needs at least 3 --sigmas with at least 2 distinct values",
+            EXIT_VALIDATION,
         )
-        for k, sigma in enumerate(sigmas)
-    ]
+    points = sync_sweep(
+        params,
+        [params.gamma],
+        sigmas,
+        n=n,
+        seed=seed,
+        max_workers=settings.args.threads,
+    )
     rows = [
-        [sigma, *run.rms_error, *run.correlation, run.delta_n]
-        for sigma, run in zip(sigmas, runs)
+        [p["sigma"], *p["run"].rms_error, *p["run"].correlation, p["run"].delta_n]
+        for p in points
     ]
     header = ["sigma", "rms_x", "rms_y", "rms_z", "corr_x", "corr_y", "corr_z", "delta_n"]
     path = _write(settings, "sync_sigma.csv", (header, rows))
-    fit = fit_deviation_model([(sigma, run.delta_n) for sigma, run in zip(sigmas, runs)])
+    fit = fit_deviation_model([(p["sigma"], p["run"].delta_n) for p in points])
     report = _write(settings, "sync_deviation_fit.json", {"fit": asdict(fit)})
     print(f"wrote {path} and {report}")
     return EXIT_OK
@@ -315,8 +341,8 @@ def cmd_ber(settings: Settings) -> int:
     cfg = settings.modulation()
     mode = settings.args.mode
     n_bits = int(settings.args.bits)
-    noise = float(settings["link.noise_sigma"])
-    mismatch = float(settings["link.mismatch"])
+    noise = settings["link.noise_sigma"]
+    mismatch = settings["link.mismatch"]
 
     if mode == "sweep":
         results = ber_sweep(
@@ -393,9 +419,9 @@ def cmd_send_file(settings: Settings) -> int:
     payload = Path(settings.args.input)
     _, packet = file_to_packet(
         payload,
-        float(settings["codec.keep_fraction"]),
-        selection=str(settings["codec.selection"]),
-        value_bits=int(settings["codec.value_bits"]),
+        settings["codec.keep_fraction"],
+        selection=settings["codec.selection"],
+        value_bits=settings["codec.value_bits"],
     )
     bits = packet_to_bits(packet)
     # the file header records this seed, so the transmitter uses it as given
@@ -421,7 +447,7 @@ def cmd_recv_file(settings: Settings) -> int:
     seed = settings.seed()
     masked = read_masked_series(settings.args.input)
     # receiver initial state from --seed, channel noise from --seed + 1
-    noise = float(settings["link.noise_sigma"])
+    noise = settings["link.noise_sigma"]
     received = channel_awgn(masked.w_star, noise, seed=seed + 1)
     recovered = unmask_receive(masked, received=received, seed=seed)
     bits = decide_zero(recovered, masked.config)

@@ -25,6 +25,10 @@ from .sync import receiver_run, stability_check
 SETTLE_STEPS = 200
 PILOT_BITS = 1
 
+# samples per transmitter kernel call: long enough to amortize the call, short
+# enough that the kernel's per-sample lists stay a small fraction of the series
+_TX_CHUNK = 4096
+
 # primitive feedback taps per register degree (x^d + x^t + ... + 1)
 LFSR_TAPS = {
     3: (3, 2),
@@ -230,22 +234,22 @@ def mask_transmit(
     if bits.ndim != 1 or bits.size == 0:
         raise ValueError("bits must be a non-empty 1-d sequence")
     info = _frame_info(bits, cfg, settle_steps, PILOT_BITS)
-    start = generate_trajectory(1, params=params, seed=seed).states[0]
+    x, y, z = generate_trajectory(1, params=params, seed=seed).states[0]
+    # the kernel's pre-update x and z, chunk by chunk; they become the outputs
     w_clean = np.empty(info.size)
     w_star = np.empty(info.size)
-    _kernels.masked_transmit_chain(
-        info,
-        start[0],
-        start[1],
-        start[2],
-        params.a,
-        params.b,
-        params.c,
-        params.beta,
-        params.gamma,
-        w_clean,
-        w_star,
-    )
+    for lo in range(0, info.size, _TX_CHUNK):
+        hi = lo + _TX_CHUNK
+        xs, zs, x, y, z = _kernels.masked_transmit_chain(
+            info[lo:hi].tolist(), x, y, z, params.a, params.b, params.c, params.beta
+        )
+        w_clean[lo:hi] = xs
+        w_star[lo:hi] = zs
+    # w_clean = gamma*x + z and w_star = w_clean + info, in place: per sample
+    # the same two roundings, in the same order, as the scalar expressions
+    w_clean *= params.gamma
+    w_clean += w_star
+    np.add(w_clean, info, out=w_star)
     return MaskedSeries(
         w_star=w_star,
         config=cfg,

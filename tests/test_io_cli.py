@@ -316,6 +316,58 @@ class TestCli:
         stats = json.loads((tmp_path / "symbol_stats.json").read_text())
         assert stats["mu0"] < 0 < stats["mu1"]
 
+    def test_sync_sigma_seeds_do_not_overlap(self, tmp_path):
+        """Each sigma gets a spawned sub-seed, so shifting the master seed shares no run."""
+
+        def row_at(sigmas, seed, sigma):
+            out = tmp_path / f"seed{seed}"
+            argv = ["sync", "--seed", str(seed), "--run-n", "1500", "--sigmas", sigmas]
+            assert main(argv + ["--out-dir", str(out)]) == 0
+            lines = (out / "sync_sigma.csv").read_text().splitlines()[2:]
+            (row,) = [line for line in lines if float(line.split(",")[0]) == sigma]
+            return row
+
+        # seeds 1 + 1 and 2 + 0 under a master-seed-plus-index rule
+        assert row_at("0.02,0.01,0.03", 1, 0.01) != row_at("0.01,0.02,0.03", 2, 0.01)
+
+    @pytest.mark.parametrize("sigmas", ["0.02,0.01", "0.01,0.01,0.01"])
+    def test_sync_sigma_too_few_levels_writes_nothing(self, tmp_path, sigmas):
+        out = tmp_path / "out"
+        argv = ["sync", "--seed", "1", "--run-n", "1500", "--sigmas", sigmas]
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_settings_typed_from_flag_and_config(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("run.n = 1200\nmap.b = 1\n")
+        parse = cli.build_parser().parse_args
+        from_flags = cli.Settings(parse(["map", "--run-n", "1200", "--map-b", "1"])).echo()
+        from_config = cli.Settings(parse(["map", "--config", str(config)])).echo()
+        assert from_flags["config"] == from_config["config"]
+        echo = from_flags["config"]
+        assert echo["run.n"] == 1200 and echo["map.b"] == 1.0
+        assert all(type(echo[key]) is type(value) for key, value in cli.DEFAULTS.items())
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--run-n", "12.5"], None),
+            (["--run-n", "many"], None),
+            (["--map-beta", "half"], None),
+            ([], "run.n = 1200.5"),
+            ([], "map.beta = true"),
+            ([], "link.samples_per_bit = [50]"),
+        ],
+    )
+    def test_uncoercible_setting_exits_validation(self, tmp_path, flags, config):
+        argv = ["map", "--seed", "1", "--out-dir", str(tmp_path / "out"), *flags]
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config + "\n")
+            argv += ["--config", str(path)]
+        assert main(argv) == 2
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "argv, table, header, report",
         [
@@ -356,7 +408,8 @@ class TestCli:
         for meta in metas:
             assert meta["seed"] == 6
             assert set(meta["config"]) == set(cli.DEFAULTS)
-            assert int(meta["config"]["run.n"]) == 2000
+            assert type(meta["config"]["run.n"]) is int
+            assert meta["config"]["run.n"] == 2000
 
     def test_wav_round_trip_via_files(self, tmp_path):
         payload = tmp_path / "speech.wav"

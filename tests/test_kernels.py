@@ -1,12 +1,14 @@
 """Oracle tests: the fast PRBS, transmitter and receiver paths against plain references."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import chaoslink as cl
-from chaoslink import _kernels, sync
+from chaoslink import _kernels, link, sync
 from chaoslink.core_map import _fold_unchecked, fold, generate_trajectory, random_initial_state
 from chaoslink.link import (
     LFSR_TAPS,
@@ -103,6 +105,9 @@ def reference_transmit(params, info, start):
     return w_clean, w_star
 
 
+CHUNK = link._TX_CHUNK
+
+
 class TestMaskTransmitOracle:
     @pytest.mark.parametrize(
         "params",
@@ -111,12 +116,107 @@ class TestMaskTransmitOracle:
     )
     @pytest.mark.parametrize("seed", [0, 7])
     def test_matches_stepwise_fold(self, params, seed):
-        cfg = ModulationConfig(amplitude=0.07, samples_per_bit=5)
-        masked = mask_transmit(params, prbs(300, seed=seed + 1), cfg, seed=seed, settle_steps=50)
         start = generate_trajectory(1, params=params, seed=seed).states[0]
-        w_clean, w_star = reference_transmit(params, masked.info, start)
+        for samples_per_bit in (1, 5, 50):
+            cfg = ModulationConfig(amplitude=0.07, samples_per_bit=samples_per_bit)
+            bits = prbs(1500 // samples_per_bit, seed=seed + 1)
+            masked = mask_transmit(params, bits, cfg, seed=seed, settle_steps=50)
+            w_clean, w_star = reference_transmit(params, masked.info, start)
+            assert masked.w_clean.tobytes() == w_clean.tobytes(), samples_per_bit
+            assert masked.w_star.tobytes() == w_star.tobytes(), samples_per_bit
+
+    @pytest.mark.parametrize(
+        "length", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7], ids=["c-1", "c", "c+1", "2c+7"]
+    )
+    def test_chunk_seams(self, length):
+        """The series is cut into kernel calls of CHUNK samples; seams must not show."""
+        cfg = ModulationConfig(amplitude=0.1, samples_per_bit=1)
+        bits = prbs(50, seed=5)
+        masked = mask_transmit(P, bits, cfg, seed=4, settle_steps=length - 51)
+        assert masked.w_star.size == length
+        start = generate_trajectory(1, params=P, seed=4).states[0]
+        w_clean, w_star = reference_transmit(P, masked.info, start)
         assert masked.w_clean.tobytes() == w_clean.tobytes()
         assert masked.w_star.tobytes() == w_star.tobytes()
+
+
+# fold arguments the first transmitter step is steered onto; the larger EDGES
+# overflow a*x on later steps and end the reference in a non-finite fold
+FIRST_STEP_EDGES = [e for e in EDGES if abs(e) <= 2.0**53] + [-1e-20]
+
+
+def branch_edges(beta):
+    """Arguments at and one ulp either side of the fold's branch points +-(1 - beta)."""
+    hi = 1.0 - beta
+    return [
+        edge
+        for point in (hi, -hi)
+        for edge in (point, math.nextafter(point, math.inf), math.nextafter(point, -math.inf))
+    ]
+
+
+def negated_zero(coefficient):
+    """A signed zero whose product with ``coefficient`` is -0.0."""
+    return -0.0 if math.copysign(1.0, coefficient) > 0 else 0.0
+
+
+def steer_first_step(params, which, target, x, y, z, i0):
+    """Start state and info[0] whose fold argument ``which`` equals ``target`` exactly.
+
+    The transmitter's fold arguments are ``a*x + b*(z + i0)``, ``c*y + (z + i0)``
+    and ``x + y``. Adding -0.0 leaves every float unchanged, so a zero term
+    with the right sign passes ``target`` through bit for bit. ``i0`` is kept
+    when ``z = target - i0`` gives ``z + i0 == target`` exactly.
+    """
+    if which == 2:
+        return target, -0.0, z, i0
+    if ((target - i0) + i0).hex() == target.hex():
+        z = target - i0
+    else:
+        z, i0 = target, -0.0
+    if which == 0:
+        assert params.b == 1.0  # b*(z + i0) must be exact
+        return negated_zero(params.a), y, z, i0
+    return x, negated_zero(params.c), z, i0
+
+
+def fold_arguments(params, x, y, z, i0):
+    s = z + i0
+    return params.a * x + params.b * s, params.c * y + s, x + y
+
+
+class TestMaskTransmitKernel:
+    """The kernel's inlined folds against the stepwise core_map.fold reference."""
+
+    @given(
+        beta=st.one_of(st.sampled_from(BETAS), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        which=st.sampled_from([0, 1, 2]),
+        pick=st.integers(0, 10**6),
+        state=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+        amplitude=st.floats(1e-3, 3.0),
+        levels=st.lists(st.booleans(), min_size=1, max_size=60),
+        seam=st.integers(0, 60),
+    )
+    def test_first_step_on_fold_edges(self, beta, which, pick, state, amplitude, levels, seam):
+        params = P.replace(beta=beta)
+        targets = FIRST_STEP_EDGES + branch_edges(beta)
+        target = targets[pick % len(targets)]
+        x, y, z, i0 = steer_first_step(params, which, target, *state, amplitude)
+        assert fold_arguments(params, x, y, z, i0)[which].hex() == target.hex()
+        info = np.array([i0] + [amplitude if up else -amplitude for up in levels])
+
+        # two kernel calls, the second continuing from the first's end state;
+        # neither chunk is empty, as in mask_transmit (numba cannot type an empty list)
+        seam = 1 + seam % (info.size - 1)
+        coefficients = (params.a, params.b, params.c, params.beta)
+        xs, zs, *end = _kernels.masked_transmit_chain(info[:seam].tolist(), x, y, z, *coefficients)
+        xs2, zs2, *_ = _kernels.masked_transmit_chain(info[seam:].tolist(), *end, *coefficients)
+        w_clean = params.gamma * np.array(xs + xs2) + np.array(zs + zs2)
+        w_star = w_clean + info
+
+        ref_clean, ref_star = reference_transmit(params, info, (x, y, z))
+        assert w_clean.tobytes() == ref_clean.tobytes()
+        assert w_star.tobytes() == ref_star.tobytes()
 
 
 def chain(w, init, params):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import optimize, special, stats
@@ -84,6 +86,24 @@ class TestMaskTransmit:
         bits = prbs(64, seed=9)
         masked = mask_transmit(PARAMS, bits, CFG, seed=1)
         assert masked.w_star.size == masked.preamble_samples + 64 * CFG.samples_per_bit
+
+    def test_peak_memory_per_sample(self):
+        """The chunked transmitter holds the info, w_clean and w_star arrays plus one chunk.
+
+        4300 bits at N = 50 is the size of a 0.25 s speech payload. Three
+        float64 arrays make 24 B/sample; per-sample lists kept for the whole
+        series would make about 105.
+        """
+        bits = prbs(4300, seed=2)
+        mask_transmit(PARAMS, bits[:10], CFG, seed=1)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            masked = mask_transmit(PARAMS, bits, CFG, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert masked.w_star.size == 215_250
+        assert peak / masked.w_star.size <= 32
 
     def test_masked_spectrum_stays_noise_like(self):
         # no spectral line near the bit rate: the data-band peak stays close
