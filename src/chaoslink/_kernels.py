@@ -15,14 +15,19 @@ arithmetic on numpy scalars, and both are IEEE double operations in the
 same order, so the results do not change. Under numba ``float(...)`` of a
 float64 is a no-op.
 
-The masked transmitter is the one loop that cannot be split into parallel
-blocks (its map expands, where the receiver's contracts), so its kernel
-goes further. ``masked_transmit_chain`` writes the three folds out in the
-loop body instead of calling ``fold_scalar``, and does its per-sample I/O
-on Python lists: it reads one chunk of the information signal as a list
-and returns the pre-update ``x`` and ``z`` of every sample as two lists.
-The caller copies those into arrays and forms the output series with
-numpy, so no numpy item is read or written per sample.
+The two loops that run the free map go further. Neither can be split into
+parallel blocks as the receiver is (the map expands, where the driven
+receiver contracts), so ``masked_transmit_chain`` and ``iterate_map``
+write the three folds out in the loop body instead of calling
+``fold_scalar``, and do their per-sample I/O on Python lists, one chunk of
+``CHUNK`` samples or states per call.
+The transmitter reads a chunk of the information signal as a list and
+returns the pre-update ``x`` and ``z`` of every sample as two lists; the
+caller copies those into arrays and forms the output series with numpy.
+``iterate_map`` runs its unrecorded transient in a loop of its own and
+returns a chunk's states as one flat list, which ``generate_trajectory``
+copies into the ``(n, 3)`` array. So no numpy item is read or written per
+sample.
 """
 
 from __future__ import annotations
@@ -44,6 +49,12 @@ except ImportError:  # numba is the optional `fast` extra
             return func
 
         return decorate
+
+
+# states or samples per call of a chunked kernel (iterate_map,
+# masked_transmit_chain): long enough to amortize the call, short enough that
+# the kernel's per-sample lists stay a small fraction of the output arrays
+CHUNK = 4096
 
 
 @njit(nogil=True)
@@ -94,43 +105,101 @@ def fold_slope_scalar(u, beta):
 
 
 @njit(nogil=True)
-def iterate_map(x, y, z, a, b, c, beta, weight, transient, out):
-    """Iterate the map, discard ``transient`` steps, record into out (n, 3).
+def iterate_map(x, y, z, a, b, c, beta, weight, skip, n):
+    """Advance the map ``skip`` steps unrecorded, then record ``n`` >= 1 states.
 
-    ``weight`` is the settling blend; 1.0 selects the exact update so ideal
-    trajectories are reproduced bit-for-bit with no arithmetic detour.
+    Returns ``(flat, x, y, z)``: the recorded states as one flat list
+    ``[x0, y0, z0, x1, ...]``, the first being the state after the ``skip``
+    steps, then the last recorded state. A next call from that state with
+    ``skip = 1`` continues the trajectory. ``weight`` is the settling blend;
+    1.0 selects the exact update so ideal trajectories are reproduced
+    bit-for-bit with no arithmetic detour.
+
+    The three folds are written out as in ``masked_transmit_chain``, in two
+    loops: the unrecorded steps and the recorded ones.
     """
     x, y, z = float(x), float(y), float(z)
     a, b, c, beta, weight = float(a), float(b), float(c), float(beta), float(weight)
-    for _ in range(transient):
-        fx = fold_scalar(a * x + b * z, beta)
-        fy = fold_scalar(c * y + z, beta)
-        fz = fold_scalar(x + y, beta)
-        if weight == 1.0:
-            x, y, z = fx, fy, fz
+    exact = weight == 1.0
+    hi = 1.0 - beta
+    lo = -hi
+    for _ in range(skip):
+        g = (a * x + b * z + 1.0) % 2.0 - 1.0
+        if g > hi:
+            fx = (1.0 - g) / beta
+        elif g < lo:
+            fx = (-1.0 - g) / beta
+        elif hi != 0.0:
+            fx = g / hi
+        else:
+            fx = 0.0
+        g = (c * y + z + 1.0) % 2.0 - 1.0
+        if g > hi:
+            fy = (1.0 - g) / beta
+        elif g < lo:
+            fy = (-1.0 - g) / beta
+        elif hi != 0.0:
+            fy = g / hi
+        else:
+            fy = 0.0
+        g = (x + y + 1.0) % 2.0 - 1.0
+        if g > hi:
+            fz = (1.0 - g) / beta
+        elif g < lo:
+            fz = (-1.0 - g) / beta
+        elif hi != 0.0:
+            fz = g / hi
+        else:
+            fz = 0.0
+        if exact:
+            x = fx
+            y = fy
+            z = fz
         else:
             x = x + (fx - x) * weight
             y = y + (fy - y) * weight
             z = z + (fz - z) * weight
-    n = out.shape[0]
-    if n == 0:
-        return
-    out[0, 0] = x
-    out[0, 1] = y
-    out[0, 2] = z
-    for k in range(1, n):
-        fx = fold_scalar(a * x + b * z, beta)
-        fy = fold_scalar(c * y + z, beta)
-        fz = fold_scalar(x + y, beta)
-        if weight == 1.0:
-            x, y, z = fx, fy, fz
+    flat = [x, y, z]
+    for _ in range(n - 1):
+        g = (a * x + b * z + 1.0) % 2.0 - 1.0
+        if g > hi:
+            fx = (1.0 - g) / beta
+        elif g < lo:
+            fx = (-1.0 - g) / beta
+        elif hi != 0.0:
+            fx = g / hi
+        else:
+            fx = 0.0
+        g = (c * y + z + 1.0) % 2.0 - 1.0
+        if g > hi:
+            fy = (1.0 - g) / beta
+        elif g < lo:
+            fy = (-1.0 - g) / beta
+        elif hi != 0.0:
+            fy = g / hi
+        else:
+            fy = 0.0
+        g = (x + y + 1.0) % 2.0 - 1.0
+        if g > hi:
+            fz = (1.0 - g) / beta
+        elif g < lo:
+            fz = (-1.0 - g) / beta
+        elif hi != 0.0:
+            fz = g / hi
+        else:
+            fz = 0.0
+        if exact:
+            x = fx
+            y = fy
+            z = fz
         else:
             x = x + (fx - x) * weight
             y = y + (fy - y) * weight
             z = z + (fz - z) * weight
-        out[k, 0] = x
-        out[k, 1] = y
-        out[k, 2] = z
+        flat.append(x)
+        flat.append(y)
+        flat.append(z)
+    return flat, x, y, z
 
 
 @njit(nogil=True)
@@ -302,21 +371,30 @@ def lfsr_bits(state, taps, degree, out):
 
     The register shifts left and feeds back the XOR of its bits ``t - 1`` for
     each tap ``t``, so after the first ``degree`` bits (the start state, MSB
-    first) the output obeys ``out[k] = XOR_t out[k - t]``. That recurrence is
-    filled in slices of length ``min(taps)``, each reading only bits already
-    written.
+    first) the output obeys ``out[k] = XOR_t out[k - t]``. Over GF(2) the
+    feedback polynomial satisfies p(x)**(2**j) = p(x**(2**j)), so
+    ``out[k] = XOR_t out[k - t * 2**j]`` holds for every k >= degree * 2**j.
+    The fill uses the largest such stride the written prefix allows, in
+    slices of ``min(taps) * 2**j`` bits, each reading only bits already
+    written; the stride doubles as the prefix doubles, so a sequence of n
+    bits takes O(log n) slices.
     """
     n = out.shape[0]
     for k in range(min(degree, n)):
         out[k] = (state >> (degree - 1 - k)) & 1
-    step = degree
+    low = degree
     for t in taps:
-        if t < step:
-            step = t
+        if t < low:
+            low = t
     first = taps[0]
-    for k in range(degree, n, step):
-        end = min(k + step, n)
+    stride = 1
+    k = degree
+    while k < n:
+        while degree * stride * 2 <= k:
+            stride *= 2
+        end = min(k + low * stride, n)
         bits = out[k:end]
-        bits[:] = out[k - first : end - first]
+        bits[:] = out[k - first * stride : end - first * stride]
         for t in taps[1:]:
-            bits ^= out[k - t : end - t]
+            bits ^= out[k - t * stride : end - t * stride]
+        k = end

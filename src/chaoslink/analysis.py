@@ -277,18 +277,30 @@ def le_wolf(
     if n < min_points:
         raise ValueError(f"need at least {min_points} points, got {n}")
 
-    # One batched query: row i holds the candidates for fiducial point i in
-    # ascending distance, padded with index n when n < n_candidates (the
-    # reshape keeps n_candidates = 1 two-dimensional).
-    cand_dists, cand_idx = cKDTree(states).query(states, k=n_candidates)
-    cand_dists = cand_dists.reshape(n, -1)
-    cand_idx = cand_idx.reshape(n, -1)
-    admissible = (
-        (cand_idx < n - 1)
-        & (np.abs(cand_idx - np.arange(n)[:, None]) > theiler)
-        & (cand_dists >= min_separation)
+    def admissible(i, dists, idx):
+        # |idx - i| > theiler as two comparisons: boolean temporaries only
+        outside = (idx > i + theiler) | (idx < i - theiler)
+        return (idx < n - 1) & outside & (dists >= min_separation)
+
+    # One batched query, bounded one ulp above max_separation because scipy's
+    # bound is strict: row i holds the candidates for fiducial point i within
+    # max_separation in ascending distance, padded with distance inf and
+    # index n. It asks for one candidate more than it keeps, to see ties.
+    tree = cKDTree(states)
+    cand_dists, cand_idx = tree.query(
+        states, k=n_candidates + 1, distance_upper_bound=np.nextafter(max_separation, np.inf)
     )
-    near = admissible & (cand_dists <= max_separation)
+    # The search orders equal distances as it meets them, and the bounded
+    # search meets them in another order than the unbounded one. Rows with a
+    # tie inside the bound take the unbounded order, as rows past it do.
+    tied = np.any(
+        (cand_dists[:, 1:] == cand_dists[:, :-1]) & np.isfinite(cand_dists[:, 1:]), axis=1
+    )
+    cand_dists = cand_dists[:, :-1]
+    cand_idx = cand_idx[:, :-1]
+    near = admissible(np.arange(n)[:, None], cand_dists, cand_idx) & (
+        cand_dists <= max_separation
+    )
 
     def separation(i, j):
         # np.linalg.norm of a 1-d array is sqrt(v.dot(v)); same value, less overhead
@@ -296,13 +308,19 @@ def le_wolf(
         return math.sqrt(v.dot(v))
 
     def replacement(i, direction):
-        keep = near[i]
-        if not keep.any():
-            # fall back to the nearest admissible neighbor regardless of angle
-            first = np.flatnonzero(admissible[i])
-            return int(cand_idx[i, first[0]]) if first.size else -1
-        d = cand_dists[i, keep]
-        j = cand_idx[i, keep]
+        d, j, keep = cand_dists[i], cand_idx[i], near[i]
+        if tied[i] or not keep.any():
+            # one unbounded query for this point: a tied row needs its order,
+            # and the fallback (the nearest admissible neighbor regardless of
+            # angle) may lie past the bound
+            d, j = map(np.atleast_1d, tree.query(states[i], k=n_candidates))
+            ok = admissible(i, d, j)
+            keep = ok & (d <= max_separation)
+            if not keep.any():
+                first = np.flatnonzero(ok)
+                return int(j[first[0]]) if first.size else -1
+        d = d[keep]
+        j = j[keep]
         norm_dir = math.sqrt(direction.dot(direction))
         if norm_dir > 0:
             cosang = ((states[j] - states[i]) @ direction) / (d * norm_dir)

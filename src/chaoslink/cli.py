@@ -87,7 +87,11 @@ class CliError(Exception):
 
 
 def load_config(path) -> dict:
-    """Parse a flat dotted-key config file into a dict."""
+    """Parse a flat dotted-key config file into a dict.
+
+    Every key must name a setting in ``DEFAULTS``; a misspelt key would
+    otherwise be ignored silently and the run would use the default.
+    """
     config = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
@@ -98,24 +102,25 @@ def load_config(path) -> dict:
                 f"{path}:{lineno}: expected 'key = value'", EXIT_VALIDATION
             )
         key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in DEFAULTS:
+            raise CliError(f"{path}:{lineno}: unknown setting {key!r}", EXIT_VALIDATION)
         raw = raw.strip()
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        config[key.strip()] = value
+        config[key] = value
     return config
 
 
 def _coerce(key: str, value):
-    """``value`` as the type of ``DEFAULTS[key]``; keys without a default pass through.
+    """``value`` as the type of ``DEFAULTS[key]``; every key has a default.
 
     Flags arrive as strings and config values as JSON, so coercing both makes
     the settings, and their echo in every output, independent of the source.
     An int setting rejects a float, even a whole one, rather than truncate it.
     """
-    if key not in DEFAULTS:
-        return value
     kind = type(DEFAULTS[key])
     try:
         if isinstance(value, bool) or (kind is int and isinstance(value, float)):

@@ -237,18 +237,17 @@ def generate_trajectory(
     start = _as_state(init)
     weight = 1.0 if settling is None else settling.weight
     out = np.empty((n, 3))
-    _kernels.iterate_map(
-        start[0],
-        start[1],
-        start[2],
-        params.a,
-        params.b,
-        params.c,
-        params.beta,
-        weight,
-        transient,
-        out,
-    )
+    flat_out = out.reshape(-1)
+    x, y, z = start
+    skip = transient
+    for lo in range(0, n, _kernels.CHUNK):
+        hi = min(lo + _kernels.CHUNK, n)
+        flat, x, y, z = _kernels.iterate_map(
+            x, y, z, params.a, params.b, params.c, params.beta, weight, skip, hi - lo
+        )
+        flat_out[3 * lo : 3 * hi] = flat
+        # the next chunk starts one step past this chunk's last state
+        skip = 1
     return Trajectory(
         states=out, params=params, settling=settling, seed=seed, transient=transient
     )

@@ -25,10 +25,6 @@ from .sync import receiver_run, stability_check
 SETTLE_STEPS = 200
 PILOT_BITS = 1
 
-# samples per transmitter kernel call: long enough to amortize the call, short
-# enough that the kernel's per-sample lists stay a small fraction of the series
-_TX_CHUNK = 4096
-
 # primitive feedback taps per register degree (x^d + x^t + ... + 1)
 LFSR_TAPS = {
     3: (3, 2),
@@ -238,8 +234,8 @@ def mask_transmit(
     # the kernel's pre-update x and z, chunk by chunk; they become the outputs
     w_clean = np.empty(info.size)
     w_star = np.empty(info.size)
-    for lo in range(0, info.size, _TX_CHUNK):
-        hi = lo + _TX_CHUNK
+    for lo in range(0, info.size, _kernels.CHUNK):
+        hi = lo + _kernels.CHUNK
         xs, zs, x, y, z = _kernels.masked_transmit_chain(
             info[lo:hi].tolist(), x, y, z, params.a, params.b, params.c, params.beta
         )

@@ -595,6 +595,39 @@ class TestWolfOracle:
         assert_same_spectrum(wolf, ref)
         assert wolf.meta["replacements"] > 0
 
+    @pytest.mark.parametrize("max_separation", [1.0, 2.0, 3.0])
+    def test_tied_distances(self, max_separation):
+        # a random walk on a 6x6x6 integer lattice: every row holds many
+        # candidates at equal distances, some exactly at max_separation, and
+        # repeated points; the order of equal distances must be the
+        # unbounded query's
+        rng = np.random.default_rng(0)
+        steps = np.eye(3)[rng.integers(0, 3, 600)] * rng.choice([-1.0, 1.0], (600, 1))
+        states = np.cumsum(steps, axis=0) % 6
+        wolf = an.le_wolf(states, max_separation=max_separation, theiler=2, min_points=10)
+        ref = reference_le_wolf(states, max_separation=max_separation, theiler=2)
+        assert_same_spectrum(wolf, ref)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_rows_past_the_bound_fall_back(self, monkeypatch, oracle_trajectories, beta):
+        # at this max_separation most visited rows, but not all, hold no
+        # admissible candidate inside the bounded query, so replacement() asks
+        # the tree again for that one point, without a bound
+        fallbacks = []
+
+        class CountingTree(cKDTree):
+            def query(self, x, *args, **kwargs):
+                if np.ndim(x) == 1:
+                    fallbacks.append(kwargs.get("distance_upper_bound", np.inf))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(an, "cKDTree", CountingTree)
+        states = oracle_trajectories[beta].states
+        wolf = an.le_wolf(states, max_separation=0.03)
+        assert_same_spectrum(wolf, reference_le_wolf(states, max_separation=0.03))
+        assert 0 < len(fallbacks) < wolf.meta["replacements"]
+        assert all(bound == np.inf for bound in fallbacks)
+
 
 class TestEckmannRuelleOracle:
     @pytest.mark.parametrize("beta", ORACLE_BETAS)

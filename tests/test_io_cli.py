@@ -368,6 +368,15 @@ class TestCli:
         assert main(argv) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_config_key_exits_validation(self, tmp_path, capsys):
+        config = tmp_path / "typo.cfg"
+        config.write_text("run.n = 50\nmap.bta = 0.9\n")
+        out = tmp_path / "out"
+        argv = ["map", "--seed", "1", "--run-n", "50", "--config", str(config)]
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert "map.bta" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv, table, header, report",
         [

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import chaoslink as cl
-from chaoslink import _kernels, link, sync
+from chaoslink import _kernels, sync
 from chaoslink.core_map import _fold_unchecked, fold, generate_trajectory, random_initial_state
 from chaoslink.link import (
     LFSR_TAPS,
@@ -17,6 +17,7 @@ from chaoslink.link import (
     mask_transmit,
     prbs,
 )
+from chaoslink.params import SettlingConfig
 
 P = cl.DEFAULT_PARAMS
 
@@ -42,7 +43,9 @@ class TestPrbsOracle:
         step = min(LFSR_TAPS[degree])
         ragged = degree + 3 * step + 1  # not a whole number of recurrence slices
         assert (ragged - degree) % step != 0
-        lengths = [1, degree - 1, degree, ragged, 100_000]
+        # the stride doubles where the written prefix reaches degree * 2**j
+        doublings = [degree * 2**j + d for j in range(1, 5) for d in (-1, 0, 1)]
+        lengths = [1, degree - 1, degree, ragged, 100_000, *doublings]
         for length in (n for n in lengths if n >= 1):
             for seed in (1, 0b101, (1 << degree) - 1):
                 got = prbs(length, seed=seed, degree=degree)
@@ -105,7 +108,7 @@ def reference_transmit(params, info, start):
     return w_clean, w_star
 
 
-CHUNK = link._TX_CHUNK
+CHUNK = _kernels.CHUNK
 
 
 class TestMaskTransmitOracle:
@@ -217,6 +220,98 @@ class TestMaskTransmitKernel:
         ref_clean, ref_star = reference_transmit(params, info, (x, y, z))
         assert w_clean.tobytes() == ref_clean.tobytes()
         assert w_star.tobytes() == ref_star.tobytes()
+
+
+def reference_iterate(x, y, z, a, b, c, beta, weight, transient, out):
+    """The map loop before its folds were written out: fold_scalar per component."""
+    for _ in range(transient):
+        fx = _kernels.fold_scalar(a * x + b * z, beta)
+        fy = _kernels.fold_scalar(c * y + z, beta)
+        fz = _kernels.fold_scalar(x + y, beta)
+        if weight == 1.0:
+            x, y, z = fx, fy, fz
+        else:
+            x = x + (fx - x) * weight
+            y = y + (fy - y) * weight
+            z = z + (fz - z) * weight
+    out[0] = x, y, z
+    for k in range(1, out.shape[0]):
+        fx = _kernels.fold_scalar(a * x + b * z, beta)
+        fy = _kernels.fold_scalar(c * y + z, beta)
+        fz = _kernels.fold_scalar(x + y, beta)
+        if weight == 1.0:
+            x, y, z = fx, fy, fz
+        else:
+            x = x + (fx - x) * weight
+            y = y + (fy - y) * weight
+            z = z + (fz - z) * weight
+        out[k] = x, y, z
+    return out
+
+
+def reference_trajectory(n, params, start, settling, transient):
+    weight = 1.0 if settling is None else settling.weight
+    x, y, z = (float(v) for v in start)
+    coefficients = (params.a, params.b, params.c, params.beta, weight)
+    return reference_iterate(x, y, z, *coefficients, transient, np.empty((n, 3)))
+
+
+SETTLING = {"ideal": None, "settling": SettlingConfig(t_n=1.5)}
+
+
+class TestTrajectoryOracle:
+    """generate_trajectory's chunked inlined-fold kernel against the fold_scalar loop."""
+
+    @pytest.mark.parametrize("mode", sorted(SETTLING))
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_chunk_seams(self, beta, mode):
+        params = P.replace(beta=beta)
+        settling = SETTLING[mode]
+        start = random_initial_state(3)
+        for transient in (0, 1000):
+            for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7):
+                got = generate_trajectory(
+                    n, params=params, seed=3, settling=settling, transient=transient
+                ).states
+                ref = reference_trajectory(n, params, start, settling, transient)
+                assert got.tobytes() == ref.tobytes(), (transient, n)
+
+    @pytest.mark.parametrize("mode", sorted(SETTLING))
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_origin_stays_fixed(self, beta, mode):
+        # every fold argument is 0 on every step, in both kernel loops: at
+        # beta = 1 that is the undefined point, which maps to 0
+        for transient in (0, 3):
+            got = generate_trajectory(
+                5, params=P.replace(beta=beta), init=(0.0, 0.0, 0.0),
+                settling=SETTLING[mode], transient=transient,
+            ).states
+            ref = reference_trajectory(5, P.replace(beta=beta), (0.0, 0.0, 0.0), SETTLING[mode], transient)
+            assert got.tobytes() == ref.tobytes() == np.zeros((5, 3)).tobytes()
+
+    @given(
+        beta=st.one_of(st.sampled_from(BETAS), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        which=st.sampled_from([0, 1, 2]),
+        pick=st.integers(0, 10**6),
+        state=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+        mode=st.sampled_from(sorted(SETTLING)),
+        transient=st.integers(0, 3),
+        n=st.integers(1, 40),
+    )
+    def test_first_step_on_fold_edges(self, beta, which, pick, state, mode, transient, n):
+        params = P.replace(beta=beta)
+        targets = FIRST_STEP_EDGES + branch_edges(beta)
+        target = targets[pick % len(targets)]
+        # info[0] = -0.0 leaves z + info[0] == z, so the transmitter's
+        # steering also places the map's fold argument ``which`` on target
+        x, y, z, _ = steer_first_step(params, which, target, *state, -0.0)
+        assert fold_arguments(params, x, y, z, -0.0)[which].hex() == target.hex()
+        settling = SETTLING[mode]
+        got = generate_trajectory(
+            n, params=params, init=(x, y, z), settling=settling, transient=transient
+        ).states
+        ref = reference_trajectory(n, params, (x, y, z), settling, transient)
+        assert got.tobytes() == ref.tobytes()
 
 
 def chain(w, init, params):
