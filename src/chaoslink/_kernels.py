@@ -15,19 +15,21 @@ arithmetic on numpy scalars, and both are IEEE double operations in the
 same order, so the results do not change. Under numba ``float(...)`` of a
 float64 is a no-op.
 
-The two loops that run the free map go further. Neither can be split into
+The two kernels that run the free map go further. Neither can be split into
 parallel blocks as the receiver is (the map expands, where the driven
 receiver contracts), so ``masked_transmit_chain`` and ``iterate_map``
-write the three folds out in the loop body instead of calling
+write the three folds out in their one loop instead of calling
 ``fold_scalar``, and do their per-sample I/O on Python lists, one chunk of
-``CHUNK`` samples or states per call.
+``CHUNK`` samples or states per call. Both record the state *before* each
+step and return the state after the last one, from which the next chunk
+continues.
 The transmitter reads a chunk of the information signal as a list and
 returns the pre-update ``x`` and ``z`` of every sample as two lists; the
 caller copies those into arrays and forms the output series with numpy.
-``iterate_map`` runs its unrecorded transient in a loop of its own and
-returns a chunk's states as one flat list, which ``generate_trajectory``
-copies into the ``(n, 3)`` array. So no numpy item is read or written per
-sample.
+``iterate_map`` returns a chunk's states as one flat list, which
+``generate_trajectory`` copies into the ``(n, 3)`` array; it runs the
+discarded transient through the same kernel, dropping the lists. So no
+numpy item is read or written per sample.
 """
 
 from __future__ import annotations
@@ -105,100 +107,62 @@ def fold_slope_scalar(u, beta):
 
 
 @njit(nogil=True)
-def iterate_map(x, y, z, a, b, c, beta, weight, skip, n):
-    """Advance the map ``skip`` steps unrecorded, then record ``n`` >= 1 states.
+def iterate_map(x, y, z, a, b, c, beta, weight, n):
+    """Advance the map ``n`` >= 1 steps, recording the state before each.
 
     Returns ``(flat, x, y, z)``: the recorded states as one flat list
-    ``[x0, y0, z0, x1, ...]``, the first being the state after the ``skip``
-    steps, then the last recorded state. A next call from that state with
-    ``skip = 1`` continues the trajectory. ``weight`` is the settling blend;
-    1.0 selects the exact update so ideal trajectories are reproduced
-    bit-for-bit with no arithmetic detour.
+    ``[x0, y0, z0, x1, ...]``, the first being the start state, then the
+    state after the last step, from which the next call continues.
+    ``weight`` is the settling blend; 1.0 selects the exact update so ideal
+    trajectories are reproduced bit-for-bit with no arithmetic detour.
 
-    The three folds are written out as in ``masked_transmit_chain``, in two
-    loops: the unrecorded steps and the recorded ones.
+    The three folds are written out as in ``masked_transmit_chain``.
     """
     x, y, z = float(x), float(y), float(z)
     a, b, c, beta, weight = float(a), float(b), float(c), float(beta), float(weight)
     exact = weight == 1.0
     hi = 1.0 - beta
     lo = -hi
-    for _ in range(skip):
-        g = (a * x + b * z + 1.0) % 2.0 - 1.0
-        if g > hi:
-            fx = (1.0 - g) / beta
-        elif g < lo:
-            fx = (-1.0 - g) / beta
-        elif hi != 0.0:
-            fx = g / hi
-        else:
-            fx = 0.0
-        g = (c * y + z + 1.0) % 2.0 - 1.0
-        if g > hi:
-            fy = (1.0 - g) / beta
-        elif g < lo:
-            fy = (-1.0 - g) / beta
-        elif hi != 0.0:
-            fy = g / hi
-        else:
-            fy = 0.0
-        g = (x + y + 1.0) % 2.0 - 1.0
-        if g > hi:
-            fz = (1.0 - g) / beta
-        elif g < lo:
-            fz = (-1.0 - g) / beta
-        elif hi != 0.0:
-            fz = g / hi
-        else:
-            fz = 0.0
-        if exact:
-            x = fx
-            y = fy
-            z = fz
-        else:
-            x = x + (fx - x) * weight
-            y = y + (fy - y) * weight
-            z = z + (fz - z) * weight
-    flat = [x, y, z]
-    for _ in range(n - 1):
-        g = (a * x + b * z + 1.0) % 2.0 - 1.0
-        if g > hi:
-            fx = (1.0 - g) / beta
-        elif g < lo:
-            fx = (-1.0 - g) / beta
-        elif hi != 0.0:
-            fx = g / hi
-        else:
-            fx = 0.0
-        g = (c * y + z + 1.0) % 2.0 - 1.0
-        if g > hi:
-            fy = (1.0 - g) / beta
-        elif g < lo:
-            fy = (-1.0 - g) / beta
-        elif hi != 0.0:
-            fy = g / hi
-        else:
-            fy = 0.0
-        g = (x + y + 1.0) % 2.0 - 1.0
-        if g > hi:
-            fz = (1.0 - g) / beta
-        elif g < lo:
-            fz = (-1.0 - g) / beta
-        elif hi != 0.0:
-            fz = g / hi
-        else:
-            fz = 0.0
-        if exact:
-            x = fx
-            y = fy
-            z = fz
-        else:
-            x = x + (fx - x) * weight
-            y = y + (fy - y) * weight
-            z = z + (fz - z) * weight
+    flat = []
+    for _ in range(n):
         flat.append(x)
         flat.append(y)
         flat.append(z)
+        g = (a * x + b * z + 1.0) % 2.0 - 1.0
+        if g > hi:
+            fx = (1.0 - g) / beta
+        elif g < lo:
+            fx = (-1.0 - g) / beta
+        elif hi != 0.0:
+            fx = g / hi
+        else:
+            fx = 0.0
+        g = (c * y + z + 1.0) % 2.0 - 1.0
+        if g > hi:
+            fy = (1.0 - g) / beta
+        elif g < lo:
+            fy = (-1.0 - g) / beta
+        elif hi != 0.0:
+            fy = g / hi
+        else:
+            fy = 0.0
+        g = (x + y + 1.0) % 2.0 - 1.0
+        if g > hi:
+            fz = (1.0 - g) / beta
+        elif g < lo:
+            fz = (-1.0 - g) / beta
+        elif hi != 0.0:
+            fz = g / hi
+        else:
+            fz = 0.0
+        if exact:
+            x = fx
+            y = fy
+            z = fz
+        else:
+            x = x + (fx - x) * weight
+            y = y + (fy - y) * weight
+            z = z + (fz - z) * weight
     return flat, x, y, z
 
 

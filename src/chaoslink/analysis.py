@@ -31,6 +31,15 @@ from .core_map import (
 )
 from .params import DEFAULT_PARAMS, SettlingConfig, SystemParams
 
+# correlation_dimension: default radius count, and the R^2 and the width
+# (in radii) the log-log fit window must reach
+CD_RADII = 24
+CD_MIN_R_SQUARED = 0.995
+CD_MIN_WINDOW = 6
+
+# compensate_zoh drops bins within this fraction of f_clk of a hold null
+ZOH_GUARD_FRACTION = 0.05
+
 
 @dataclass(frozen=True)
 class LeSpectrum:
@@ -382,19 +391,17 @@ def _pair_counts(states: np.ndarray, radii: np.ndarray) -> np.ndarray:
 def correlation_dimension(
     series,
     radii=None,
-    n_radii: int = 24,
-    min_r_squared: float = 0.995,
-    min_window: int = 6,
     max_points: int = 8000,
 ) -> DimensionFit:
     """Correlation-sum slope (Grassberger-Procaccia) with auto scaling region.
 
     Computes C(r) over log-spaced radii, then fits the slope on the longest
-    log-log window whose linear fit reaches ``min_r_squared``. The error bar
-    is the standard error of the fitted slope. The default radius range runs
-    from 0.08 to 0.55 standard deviations: the lower cutoff keeps enough
-    pairs per radius for stable counts, the upper one stays well below the
-    attractor extent where the sum saturates. Points beyond ``max_points``
+    log-log window of at least ``CD_MIN_WINDOW`` radii whose linear fit
+    reaches ``CD_MIN_R_SQUARED``. The error bar is the standard error of the
+    fitted slope. The default ``CD_RADII`` radii run from 0.08 to 0.55
+    standard deviations: the lower cutoff keeps enough pairs per radius for
+    stable counts, the upper one stays well below the attractor extent
+    where the sum saturates. Points beyond ``max_points``
     are thinned deterministically (every k-th sample). The pair counts come
     from one dual KD-tree pass over all radii, so the cap no longer bounds
     a quadratic cost; it stays so that the results do not change.
@@ -418,10 +425,10 @@ def correlation_dimension(
         scale = np.std(states)
         if scale == 0:
             raise ValueError("series has no spread: every point is the same")
-        radii = np.geomspace(0.08 * scale, 0.55 * scale, n_radii)
+        radii = np.geomspace(0.08 * scale, 0.55 * scale, CD_RADII)
     else:
         radii = np.sort(np.asarray(radii, dtype=float))
-        if radii.size < min_window:
+        if radii.size < CD_MIN_WINDOW:
             raise ValueError("need at least as many radii as the fit window")
         if not np.all(np.isfinite(radii)) or radii[0] < 0:
             raise ValueError("radii must be finite and non-negative")
@@ -433,7 +440,7 @@ def correlation_dimension(
     log_c = np.log(csums[valid])
     m = log_r.size
     best = None
-    for width in range(m, min_window - 1, -1):
+    for width in range(m, CD_MIN_WINDOW - 1, -1):
         for lo in range(0, m - width + 1):
             x = log_r[lo : lo + width]
             y = log_c[lo : lo + width]
@@ -442,7 +449,7 @@ def correlation_dimension(
             ss_res = np.sum((y - pred) ** 2)
             ss_tot = np.sum((y - y.mean()) ** 2)
             r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-            if r2 >= min_r_squared:
+            if r2 >= CD_MIN_R_SQUARED:
                 stderr = np.sqrt(
                     ss_res / (width - 2) / np.sum((x - x.mean()) ** 2)
                 ) if width > 2 else np.inf
@@ -452,8 +459,8 @@ def correlation_dimension(
             break
     if best is None:
         raise NoScalingRegionError(
-            f"no radius window of >= {min_window} points reached "
-            f"R^2 >= {min_r_squared}"
+            f"no radius window of >= {CD_MIN_WINDOW} points reached "
+            f"R^2 >= {CD_MIN_R_SQUARED}"
         )
     slope, stderr, window, r2 = best
     return DimensionFit(
@@ -471,9 +478,8 @@ def welch_psd(
     segment_length: int = 1024,
     overlap: float = 0.5,
     fs: float = 1.0,
-    window: str = "hann",
 ) -> PsdEstimate:
-    """Averaged periodogram over overlapping windowed segments.
+    """Averaged periodogram over overlapping Hann-windowed segments.
 
     Density scaling, so the integral over [0, fs/2] approximates the series
     variance (the mean is removed per segment).
@@ -489,7 +495,7 @@ def welch_psd(
     freqs, power = signal.welch(
         x,
         fs=fs,
-        window=window,
+        window="hann",
         nperseg=segment_length,
         noverlap=noverlap,
         scaling="density",
@@ -524,23 +530,19 @@ def hold_upsample(series, factor: int) -> np.ndarray:
     return np.repeat(np.asarray(series, dtype=float), factor)
 
 
-def compensate_zoh(
-    psd: PsdEstimate, f_clk: float, guard_fraction: float = 0.05
-) -> PsdEstimate:
+def compensate_zoh(psd: PsdEstimate, f_clk: float) -> PsdEstimate:
     """Divide a PSD by the squared hold response, away from its nulls.
 
-    Bins whose frequency falls within ``guard_fraction * f_clk`` of a hold
-    null (any positive integer multiple of f_clk) are dropped rather than
-    amplified. Raises ValueError when no bins survive.
+    Bins whose frequency falls within ``ZOH_GUARD_FRACTION * f_clk`` of a
+    hold null (any positive integer multiple of f_clk) are dropped rather
+    than amplified. Raises ValueError when no bins survive.
     """
-    if not 0.0 < guard_fraction < 0.5:
-        raise ValueError("guard_fraction must lie in (0, 0.5)")
     f = psd.frequencies
     nearest_null = np.round(f / f_clk) * f_clk
     null_distance = np.abs(f - nearest_null)
     # frequencies below f_clk/2 have "nearest null" zero, which is not a null
     null_distance[nearest_null == 0.0] = np.inf
-    keep = null_distance > guard_fraction * f_clk
+    keep = null_distance > ZOH_GUARD_FRACTION * f_clk
     if not np.any(keep):
         raise ValueError("all frequency bins fall inside the null guard band")
     gain = zoh_magnitude(f[keep], f_clk) ** 2

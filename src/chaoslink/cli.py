@@ -305,9 +305,7 @@ def cmd_sync(settings: Settings) -> int:
     sigmas = _parse_grid(settings.args.sigmas)
     if settings.args.mode == "grid":
         gammas = _parse_grid(settings.args.gammas)
-        points = sync_sweep(
-            params, gammas, sigmas, n=n, seed=seed, max_workers=settings.args.threads
-        )
+        points = sync_sweep(params, gammas, sigmas, n=n, seed=seed)
         rows = [[p["gamma"], p["sigma"], *p["run"].rms_error] for p in points]
         header = ["gamma", "sigma", "rms_x", "rms_y", "rms_z"]
         path = _write(settings, "sync_grid.csv", (header, rows))
@@ -320,14 +318,7 @@ def cmd_sync(settings: Settings) -> int:
             "sigma mode needs at least 3 --sigmas with at least 2 distinct values",
             EXIT_VALIDATION,
         )
-    points = sync_sweep(
-        params,
-        [params.gamma],
-        sigmas,
-        n=n,
-        seed=seed,
-        max_workers=settings.args.threads,
-    )
+    points = sync_sweep(params, [params.gamma], sigmas, n=n, seed=seed)
     rows = [
         [p["sigma"], *p["run"].rms_error, *p["run"].correlation, p["run"].delta_n]
         for p in points
@@ -516,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="flat dotted-key config file")
     common.add_argument("--seed", type=int, help="master seed (required for stochastic commands)")
     common.add_argument("--out-dir", default=".", help="directory for output artifacts")
-    common.add_argument("--threads", type=int, default=1, help="worker cap for sweeps")
+    common.add_argument("--threads", type=int, default=1, help="worker cap for ber --mode sweep")
     for key in DEFAULTS:
         flag = "--" + key.replace(".", "-").replace("_", "-")
         common.add_argument(flag, dest=key.replace(".", "__"), default=None)

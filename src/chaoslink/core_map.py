@@ -239,15 +239,16 @@ def generate_trajectory(
     out = np.empty((n, 3))
     flat_out = out.reshape(-1)
     x, y, z = start
-    skip = transient
+    coefficients = (params.a, params.b, params.c, params.beta, weight)
+    # the transient runs through the same kernel; its states are dropped
+    for lo in range(0, transient, _kernels.CHUNK):
+        _, x, y, z = _kernels.iterate_map(
+            x, y, z, *coefficients, min(_kernels.CHUNK, transient - lo)
+        )
     for lo in range(0, n, _kernels.CHUNK):
         hi = min(lo + _kernels.CHUNK, n)
-        flat, x, y, z = _kernels.iterate_map(
-            x, y, z, params.a, params.b, params.c, params.beta, weight, skip, hi - lo
-        )
+        flat, x, y, z = _kernels.iterate_map(x, y, z, *coefficients, hi - lo)
         flat_out[3 * lo : 3 * hi] = flat
-        # the next chunk starts one step past this chunk's last state
-        skip = 1
     return Trajectory(
         states=out, params=params, settling=settling, seed=seed, transient=transient
     )

@@ -25,6 +25,9 @@ from .sync import receiver_run, stability_check
 SETTLE_STEPS = 200
 PILOT_BITS = 1
 
+# grid points of optimal_threshold's dense scan over [mu0, mu1]
+THRESHOLD_SCAN_POINTS = 2001
+
 # primitive feedback taps per register degree (x^d + x^t + ... + 1)
 LFSR_TAPS = {
     3: (3, 2),
@@ -273,13 +276,13 @@ def unmask_receive(
     masked: MaskedSeries,
     received=None,
     recv_params: SystemParams | None = None,
-    recv_init=None,
     seed: int = 1,
 ) -> np.ndarray:
     """Recover the information samples from a (possibly noisy) masked series.
 
-    The receiver is driven by the received scalar, regenerates its own
-    unmasked output ``w_r = gamma*x_r + z_r``, and the per-sample recovery is
+    The receiver starts from ``random_initial_state(seed)``, is driven by
+    the received scalar, regenerates its own unmasked output
+    ``w_r = gamma*x_r + z_r``, and the per-sample recovery is
     ``received - w_r``, which equals +i under additive masking once
     synchronized. The mean over the known '1' pilot symbol fixes any
     residual polarity mismatch at run time (skipped when the pilot level is
@@ -290,9 +293,7 @@ def unmask_receive(
         masked.w_star if received is None else received, dtype=float
     )
     params = masked.params if recv_params is None else recv_params
-    if recv_init is None:
-        recv_init = random_initial_state(seed)
-    states = receiver_run(w_rx, recv_init, params)
+    states = receiver_run(w_rx, random_initial_state(seed), params)
     w_r = params.gamma * states[:, 0] + states[:, 2]
     recovered = w_rx - w_r
     n = masked.config.samples_per_bit
@@ -363,7 +364,7 @@ def ber_predict(s: SymbolStats, threshold) -> float:
     return out if out.ndim else float(out)
 
 
-def optimal_threshold(s: SymbolStats, scan_points: int = 2001) -> tuple:
+def optimal_threshold(s: SymbolStats) -> tuple:
     """Threshold minimizing the predicted error rate, with its value.
 
     Dense scan over [mu0, mu1] followed by golden-section refinement around
@@ -371,11 +372,11 @@ def optimal_threshold(s: SymbolStats, scan_points: int = 2001) -> tuple:
     """
     if not s.mu0 < s.mu1:
         raise ValueError(f"classes must be ordered: mu0={s.mu0} >= mu1={s.mu1}")
-    grid = np.linspace(s.mu0, s.mu1, scan_points)
+    grid = np.linspace(s.mu0, s.mu1, THRESHOLD_SCAN_POINTS)
     errors = ber_predict(s, grid)
     k = int(np.argmin(errors))
     lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, scan_points - 1)]
+    hi = grid[min(k + 1, THRESHOLD_SCAN_POINTS - 1)]
     result = optimize.minimize_scalar(
         lambda lam: ber_predict(s, lam),
         bounds=(lo, hi),

@@ -20,6 +20,7 @@ from .core_map import (
     _fold_unchecked,
     fold,
     generate_trajectory,
+    random_initial_state,
     spawn_seeds,
 )
 from .params import DEFAULT_PARAMS, SystemParams
@@ -302,38 +303,37 @@ def run_sync(
     coupling: CouplingConfig = CouplingConfig(),
     n: int = 10_000,
     seed: int = 0,
-    discard: int = SYNC_DISCARD,
 ) -> SyncRun:
     """Simulate drive and response over a noisy scalar channel.
 
     White Gaussian noise of ``coupling.noise_sigma`` is added to the
     transmitted scalar only. The drive starts from the seeded cube draw
     (sub-seed 0), the receiver from a different point (sub-seed 1), and the
-    noise uses sub-seed 2; the first ``discard`` samples are excluded from
-    the statistics so convergence is exercised but not measured. Errors are
+    noise uses sub-seed 2; the first ``SYNC_DISCARD`` samples are excluded
+    from the statistics so convergence is exercised but not measured. Errors are
     scored against the receiver's reconstructed estimate (x_r, y_r, z_est),
     see response_estimate.
     """
     if n < 1000:
         raise ValueError("need at least 1000 samples after the settle window")
     run_params = params.replace(gamma=coupling.gamma)
-    total = n + discard
+    total = n + SYNC_DISCARD
     drive_seed, recv_seed, noise_seed = np.random.SeedSequence(seed).spawn(3)
     drive = generate_trajectory(
         total,
         params=run_params,
-        init=np.random.default_rng(drive_seed).uniform(-0.5, 0.5, 3),
+        init=random_initial_state(drive_seed),
         seed=seed,
     )
     w = drive.w
     if coupling.noise_sigma > 0:
         rng = np.random.default_rng(noise_seed)
         w = w + rng.normal(0.0, coupling.noise_sigma, size=w.size)
-    recv_init = np.random.default_rng(recv_seed).uniform(-0.5, 0.5, 3)
+    recv_init = random_initial_state(recv_seed)
     response = response_estimate(w, receiver_run(w, recv_init, run_params), coupling.gamma)
 
-    d = drive.states[discard:]
-    r = response[discard:]
+    d = drive.states[SYNC_DISCARD:]
+    r = response[SYNC_DISCARD:]
     err = r - d
     rms = tuple(np.sqrt(np.mean(err**2, axis=0)))
     corr = tuple(
@@ -349,13 +349,11 @@ def sync_sweep(
     sigmas,
     n: int = 10_000,
     seed: int = 0,
-    max_workers: int = 1,
 ):
-    """run_sync over the gamma x sigma grid.
+    """run_sync over the gamma x sigma grid, in grid order.
 
     Grid point (i, j) uses the sub-seed spawned from the master seed at
-    position i*len(sigmas)+j, so points are independent and reproducible;
-    results come back in grid order regardless of ``max_workers``.
+    position i*len(sigmas)+j, so points are independent and reproducible.
     Returns a list of dicts with keys gamma, sigma, run.
     """
     gammas = [float(g) for g in gammas]
@@ -363,24 +361,12 @@ def sync_sweep(
     if not gammas or not sigmas:
         raise ValueError("gamma and sigma grids must be non-empty")
     grid = [(gamma, sigma) for gamma in gammas for sigma in sigmas]
-    points = list(zip(grid, spawn_seeds(seed, len(grid))))
-
-    def evaluate(point):
-        (gamma, sigma), point_seed = point
-        run = run_sync(
-            params,
-            CouplingConfig(gamma=gamma, noise_sigma=sigma),
-            n=n,
-            seed=point_seed,
-        )
-        return {"gamma": gamma, "sigma": sigma, "run": run}
-
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(evaluate, points))
-    return [evaluate(p) for p in points]
+    points = []
+    for (gamma, sigma), point_seed in zip(grid, spawn_seeds(seed, len(grid))):
+        coupling = CouplingConfig(gamma=gamma, noise_sigma=sigma)
+        run = run_sync(params, coupling, n=n, seed=point_seed)
+        points.append({"gamma": gamma, "sigma": sigma, "run": run})
+    return points
 
 
 def fit_deviation_model(points) -> DeviationFit:

@@ -268,7 +268,7 @@ class TestTrajectoryOracle:
         params = P.replace(beta=beta)
         settling = SETTLING[mode]
         start = random_initial_state(3)
-        for transient in (0, 1000):
+        for transient in (0, 1000, 2 * CHUNK + 3):
             for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7):
                 got = generate_trajectory(
                     n, params=params, seed=3, settling=settling, transient=transient
@@ -279,7 +279,7 @@ class TestTrajectoryOracle:
     @pytest.mark.parametrize("mode", sorted(SETTLING))
     @pytest.mark.parametrize("beta", BETAS)
     def test_origin_stays_fixed(self, beta, mode):
-        # every fold argument is 0 on every step, in both kernel loops: at
+        # every fold argument is 0 on every step, transient and recorded: at
         # beta = 1 that is the undefined point, which maps to 0
         for transient in (0, 3):
             got = generate_trajectory(
