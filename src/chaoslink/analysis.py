@@ -10,6 +10,9 @@ Four Lyapunov estimators with different trust models:
   neighborhoods, then the same QR accumulation.
 * ``le_wolf``       data-driven dominant exponent by following a neighbor
   trajectory and renormalizing through replacements.
+
+scipy subpackages are imported inside the functions that call them, so
+importing the package (and starting the CLI) loads none of them.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal
-from scipy.spatial import cKDTree
 
 from . import _kernels
 from .core_map import (
@@ -191,6 +192,8 @@ def le_eckmann_ruelle(
     meta["low_confidence"] is set when the local dynamics do not look
     deterministic (e.g. white noise input).
     """
+    from scipy.spatial import cKDTree
+
     states = _as_series(series)
     n = states.shape[0]
     if n < min_points:
@@ -281,6 +284,8 @@ def le_wolf(
     with the current displacement direction (separation kept above
     ``min_separation``). Euclidean metric in the native (x, y, z) space.
     """
+    from scipy.spatial import cKDTree
+
     states = _as_series(series)
     n = states.shape[0]
     if n < min_points:
@@ -383,6 +388,8 @@ def _pair_counts(states: np.ndarray, radii: np.ndarray) -> np.ndarray:
     radii; the tree counts d <= r, so the inner radii step down one ulp, and
     every point pairs with itself once at distance 0.
     """
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(states)
     bounds = np.append(np.nextafter(radii[:-1], -np.inf), radii[-1])
     return tree.count_neighbors(tree, bounds) - states.shape[0]
@@ -484,6 +491,8 @@ def welch_psd(
     Density scaling, so the integral over [0, fs/2] approximates the series
     variance (the mean is removed per segment).
     """
+    from scipy import signal
+
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValueError("welch_psd expects a scalar series")

@@ -25,6 +25,9 @@ For audio the kept coefficients of each 1024-sample time frame are chunked
 independently (chunk sizes 64 except a possibly shorter last chunk per
 frame); for images the zigzag-ordered keep_count coefficients form one run
 of 64-wide chunks.
+
+scipy subpackages are imported inside the functions that call them, so
+importing the package (and starting the CLI) loads none of them.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy import fft as sfft
 
 from .link import ModulationConfig, ber_measure, decide_zero, transmit_receive
 from .params import DEFAULT_PARAMS, SystemParams
@@ -47,6 +49,9 @@ PACKET_VERSION = 1
 FRAME_LEN = 1024
 QUANT_CHUNK = 64
 INDEX_BITS = 16
+# decoded samples a packet may declare (audio frames x frame_len, image
+# height x width): 128 MiB per float64 buffer of the decoder
+MAX_PAYLOAD_SAMPLES = 1 << 24
 
 
 class PacketCorruptionError(ValueError):
@@ -152,6 +157,8 @@ class CoefficientPacket:
 
 def dct_forward(x, axes=None) -> np.ndarray:
     """Orthonormal type-II DCT; 1-d arrays directly, 2-d over both axes."""
+    from scipy import fft as sfft
+
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("empty input")
@@ -162,6 +169,8 @@ def dct_forward(x, axes=None) -> np.ndarray:
 
 def dct_inverse(c, axes=None) -> np.ndarray:
     """Inverse of dct_forward (orthonormal type-III)."""
+    from scipy import fft as sfft
+
     c = np.asarray(c, dtype=float)
     if c.size == 0:
         raise ValueError("empty input")
@@ -266,6 +275,11 @@ def compress_audio(
         raise ValueError("empty clip")
     keep = max(1, round(keep_fraction * frame_len))
     n_frames = -(-n // frame_len)
+    if n_frames * frame_len > MAX_PAYLOAD_SAMPLES:
+        raise ValueError(
+            f"{n_frames} frames of {frame_len} samples exceed the "
+            f"{MAX_PAYLOAD_SAMPLES}-sample payload limit"
+        )
     padded = np.zeros(n_frames * frame_len)
     padded[:n] = x
     scales, indices, values = [], [], []
@@ -341,6 +355,11 @@ def compress_image(
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must lie in (0, 1]")
+    if img.height * img.width > MAX_PAYLOAD_SAMPLES:
+        raise ValueError(
+            f"{img.height}x{img.width} image exceeds the "
+            f"{MAX_PAYLOAD_SAMPLES}-sample payload limit"
+        )
     pixels = img.pixels.astype(float)
     mean = float(np.float32(pixels.mean()))
     coeffs2 = dct_forward(pixels - mean)
@@ -540,6 +559,11 @@ def bits_to_packet(bits) -> CoefficientPacket:
     total_bytes = 36 + payload_bytes_len + 4
     if bits.size < total_bytes * 8:
         raise PacketCorruptionError("payload", 36, "truncated payload")
+    samples = frames * frame_len if kind == 0 else dim0 * dim1
+    if samples > MAX_PAYLOAD_SAMPLES:
+        raise PacketCorruptionError(
+            "header", 8, f"{samples} decoded samples exceed {MAX_PAYLOAD_SAMPLES}"
+        )
     payload_raw = raw[36 : 36 + payload_bytes_len]
     (payload_crc,) = struct.unpack(
         "<I", raw[36 + payload_bytes_len : 36 + payload_bytes_len + 4]

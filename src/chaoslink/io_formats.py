@@ -147,6 +147,12 @@ def read_masked_series(path) -> MaskedSeries:
     bad = np.flatnonzero(~np.isfinite(rows[:, 0]))
     if bad.size:
         raise ValueError(f"{path}: sample {bad[0]} is not finite ({rows[bad[0], 0]})")
+    preamble = settle + pilot * spb
+    if preamble > rows.shape[0]:
+        raise ValueError(
+            f"{path}: preamble of {preamble} samples (settle {settle} + pilot "
+            f"{pilot} x {spb}) exceeds the {rows.shape[0]} samples in the file"
+        )
     return MaskedSeries(
         w_star=rows[:, 0].copy(),
         config=ModulationConfig(

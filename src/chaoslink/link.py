@@ -5,6 +5,9 @@ third state variable, and sends ``w* = (z + i) + gamma*x``. Because the data
 rides inside the synchronization signal it perturbs the receiver like channel
 noise; the integrate-and-dump filter averages each symbol's samples before
 thresholding, which recovers most of the signal-to-noise cost.
+
+scipy subpackages are imported inside the functions that call them, so
+importing the package (and starting the CLI) loads none of them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize, special, stats
 
 from . import _kernels
 from .core_map import generate_trajectory, random_initial_state, spawn_seeds
@@ -357,6 +359,8 @@ def ber_predict(s: SymbolStats, threshold) -> float:
     fitted classes; the total is weighted by the empirical priors. Accepts a
     scalar or an array of thresholds.
     """
+    from scipy import special
+
     lam = np.asarray(threshold, dtype=float)
     p10 = 0.5 * special.erfc((lam - s.mu0) / (s.sigma0 * np.sqrt(2.0)))
     p01 = 0.5 * special.erfc((s.mu1 - lam) / (s.sigma1 * np.sqrt(2.0)))
@@ -370,6 +374,8 @@ def optimal_threshold(s: SymbolStats) -> tuple:
     Dense scan over [mu0, mu1] followed by golden-section refinement around
     the best scan cell. Requires ordered classes (mu0 < mu1).
     """
+    from scipy import optimize
+
     if not s.mu0 < s.mu1:
         raise ValueError(f"classes must be ordered: mu0={s.mu0} >= mu1={s.mu1}")
     grid = np.linspace(s.mu0, s.mu1, THRESHOLD_SCAN_POINTS)
@@ -393,6 +399,8 @@ def ber_measure(sent, recovered) -> BerResult:
     Zero-error runs report interval (0, upper) where the upper bound is the
     exact one-sided 97.5% binomial limit (about 3.7/n).
     """
+    from scipy import stats
+
     sent = np.asarray(sent).astype(np.uint8)
     recovered = np.asarray(recovered).astype(np.uint8)
     if sent.shape != recovered.shape:

@@ -621,7 +621,8 @@ class TestWolfOracle:
                     fallbacks.append(kwargs.get("distance_upper_bound", np.inf))
                 return super().query(x, *args, **kwargs)
 
-        monkeypatch.setattr(an, "cKDTree", CountingTree)
+        # le_wolf imports the tree class from scipy.spatial when it is called
+        monkeypatch.setattr("scipy.spatial.cKDTree", CountingTree)
         states = oracle_trajectories[beta].states
         wolf = an.le_wolf(states, max_separation=0.03)
         assert_same_spectrum(wolf, reference_le_wolf(states, max_separation=0.03))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from chaoslink import DEFAULT_PARAMS
+from chaoslink import DEFAULT_PARAMS, codecs
 from chaoslink.codecs import (
     INDEX_BITS,
     QUANT_CHUNK,
@@ -284,6 +284,14 @@ class TestZigzag:
 
 
 class TestAudioCodec:
+    def test_framed_sample_count_capped(self, monkeypatch):
+        # 64 samples fill four 16-sample frames; one more needs a fifth
+        monkeypatch.setattr(codecs, "MAX_PAYLOAD_SAMPLES", 64)
+        clip = synth_speech(duration=0.25, seed=1)
+        compress_audio(AudioClip(clip.samples[:64], 8000), 0.5, frame_len=16)
+        with pytest.raises(ValueError, match="5 frames of 16 samples exceed"):
+            compress_audio(AudioClip(clip.samples[:65], 8000), 0.5, frame_len=16)
+
     def test_speech_fidelity_at_reference_fraction(self):
         clip = synth_speech(duration=2.0, seed=4)
         packet = compress_audio(clip, 0.22)
@@ -317,6 +325,12 @@ class TestAudioCodec:
 
 
 class TestImageCodec:
+    def test_pixel_count_capped(self, monkeypatch):
+        monkeypatch.setattr(codecs, "MAX_PAYLOAD_SAMPLES", 64)
+        compress_image(synth_image(8, 8, seed=1), 0.5)
+        with pytest.raises(ValueError, match="8x9 image exceeds the 64-sample"):
+            compress_image(synth_image(8, 9, seed=1), 0.5)
+
     def test_reference_fraction_metrics(self):
         img = synth_image(256, 256, seed=7)
         packet = compress_image(img, 0.165)
@@ -613,6 +627,38 @@ class TestUntrustedPacket:
             tracemalloc.stop()
         assert info.value.offset == offset
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize(
+        "packet, changes",
+        [
+            (hand_packet("image", dim0=8, frame_len=0, keep=1), {"dim0": 100_000, "dim1": 100_000}),
+            (hand_packet("image", dim0=8, frame_len=0, keep=1), {"dim0": 4096, "dim1": 4097}),
+            (hand_packet("audio", dim0=16, frame_len=16, keep=1), {"frame_len": 2**32 - 1}),
+        ],
+        ids=["image_1e10_pixels", "image_one_row_over", "audio_frame_len_2e32"],
+    )
+    def test_decoded_size_capped_before_allocation(self, packet, changes):
+        # a 360-bit packet with valid CRCs; decompressing it would allocate
+        # 74.5 GiB (image) or 32 GiB (audio) per float64 buffer
+        bits = with_header(packet_to_bits(packet), **changes)
+        assert bits.size == 360
+        tracemalloc.start()
+        try:
+            with pytest.raises(PacketCorruptionError, match="decoded samples exceed") as info:
+                bits_to_packet(bits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (info.value.section, info.value.offset) == ("header", 8)
+        assert peak < 4 * 2**20
+
+    def test_decoded_size_at_the_cap_parses(self):
+        bits = with_header(
+            packet_to_bits(hand_packet("image", dim0=8, frame_len=0, keep=1)),
+            dim0=4096, dim1=4096,
+        )
+        assert 4096 * 4096 == codecs.MAX_PAYLOAD_SAMPLES
+        assert bits_to_packet(bits).dim0 == 4096
 
 
 class TestFileFormats:

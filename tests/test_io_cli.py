@@ -1,5 +1,8 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import chaoslink as cl
-from chaoslink import cli
+from chaoslink import cli, codecs
 from chaoslink.cli import main
 from chaoslink.codecs import (
     packet_to_bits,
@@ -142,6 +145,27 @@ class TestUntrustedReceive:
         assert code == 3
         assert "packet corrupt" in err
 
+    def test_packet_over_the_size_cap_is_runtime_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(codecs, "MAX_PAYLOAD_SAMPLES", 32)
+        packet = hand_packet("image", dim0=8, frame_len=0, keep=1)
+        code, err = recv(tmp_path, masked_file(tmp_path, packet_to_bits(packet)), capsys)
+        assert code == 3
+        assert "64 decoded samples exceed 32" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("past_end", [1, -1], ids=["settle_past_end", "pilot_past_end"])
+    def test_preamble_must_fit_the_series(self, tmp_path, capsys, past_end):
+        path = masked_file(tmp_path, prbs(20, seed=3))
+        raw = bytearray(path.read_bytes())
+        (n,) = struct.unpack("<Q", raw[90:98])  # sample count, last header field
+        settle = n + past_end
+        raw[82:86] = struct.pack("<I", settle)  # settle_steps; one 4-sample pilot bit follows
+        path.write_bytes(bytes(raw))
+        code, err = recv(tmp_path, path, capsys)
+        assert code == 2
+        assert f"{path}: preamble of {settle + 4} samples" in err
+        assert f"exceeds the {n} samples in the file" in err
+
     @pytest.mark.parametrize("sample", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_sample_named(self, tmp_path, capsys, sample):
         path = masked_file(tmp_path, prbs(20, seed=3))
@@ -208,6 +232,14 @@ class TestUntrustedSend:
         assert code == 2
         assert f"{path}: not a WAV file" in err
         assert "Traceback" not in err
+
+    def test_payload_over_the_size_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(codecs, "MAX_PAYLOAD_SAMPLES", 32)
+        path = tmp_path / "image.pgm"
+        write_pgm(path, synth_image(8, 8, seed=1))
+        code, err = self.send(tmp_path, path, capsys)
+        assert code == 2
+        assert "8x8 image exceeds the 32-sample payload limit" in err
 
     def test_pgm_with_short_pixel_data(self, tmp_path, capsys):
         path = tmp_path / "short.pgm"
@@ -475,3 +507,41 @@ class TestCli:
              "--out-dir", str(tmp_path)]
         )
         assert code == 4
+
+
+COLD_START = """
+import contextlib, io, json, sys
+from pathlib import Path
+
+def loaded():
+    names = ("fft", "special", "stats", "optimize", "signal", "spatial")
+    return [m for m in names if "scipy." + m in sys.modules]
+
+import chaoslink, chaoslink.cli
+print(json.dumps(loaded()))
+from chaoslink import codecs, signals
+d = Path(sys.argv[1])
+codecs.write_pgm(d / "image.pgm", signals.synth_image(16, 16, seed=1))
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["send-file", "--input", str(d / "image.pgm"), "--output", str(d / "masked.bin")],
+        ["recv-file", "--input", str(d / "masked.bin"), "--output", str(d / "out.pgm")],
+    ):
+        assert chaoslink.cli.main(argv + ["--seed", "1", "--out-dir", str(d)]) == 0
+print(json.dumps(loaded()))
+"""
+
+
+class TestColdStart:
+    """A fresh process imports each scipy subpackage only where it is called."""
+
+    def test_import_and_file_link_leave_unused_subpackages_unloaded(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", COLD_START, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        after_import, after_link = (json.loads(line) for line in done.stdout.splitlines())
+        assert after_import == []
+        # the DCT codecs call scipy.fft, which loads scipy.special
+        assert set(after_link) <= {"fft", "special"}
