@@ -7,12 +7,9 @@ from .params import (  # noqa: F401
     DEFAULT_PARAMS,
     SettlingConfig,
     SystemParams,
-    from_volts,
-    to_volts,
 )
 from .core_map import (  # noqa: F401
     DegenerateTrajectoryError,
-    FoldBreakpointError,
     Trajectory,
     drive_output,
     fold,
@@ -20,7 +17,4 @@ from .core_map import (  # noqa: F401
     generate_trajectory,
     jacobian_at,
     random_initial_state,
-    step_ideal,
-    step_nonideal,
-    wrap_unit,
 )

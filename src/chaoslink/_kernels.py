@@ -44,9 +44,6 @@ except ImportError:  # numba is the optional `fast` extra
     HAVE_NUMBA = False
 
     def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
         def decorate(func):
             return func
 

@@ -134,7 +134,7 @@ def le_qr(traj: Trajectory) -> LeSpectrum:
         # Pinned orbit: meaningful only if the point actually attracts
         # (e.g. strongly damped settling); otherwise it is a measure-zero
         # artifact such as starting exactly at the unstable origin.
-        jac = jacobian_at(states[0], p, on_breakpoint="central")
+        jac = jacobian_at(states[0], p)
         if weight != 1.0:
             jac = (1.0 - weight) * np.eye(3) + weight * jac
         if np.max(np.abs(np.linalg.eigvals(jac))) >= 1.0:

@@ -1,4 +1,4 @@
-"""DCT payload codecs, packet framing, and end-to-end file transmission.
+"""DCT payload codecs, packet framing, and WAV/PGM payload files.
 
 Audio is compressed frame-by-frame (1024-sample DCT frames) and images with
 one global 2-D DCT read out in zigzag order. Either the low-frequency prefix
@@ -40,9 +40,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-
-from .link import ModulationConfig, ber_measure, decide_zero, transmit_receive
-from .params import DEFAULT_PARAMS, SystemParams
 
 PACKET_MAGIC = 0x43504B31  # "CPK1"
 PACKET_VERSION = 1
@@ -539,6 +536,8 @@ def bits_to_packet(bits) -> CoefficientPacket:
         raise PacketCorruptionError(
             "header", 5, f"kind {kind}, selection {sel}, value_bits {value_bits}"
         )
+    if kind == 0 and dim0 == 0:
+        raise PacketCorruptionError("header", 8, "audio packet declares no samples")
     # magnitude positions index one audio frame or the whole image
     limit = frame_len if kind == 0 else dim0 * dim1
     if not 1 <= keep <= limit:
@@ -750,66 +749,3 @@ def packet_to_file(packet: CoefficientPacket, path=None):
     if path is not None:
         write(path, payload)
     return payload
-
-
-# ---------------------------------------------------------------------------
-# end-to-end transmission
-
-
-@dataclass(frozen=True)
-class TransmissionReport:
-    """Outcome of one file transmission over the masked link."""
-
-    payload: object  # recovered AudioClip or GrayImage (None if CRC failed)
-    ber: object  # BerResult for the payload bits
-    compression_ratio: float
-    crc_ok: bool
-    fidelity: dict
-    bits: int
-    seed: int
-
-
-def transmit_file(
-    path,
-    params: SystemParams = DEFAULT_PARAMS,
-    cfg: ModulationConfig = ModulationConfig(),
-    seed: int = 0,
-    keep_fraction: float = 0.22,
-    selection: str = "lowfreq",
-    value_bits: int = 8,
-    noise_sigma: float = 0.0,
-    mismatch: float = 0.0,
-    output_path=None,
-) -> TransmissionReport:
-    """Compress a WAV or PGM file, transmit it masked, decode, and score it.
-
-    The payload type is taken from the file extension (.wav or .pgm).
-    Decisions use the zero threshold of the symmetric NRZ constellation (the
-    receiver has no labels to fit). The recovered payload is written to
-    ``output_path`` when given. CRC failure on the received packet is
-    reported in the result (there is no retransmission protocol).
-    """
-    original, packet = file_to_packet(path, keep_fraction, selection, value_bits)
-    sent = packet_to_bits(packet)
-    recovered = transmit_receive(params, sent, cfg, seed, noise_sigma, mismatch)
-    decided = decide_zero(recovered, cfg)
-    try:
-        payload = packet_to_file(bits_to_packet(decided), output_path)
-    except PacketCorruptionError:
-        payload = None
-    fidelity: dict = {}
-    if isinstance(payload, AudioClip):
-        fidelity["relative_rms_error"] = relative_rms_error(
-            original.samples, payload.samples
-        )
-    elif payload is not None:
-        fidelity["psnr_db"] = psnr(original.pixels, payload.pixels)
-    return TransmissionReport(
-        payload=payload,
-        ber=ber_measure(sent, decided),
-        compression_ratio=packet.compression_ratio,
-        crc_ok=payload is not None,
-        fidelity=fidelity,
-        bits=sent.size,
-        seed=seed,
-    )

@@ -1,4 +1,4 @@
-"""Hyperchaotic map iteration: fold nonlinearity, exact and settling-limited steps."""
+"""Hyperchaotic map iteration: fold nonlinearity and trajectories (exact or settling-limited)."""
 
 from __future__ import annotations
 
@@ -12,10 +12,6 @@ from .params import DEFAULT_PARAMS, SettlingConfig, SystemParams
 DEFAULT_TRANSIENT = 1000
 
 
-class FoldBreakpointError(ValueError):
-    """A fold argument sits exactly on a branch boundary, where the slope is undefined."""
-
-
 class DegenerateTrajectoryError(ValueError):
     """The trajectory carries no usable dynamics (e.g. pinned at a fixed point)."""
 
@@ -27,20 +23,6 @@ def _as_state(state) -> np.ndarray:
     if not np.all(np.isfinite(s)):
         raise ValueError("state components must be finite")
     return s
-
-
-def wrap_unit(x):
-    """Wrap values into [-1, 1) via floored modulo: mod(x + 1, 2) - 1.
-
-    The floored convention pins wrap_unit(-1.0) to -1.0, which matters on
-    languages whose native modulo follows the dividend sign; it is fixed
-    here so folded trajectories replay identically everywhere.
-    """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("wrap_unit requires finite input")
-    out = _wrap(arr)
-    return out if out.ndim else float(out)
 
 
 def _wrap(u):
@@ -57,11 +39,13 @@ def _wrap(u):
 def fold(x, beta):
     """Piecewise-linear tent fold with asymmetry ``beta`` in [0, 1].
 
-    The central segment has slope 1/(1-beta) and the outer segments slope
-    -1/beta; outputs always land in [-1, 1]. beta = 0 and beta = 1 give the
-    exact constant-slope limits (+1 and -1) with no division, and the
-    single undefined point at beta = 1 maps to 0 so the origin remains a
-    fixed point for every beta.
+    The argument is first wrapped into [-1, 1) by the floored
+    ``(u + 1) % 2 - 1``, which keeps -1 at -1 on every platform; at
+    beta = 0 that wrap is the whole fold. The central segment has slope
+    1/(1-beta) and the outer segments slope -1/beta; outputs always land
+    in [-1, 1]. beta = 0 and beta = 1 give the exact constant-slope limits
+    (+1 and -1) with no division, and the single undefined point at
+    beta = 1 maps to 0 so the origin remains a fixed point for every beta.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
@@ -113,49 +97,16 @@ def fold_slopes(u, beta):
     return slopes, hits
 
 
-def step_ideal(state, params: SystemParams = DEFAULT_PARAMS) -> np.ndarray:
-    """One exact iteration: componentwise fold of A @ state."""
-    s = _as_state(state)
-    return np.asarray(fold(params.matrix() @ s, params.beta))
-
-
-def step_nonideal(
-    state, params: SystemParams, settling: SettlingConfig
-) -> np.ndarray:
-    """One settling-limited iteration.
-
-    Moves only the fraction ``settling.weight`` of the way from the current
-    state toward the exact image, i.e. exact interpolation
-    ``(1 - w) * state + w * step_ideal(state)`` computed in the numerically
-    equivalent form ``state + (image - state) * w``.
-    """
-    s = _as_state(state)
-    image = step_ideal(s, params)
-    return s + (image - s) * settling.weight
-
-
-def jacobian_at(
-    state, params: SystemParams = DEFAULT_PARAMS, on_breakpoint: str = "raise"
-) -> np.ndarray:
+def jacobian_at(state, params: SystemParams = DEFAULT_PARAMS) -> np.ndarray:
     """Jacobian of the exact step at ``state``: diag(fold slopes) @ A.
 
     The diagonal entries are 1/(1-beta) on central segments and -1/beta on
-    outer segments, classified per component of A @ state. When a component
-    falls exactly on a branch boundary the slope is ambiguous;
-    ``on_breakpoint`` selects "raise" (default, FoldBreakpointError) or
-    "central" (keep the central-branch slope silently).
+    outer segments, classified per component of A @ state. A component
+    exactly on a branch boundary keeps the central-branch slope, as in
+    fold_slopes.
     """
-    if on_breakpoint not in ("raise", "central"):
-        raise ValueError(f"unknown on_breakpoint mode: {on_breakpoint!r}")
-    s = _as_state(state)
     a_mat = params.matrix()
-    u = a_mat @ s
-    slopes, hits = fold_slopes(u, params.beta)
-    if hits.any() and on_breakpoint == "raise":
-        where = np.nonzero(hits)[0].tolist()
-        raise FoldBreakpointError(
-            f"fold argument exactly on a branch boundary in component(s) {where}"
-        )
+    slopes, _ = fold_slopes(a_mat @ _as_state(state), params.beta)
     return slopes[:, None] * a_mat
 
 

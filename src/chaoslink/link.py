@@ -48,9 +48,10 @@ class UnstableCouplingError(ValueError):
 class ModulationConfig:
     """NRZ modulation parameters.
 
-    ``amplitude`` is the dimensionless signal level (0.1 corresponds to the
-    200 mV hardware drive), ``samples_per_bit`` the number of clock periods
-    each symbol occupies; clock and bit rate are carried as metadata.
+    ``amplitude`` is the dimensionless signal level. One state unit spans
+    2 V on the reference hardware, so 0.1 is the 200 mV drive.
+    ``samples_per_bit`` is the number of clock periods each symbol occupies;
+    clock and bit rate are carried as metadata.
     """
 
     amplitude: float = 0.1

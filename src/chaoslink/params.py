@@ -1,4 +1,4 @@
-"""Map coefficients, settling configuration, and unit conversions."""
+"""Map coefficients and settling configuration."""
 
 from __future__ import annotations
 
@@ -6,10 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# One dimensionless state unit spans 2 V on the reference hardware, so the
-# folded range |x| <= 1 corresponds to a +-2 V swing.
-VOLTS_PER_UNIT = 2.0
 
 
 @dataclass(frozen=True)
@@ -73,13 +69,3 @@ class SettlingConfig:
     def weight(self) -> float:
         """Blend weight (1 - exp(-t_n))**2, strictly inside (0, 1)."""
         return (1.0 - math.exp(-self.t_n)) ** 2
-
-
-def to_volts(x):
-    """Convert dimensionless state values to hardware volts (2 V per unit)."""
-    return np.asarray(x, dtype=float) * VOLTS_PER_UNIT
-
-
-def from_volts(v):
-    """Convert hardware volts to dimensionless state values."""
-    return np.asarray(v, dtype=float) / VOLTS_PER_UNIT

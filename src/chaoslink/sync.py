@@ -18,7 +18,6 @@ from . import _kernels
 from .core_map import (
     _as_state,
     _fold_unchecked,
-    fold,
     generate_trajectory,
     random_initial_state,
     spawn_seeds,
@@ -66,25 +65,6 @@ class DeviationFit:
     b: float
     residual: float
     r_squared: float
-
-
-def receiver_step(state, w_received: float, params: SystemParams = DEFAULT_PARAMS):
-    """One response-system update driven by the received scalar.
-
-    Substitutes ``z_est = w_received - gamma*x`` for the third coordinate and
-    applies the folded linear update to (x, y, z).
-    """
-    s = _as_state(state)
-    x, y, z = s
-    z_est = w_received - params.gamma * x
-    beta = params.beta
-    return np.array(
-        [
-            fold(params.a * x + params.b * z_est, beta),
-            fold(params.c * y + z_est, beta),
-            fold(x + y, beta),
-        ]
-    )
 
 
 def receiver_run(w, init, params: SystemParams = DEFAULT_PARAMS) -> np.ndarray:
@@ -323,7 +303,6 @@ def run_sync(
         total,
         params=run_params,
         init=random_initial_state(drive_seed),
-        seed=seed,
     )
     w = drive.w
     if coupling.noise_sigma > 0:

@@ -12,6 +12,7 @@ import pytest
 
 import chaoslink as cl
 from chaoslink import analysis as an
+from chaoslink import cli
 from chaoslink.codecs import (
     bits_to_packet,
     compress_audio,
@@ -21,8 +22,8 @@ from chaoslink.codecs import (
     decompress_audio,
     decompress_image,
     packet_to_bits,
+    read_pgm,
     relative_rms_error,
-    transmit_file,
     write_pgm,
 )
 from chaoslink.link import (
@@ -307,10 +308,22 @@ def test_criterion_13_codec_fidelity(tmp_path):
     image_packet = compress_image(img, 0.165)
     ratio = image_packet.compression_ratio
     pgm = tmp_path / "image.pgm"
+    masked = tmp_path / "image.masked"
+    recovered = tmp_path / "recovered.pgm"
     write_pgm(pgm, img)
-    link_report = transmit_file(pgm, seed=6, keep_fraction=0.165)
+    out_dir = ["--out-dir", str(tmp_path)]
+    sent = cli.main(
+        ["send-file", "--input", str(pgm), "--output", str(masked),
+         "--seed", "6", "--codec-keep-fraction", "0.165", *out_dir]
+    )
+    received = cli.main(
+        ["recv-file", "--input", str(masked), "--output", str(recovered),
+         "--seed", "6", *out_dir]
+    )
     local = decompress_image(compress_image(img, 0.165))
-    bit_exact = bool(np.array_equal(link_report.payload.pixels, local.pixels))
+    bit_exact = (sent, received) == (0, 0) and bool(
+        np.array_equal(read_pgm(recovered).pixels, local.pixels)
+    )
 
     ok = audio_error < 0.03 and abs(ratio - 6.1) / 6.1 <= 0.15 and bit_exact
     report(

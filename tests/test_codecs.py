@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from chaoslink import DEFAULT_PARAMS, codecs
+from chaoslink import codecs
 from chaoslink.codecs import (
     INDEX_BITS,
     QUANT_CHUNK,
@@ -23,17 +23,16 @@ from chaoslink.codecs import (
     dct_inverse,
     decompress_audio,
     decompress_image,
+    file_to_packet,
     packet_to_bits,
     psnr,
     read_pgm,
     read_wav,
     relative_rms_error,
-    transmit_file,
     write_pgm,
     write_wav,
     zigzag_order,
 )
-from chaoslink.link import ModulationConfig, run_link
 from chaoslink.signals import synth_image, synth_speech
 
 HEADER_LAYOUT = "<IBBBBIIIIIf"
@@ -444,6 +443,13 @@ class TestPacketHeaderChecks:
             bits_to_packet(packet_to_bits(packet))
         assert info.value.section == "header" and info.value.offset == 20
 
+    def test_audio_without_samples(self):
+        # compress_audio refuses an empty clip, so no sender makes this packet
+        packet = hand_packet("audio", dim0=0, frame_len=16, keep=1, n_values=0)
+        with pytest.raises(PacketCorruptionError, match="no samples") as info:
+            bits_to_packet(packet_to_bits(packet))
+        assert (info.value.section, info.value.offset) == ("header", 8)
+
     def test_audio_keep_count_above_frame_len(self):
         packet = hand_packet("audio", dim0=16, frame_len=16, keep=20)
         with pytest.raises(PacketCorruptionError, match="keep_count 20"):
@@ -713,62 +719,11 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="not a WAV file"):
             read_wav(path)
 
-
-class TestTransmitFile:
-    def test_audio_noiseless_bit_exact_vs_local(self, tmp_path):
-        clip = synth_speech(duration=1.0, seed=4)
-        path = tmp_path / "speech.wav"
-        write_wav(path, clip)
-        out = tmp_path / "recovered.wav"
-        report = transmit_file(path, seed=5, keep_fraction=0.22, output_path=out)
-        assert report.ber.errors == 0
-        assert report.crc_ok
-        local = decompress_audio(compress_audio(read_wav(path), 0.22))
-        assert np.array_equal(report.payload.samples, local.samples)
-        assert np.array_equal(read_wav(out).samples, local.samples)
-        assert report.fidelity["relative_rms_error"] < 0.03
-
-    def test_image_noiseless_bit_exact_vs_local(self, tmp_path):
-        img = synth_image(128, 128, seed=7)
-        path = tmp_path / "image.pgm"
-        write_pgm(path, img)
-        report = transmit_file(path, seed=6, keep_fraction=0.165)
-        assert report.ber.errors == 0
-        local = decompress_image(compress_image(read_pgm(path), 0.165))
-        assert np.array_equal(report.payload.pixels, local.pixels)
-
-    def test_heavy_noise_reports_crc_failure(self, tmp_path):
-        clip = synth_speech(duration=0.3, seed=2)
-        path = tmp_path / "speech.wav"
-        write_wav(path, clip)
-        report = transmit_file(path, seed=5, keep_fraction=0.22, noise_sigma=0.5)
-        assert not report.crc_ok
-        assert report.payload is None
-
-    @pytest.mark.parametrize("sigma, mismatch", [(0.01, 0.0), (0.006, 0.002)])
-    def test_same_chain_as_run_link(self, tmp_path, sigma, mismatch):
-        # one seed split, one channel and one receiver: the zero-threshold
-        # errors of run_link's symbol means are exactly transmit_file's
-        path = tmp_path / "speech.wav"
-        write_wav(path, synth_speech(duration=0.1, seed=3))
-        cfg = ModulationConfig(samples_per_bit=10)
-        report = transmit_file(
-            path, cfg=cfg, seed=5, noise_sigma=sigma, mismatch=mismatch
-        )
-        bits = packet_to_bits(compress_audio(read_wav(path), 0.22))
-        values, _, _, _ = run_link(
-            DEFAULT_PARAMS, bits, cfg, seed=5, noise_sigma=sigma, mismatch=mismatch
-        )
-        errors = int(np.count_nonzero((values > 0) != bits))
-        assert 0 < errors < bits.size // 10
-        assert report.ber.errors == errors
-        assert report.bits == bits.size
-
     def test_unknown_extension_rejected(self, tmp_path):
         path = tmp_path / "payload.txt"
         path.write_text("hello")
-        with pytest.raises(ValueError):
-            transmit_file(path)
+        with pytest.raises(ValueError, match="unsupported payload type '.txt'"):
+            file_to_packet(path, 0.22)
 
 
 class TestPayloadTypes:

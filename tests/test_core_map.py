@@ -6,29 +6,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaoslink as cl
-from chaoslink.core_map import FoldBreakpointError, spawn_seeds
+from chaoslink.core_map import spawn_seeds
+from test_kernels import reference_trajectory
+
+
+def one_step(state, params=cl.DEFAULT_PARAMS, settling=None):
+    """The state after one map step from ``state``, no transient."""
+    traj = cl.generate_trajectory(
+        2, params=params, init=state, settling=settling, transient=0
+    )
+    return traj.states[1]
 
 
 class TestWrapUnit:
+    """The floored wrap into [-1, 1), which is the whole fold at beta = 0."""
+
     def test_identity_region(self):
-        assert cl.wrap_unit(0.0) == 0.0
+        assert cl.fold(0.0, 0.0) == 0.0
 
     def test_wraps_above(self):
-        assert cl.wrap_unit(1.75) == pytest.approx(-0.25, abs=1e-15)
+        assert cl.fold(1.75, 0.0) == pytest.approx(-0.25, abs=1e-15)
 
     def test_floored_convention_at_minus_one(self):
         # mod(-1 + 1, 2) - 1 = -1 under floored modulo
-        assert cl.wrap_unit(-1.0) == -1.0
+        assert cl.fold(-1.0, 0.0) == -1.0
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            cl.wrap_unit(float("nan"))
+            cl.fold(float("nan"), 0.0)
         with pytest.raises(ValueError):
-            cl.wrap_unit(np.array([0.0, np.inf]))
+            cl.fold(np.array([0.0, np.inf]), 0.0)
 
     @given(st.floats(-1e6, 1e6))
     def test_range(self, x):
-        g = cl.wrap_unit(x)
+        g = cl.fold(x, 0.0)
         assert -1.0 <= g < 1.0
 
 
@@ -81,16 +92,16 @@ class TestFold:
 
 class TestStepIdeal:
     def test_origin_fixed(self):
-        assert np.array_equal(cl.step_ideal([0, 0, 0]), np.zeros(3))
+        assert np.array_equal(one_step([0, 0, 0]), np.zeros(3))
 
     def test_hand_evaluated_example(self):
         # A @ (0.3, 0, 0) = (-0.4, 0, 0.3) -> fold -> (-0.8, 0, 0.6)
-        out = cl.step_ideal([0.3, 0.0, 0.0])
+        out = one_step([0.3, 0.0, 0.0])
         assert out == pytest.approx([-0.8, 0.0, 0.6], abs=1e-15)
 
     @given(st.lists(st.floats(-1, 1), min_size=3, max_size=3))
     def test_stays_in_unit_cube(self, state):
-        out = cl.step_ideal(np.array(state))
+        out = one_step(np.array(state))
         assert np.all(np.abs(out) <= 1.0)
 
     def test_default_matrix_is_volume_preserving(self):
@@ -100,19 +111,21 @@ class TestStepIdeal:
 class TestStepNonideal:
     def test_large_hold_time_matches_ideal(self):
         s = np.array([0.3, -0.2, 0.5])
-        out = cl.step_nonideal(s, cl.DEFAULT_PARAMS, cl.SettlingConfig(t_n=50.0))
-        assert np.allclose(out, cl.step_ideal(s), atol=1e-12)
+        out = one_step(s, settling=cl.SettlingConfig(t_n=50.0))
+        ideal = reference_trajectory(2, cl.DEFAULT_PARAMS, s, None, 0)[1]
+        assert np.allclose(out, ideal, atol=1e-12)
 
     def test_small_hold_time_freezes_state(self):
         s = np.array([0.3, -0.2, 0.5])
-        out = cl.step_nonideal(s, cl.DEFAULT_PARAMS, cl.SettlingConfig(t_n=1e-9))
+        out = one_step(s, settling=cl.SettlingConfig(t_n=1e-9))
         assert np.allclose(out, s, atol=1e-12)
 
     def test_exact_interpolation(self):
         s = np.array([0.3, 0.0, 0.0])
         settling = cl.SettlingConfig(t_n=1.0)
-        expected = s + (cl.step_ideal(s) - s) * (1.0 - math.exp(-1.0)) ** 2
-        assert np.array_equal(cl.step_nonideal(s, cl.DEFAULT_PARAMS, settling), expected)
+        ideal = reference_trajectory(2, cl.DEFAULT_PARAMS, s, None, 0)[1]
+        expected = s + (ideal - s) * (1.0 - math.exp(-1.0)) ** 2
+        assert np.array_equal(one_step(s, settling=settling), expected)
 
     def test_weight_in_unit_interval(self):
         assert 0.0 < cl.SettlingConfig(t_n=0.01).weight < 1.0
@@ -143,11 +156,10 @@ class TestJacobian:
         assert np.allclose(jac, expected, atol=1e-12)
 
     def test_exact_breakpoint_is_flagged(self):
-        # s0 + s1 = 0.5 exactly puts the third fold argument on the boundary
+        # s0 + s1 = 0.5 exactly puts the third fold argument on the boundary,
+        # which keeps the central-branch slope
         s = np.array([0.25, 0.25, 0.0])
-        with pytest.raises(FoldBreakpointError):
-            cl.jacobian_at(s, cl.DEFAULT_PARAMS)
-        jac = cl.jacobian_at(s, cl.DEFAULT_PARAMS, on_breakpoint="central")
+        jac = cl.jacobian_at(s, cl.DEFAULT_PARAMS)
         assert jac[2, 0] == pytest.approx(2.0)
 
     def test_fold_slopes_flag(self):
@@ -185,17 +197,16 @@ class TestGenerateTrajectory:
     def test_replayable_stepwise(self):
         traj = cl.generate_trajectory(200, seed=7, transient=10)
         for k in range(0, 199, 13):
-            assert np.array_equal(
-                cl.step_ideal(traj.states[k], traj.params), traj.states[k + 1]
-            )
+            expected = reference_trajectory(2, traj.params, traj.states[k], None, 0)[1]
+            assert np.array_equal(expected, traj.states[k + 1])
 
     def test_nonideal_mode_recorded_and_replayable(self):
         settling = cl.SettlingConfig(t_n=2.0)
         traj = cl.generate_trajectory(100, seed=5, settling=settling, transient=50)
         assert traj.mode == "non-ideal(t_n=2.0)"
         for k in (0, 50, 98):
-            expected = cl.step_nonideal(traj.states[k], traj.params, settling)
-            assert np.allclose(expected, traj.states[k + 1], atol=1e-15)
+            expected = reference_trajectory(2, traj.params, traj.states[k], settling, 0)[1]
+            assert np.array_equal(expected, traj.states[k + 1])
 
     def test_requires_init_or_seed(self):
         with pytest.raises(ValueError):
@@ -214,17 +225,6 @@ class TestSpawnSeeds:
     def test_prefix_stable(self):
         # sub-seed k does not depend on how many are split off
         assert spawn_seeds(7, 5)[:3] == spawn_seeds(7, 3)
-
-
-class TestUnits:
-    def test_hardware_scale(self):
-        # 0.1 dimensionless corresponds to the 200 mV signal level
-        assert cl.to_volts(0.1) == pytest.approx(0.2)
-        assert cl.from_volts(2.0) == pytest.approx(1.0)
-
-    @given(st.floats(-2, 2))
-    def test_round_trip(self, x):
-        assert cl.from_volts(cl.to_volts(x)) == pytest.approx(x, abs=1e-15)
 
 
 class TestParams:

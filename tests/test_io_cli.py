@@ -15,6 +15,10 @@ import chaoslink as cl
 from chaoslink import cli, codecs
 from chaoslink.cli import main
 from chaoslink.codecs import (
+    compress_audio,
+    compress_image,
+    decompress_audio,
+    decompress_image,
     packet_to_bits,
     read_pgm,
     read_wav,
@@ -468,6 +472,8 @@ class TestCli:
         original = read_wav(payload)
         rebuilt = read_wav(recovered)
         assert relative_rms_error(original.samples, rebuilt.samples) < 0.03
+        local = decompress_audio(compress_audio(original, 0.22))
+        assert np.array_equal(rebuilt.samples, local.samples)
 
     def test_pgm_round_trip_via_files(self, tmp_path):
         payload = tmp_path / "image.pgm"
@@ -483,7 +489,8 @@ class TestCli:
             ["recv-file", "--input", str(masked), "--output", str(recovered),
              "--seed", "10", "--out-dir", str(tmp_path)]
         ) == 0
-        assert read_pgm(recovered).pixels.shape == (64, 64)
+        local = decompress_image(compress_image(read_pgm(payload), 0.165))
+        assert np.array_equal(read_pgm(recovered).pixels, local.pixels)
 
     def test_crc_failure_under_noise_exits_runtime(self, tmp_path):
         payload = tmp_path / "speech.wav"

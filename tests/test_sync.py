@@ -11,7 +11,6 @@ from chaoslink.sync import (
     fit_deviation_model,
     normalized_deviation,
     receiver_run,
-    receiver_step,
     response_estimate,
     run_sync,
     stability_check,
@@ -26,11 +25,6 @@ class TestReceiverStep:
         drive = cl.generate_trajectory(500, params=DEADBEAT, seed=1)
         response = receiver_run(drive.w, drive.states[0], DEADBEAT)
         assert np.allclose(response, drive.states, atol=1e-12)
-
-    def test_one_step_matches_library_chain(self):
-        drive = cl.generate_trajectory(10, params=DEADBEAT, seed=2)
-        stepped = receiver_step(drive.states[0], drive.w[0], DEADBEAT)
-        assert np.allclose(stepped, drive.states[1], atol=1e-12)
 
     def test_deadbeat_convergence_from_distinct_state(self):
         # x-error dies in one step; the y channel contracts by 2c = 2/3 per
