@@ -24,8 +24,9 @@ write the three folds out in their one loop instead of calling
 step and return the state after the last one, from which the next chunk
 continues.
 The transmitter reads a chunk of the information signal as a list and
-returns the pre-update ``x`` and ``z`` of every sample as two lists; the
-caller copies those into arrays and forms the output series with numpy.
+returns its unmixed output ``gamma*x + z`` of every sample as one list,
+which the caller copies into an array before adding the information
+signal with numpy.
 ``iterate_map`` returns a chunk's states as one flat list, which
 ``generate_trajectory`` copies into the ``(n, 3)`` array; it runs the
 discarded transient through the same kernel, dropping the lists. So no
@@ -267,16 +268,16 @@ def qr_log_sums(states, a, b, c, beta, weight):
 
 
 @njit(nogil=True)
-def masked_transmit_chain(info, x, y, z, a, b, c, beta):
+def masked_transmit_chain(info, x, y, z, a, b, c, beta, gamma):
     """Advance the transmitter over one chunk with the information injected into z.
 
     ``info`` is the chunk's information samples as a list. At each step the
     mixed third variable ``z + info[k]`` feeds the x and y updates, so a
     matched receiver driven by ``w_star`` reproduces the same dynamics
-    exactly. Returns ``(xs, zs, x, y, z)``: the pre-update x and z of every
-    sample as lists, from which the caller forms ``w_clean = gamma*x + z``
-    and ``w_star = w_clean + info``, then the state after the chunk, from
-    which the next chunk continues.
+    exactly. Returns ``(ws, x, y, z)``: the unmixed output
+    ``w_clean = gamma*x + z`` of every sample as a list, from which the
+    caller forms ``w_star = w_clean + info``, then the state after the
+    chunk, from which the next chunk continues.
 
     The three folds are ``fold_scalar`` written out in the loop body, with
     the same operations in the same order, so the states are bit-identical
@@ -285,14 +286,13 @@ def masked_transmit_chain(info, x, y, z, a, b, c, beta):
     does. At beta = 0 the outer tests are never true and ``g / 1.0 == g``.
     """
     x, y, z = float(x), float(y), float(z)
-    a, b, c, beta = float(a), float(b), float(c), float(beta)
+    a, b, c, beta, gamma = float(a), float(b), float(c), float(beta), float(gamma)
     hi = 1.0 - beta
     lo = -hi
-    xs = []
-    zs = []
+    ws = []
+    append = ws.append
     for ik in info:
-        xs.append(x)
-        zs.append(z)
+        append(gamma * x + z)
         s = z + ik
         g = (a * x + b * s + 1.0) % 2.0 - 1.0
         if g > hi:
@@ -323,7 +323,7 @@ def masked_transmit_chain(info, x, y, z, a, b, c, beta):
             z = 0.0
         x = fx
         y = fy
-    return xs, zs, x, y, z
+    return ws, x, y, z
 
 
 @njit(nogil=True)

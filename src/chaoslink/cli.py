@@ -28,7 +28,12 @@ from .codecs import (
     packet_to_bits,
     packet_to_file,
 )
-from .core_map import DegenerateTrajectoryError, Trajectory, generate_trajectory
+from .core_map import (
+    DegenerateTrajectoryError,
+    Trajectory,
+    generate_trajectory,
+    spawn_seeds,
+)
 from .io_formats import (
     read_masked_series,
     write_csv,
@@ -442,10 +447,11 @@ def cmd_send_file(settings: Settings) -> int:
 def cmd_recv_file(settings: Settings) -> int:
     seed = settings.seed()
     masked = read_masked_series(settings.args.input)
-    # receiver initial state from --seed, channel noise from --seed + 1
-    noise = settings["link.noise_sigma"]
-    received = channel_awgn(masked.w_star, noise, seed=seed + 1)
-    recovered = unmask_receive(masked, received=received, seed=seed)
+    # transmit_receive's split of the master seed; the file was sent from
+    # --seed as given, so only the channel and receiver sub-seeds are used
+    _, ch_seed, rx_seed = spawn_seeds(seed, 3)
+    received = channel_awgn(masked.w_star, settings["link.noise_sigma"], seed=ch_seed)
+    recovered = unmask_receive(masked, received=received, seed=rx_seed)
     bits = decide_zero(recovered, masked.config)
     packet = bits_to_packet(bits)  # raises PacketCorruptionError on CRC failure
     out = Path(settings.args.output)

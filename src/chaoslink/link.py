@@ -27,6 +27,12 @@ from .sync import receiver_run, stability_check
 SETTLE_STEPS = 200
 PILOT_BITS = 1
 
+# samples per stacked receive of a frame batch: the lockstep's fixed step
+# count is shared by the batch, and per sample it cost 747 ns for one 20 201-
+# sample frame, 366 ns for three and 240 ns for twelve (2.4e5 samples), but
+# no less for larger batches, which would only hold more (F, n, 3) states
+RECEIVE_BATCH_SAMPLES = 1 << 18
+
 # grid points of optimal_threshold's dense scan over [mu0, mu1]
 THRESHOLD_SCAN_POINTS = 2001
 
@@ -237,23 +243,15 @@ def mask_transmit(
         raise ValueError("bits must be a non-empty 1-d sequence")
     info = _frame_info(bits, cfg, settle_steps, PILOT_BITS)
     x, y, z = generate_trajectory(1, params=params, seed=seed).states[0]
-    # the kernel's pre-update x and z, chunk by chunk; they become the outputs
+    coefficients = (params.a, params.b, params.c, params.beta, params.gamma)
     w_clean = np.empty(info.size)
-    w_star = np.empty(info.size)
     for lo in range(0, info.size, _kernels.CHUNK):
         hi = lo + _kernels.CHUNK
-        xs, zs, x, y, z = _kernels.masked_transmit_chain(
-            info[lo:hi].tolist(), x, y, z, params.a, params.b, params.c, params.beta
+        w_clean[lo:hi], x, y, z = _kernels.masked_transmit_chain(
+            info[lo:hi].tolist(), x, y, z, *coefficients
         )
-        w_clean[lo:hi] = xs
-        w_star[lo:hi] = zs
-    # w_clean = gamma*x + z and w_star = w_clean + info, in place: per sample
-    # the same two roundings, in the same order, as the scalar expressions
-    w_clean *= params.gamma
-    w_clean += w_star
-    np.add(w_clean, info, out=w_star)
     return MaskedSeries(
-        w_star=w_star,
+        w_star=w_clean + info,
         config=cfg,
         params=params,
         seed=seed,
@@ -297,6 +295,15 @@ def unmask_receive(
     )
     params = masked.params if recv_params is None else recv_params
     states = receiver_run(w_rx, random_initial_state(seed), params)
+    return _recover(masked, w_rx, states, params)
+
+
+def _recover(masked: MaskedSeries, w_rx, states, params: SystemParams) -> np.ndarray:
+    """Data samples from the received series and the receiver's states.
+
+    The per-sample recovery is ``w_rx - (gamma*x_r + z_r)``; the pilot's
+    mean fixes its sign and the preamble is stripped (see unmask_receive).
+    """
     w_r = params.gamma * states[:, 0] + states[:, 2]
     recovered = w_rx - w_r
     n = masked.config.samples_per_bit
@@ -433,20 +440,72 @@ def transmit_receive(
 
     The master ``seed`` is split into transmitter, channel and receiver
     seeds. ``mismatch`` scales the receiver's a, b, c coefficients by
-    (1 + mismatch) to emulate component tolerances.
+    (1 + mismatch) to emulate component tolerances. This is the one-frame
+    case of the chain that ``ber_sweep`` runs on all its points at once.
     """
-    tx_seed, ch_seed, rx_seed = spawn_seeds(seed, 3)
-    masked = mask_transmit(params, bits, cfg, seed=tx_seed)
-    received = channel_awgn(masked.w_star, noise_sigma, seed=ch_seed)
+    ((_, recovered),) = _transmit_receive_frames(
+        params, [(bits, cfg, seed)], noise_sigma, mismatch
+    )
+    return recovered
+
+
+def _transmit_receive_frames(
+    params: SystemParams,
+    frames,
+    noise_sigma: float,
+    mismatch: float,
+    max_workers: int = 1,
+):
+    """transmit_receive on each ``(bits, cfg, seed)`` frame, receivers stacked.
+
+    Each frame is masked and sent through the channel on its own, from the
+    split of its master seed, on up to ``max_workers`` threads. The frames,
+    which must have equal lengths, are then received in batches of at most
+    RECEIVE_BATCH_SAMPLES samples (at least one frame), each by one stacked
+    ``receiver_run`` call whose lockstep steps its frames together. Yields
+    ``(frame, recovered data samples)`` in frame order, one batch at a
+    time, so a caller that drops each as it comes holds one batch.
+    """
     recv_params = params
     if mismatch:
         scale = 1.0 + mismatch
         recv_params = params.replace(
             a=params.a * scale, b=params.b * scale, c=params.c * scale
         )
-    return unmask_receive(
-        masked, received=received, recv_params=recv_params, seed=rx_seed
-    )
+
+    def send(frame):
+        bits, cfg, seed = frame
+        tx_seed, ch_seed, rx_seed = spawn_seeds(seed, 3)
+        masked = mask_transmit(params, bits, cfg, seed=tx_seed)
+        received = channel_awgn(masked.w_star, noise_sigma, seed=ch_seed)
+        return masked, received, random_initial_state(rx_seed)
+
+    def link_pass(batch, run):
+        masked, received, inits = zip(*run(send, batch))
+        received = np.stack(received)
+        states = receiver_run(received, np.stack(inits), recv_params)
+        return [
+            (frame, _recover(series, w_rx, frame_states, recv_params))
+            for frame, series, w_rx, frame_states in zip(
+                batch, masked, received, states
+            )
+        ]
+
+    if not frames:
+        return
+    bits, cfg, _ = frames[0]
+    samples = SETTLE_STEPS + (PILOT_BITS + len(bits)) * cfg.samples_per_bit
+    per_batch = max(1, RECEIVE_BATCH_SAMPLES // samples)
+    batches = [frames[lo : lo + per_batch] for lo in range(0, len(frames), per_batch)]
+    if max_workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            for batch in batches:
+                yield from link_pass(batch, pool.map)
+    else:
+        for batch in batches:
+            yield from link_pass(batch, map)
 
 
 def decide_zero(recovered, cfg: ModulationConfig) -> np.ndarray:
@@ -480,6 +539,16 @@ def run_link(
     """
     bits = np.asarray(bits, dtype=np.uint8)
     recovered = transmit_receive(params, bits, cfg, seed, noise_sigma, mismatch)
+    return _decide(bits, recovered, cfg, filtered)
+
+
+def _decide(bits, recovered, cfg: ModulationConfig, filtered: bool = True):
+    """run_link's decision step on one frame's recovered data samples.
+
+    Integrate-and-dump (unless ``filtered`` is False), the labelled
+    two-class fit, its optimal threshold and the decisions; returns
+    (symbol_stats, fitted SymbolStats, threshold, decisions).
+    """
     if filtered:
         values = integrate_and_dump(recovered, cfg)
         labels = bits
@@ -504,39 +573,36 @@ def ber_sweep(
 ):
     """Measure and predict BER across transmit amplitudes.
 
-    Each amplitude runs an independent chain with its own spawned sub-seed
-    and a fresh PRBS payload; results come back in amplitude order
-    regardless of ``max_workers``. Amplitudes must be positive and
-    ascending.
+    Each amplitude is one frame with its own spawned sub-seed and a fresh
+    PRBS payload: point k equals ``run_link`` on sub-seed k with that
+    payload. The frames go through one link pass whose receiver steps them
+    together, in batches of up to RECEIVE_BATCH_SAMPLES samples (see
+    _transmit_receive_frames); ``max_workers`` > 1 transmits them on that
+    many threads. Results come back in amplitude order. Amplitudes must be
+    positive and ascending.
     """
     amplitudes = [float(a) for a in amplitudes]
     finite_positive = all(math.isfinite(a) and a > 0 for a in amplitudes)
     if not finite_positive or amplitudes != sorted(amplitudes):
         raise ValueError("amplitudes must be finite, positive and ascending")
-    subs = spawn_seeds(seed, len(amplitudes))
-
-    def evaluate(point):
-        amp, sub = point
-        bits = prbs(n_bits, seed=prbs_seed(sub))
-        _, fitted, threshold, decisions = run_link(
-            params,
-            bits,
-            replace(cfg, amplitude=amp),
-            seed=sub,
-            noise_sigma=noise_sigma,
-            mismatch=mismatch,
+    frames = [
+        (prbs(n_bits, seed=prbs_seed(sub)), replace(cfg, amplitude=amp), sub)
+        for amp, sub in zip(amplitudes, spawn_seeds(seed, len(amplitudes)))
+    ]
+    results = []
+    # each point is decided as it arrives and its samples dropped before
+    # the next batch is received, so one batch is held at a time
+    for (bits, point_cfg, _), samples in _transmit_receive_frames(
+        params, frames, noise_sigma, mismatch, max_workers
+    ):
+        _, fitted, threshold, decisions = _decide(bits, samples, point_cfg)
+        del samples
+        results.append(
+            replace(
+                ber_measure(bits, decisions),
+                threshold=threshold,
+                predicted_ber=float(ber_predict(fitted, threshold)),
+                amplitude=point_cfg.amplitude,
+            )
         )
-        return replace(
-            ber_measure(bits, decisions),
-            threshold=threshold,
-            predicted_ber=float(ber_predict(fitted, threshold)),
-            amplitude=amp,
-        )
-
-    points = list(zip(amplitudes, subs))
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(evaluate, points))
-    return [evaluate(p) for p in points]
+    return results

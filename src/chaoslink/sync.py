@@ -68,28 +68,45 @@ class DeviationFit:
 
 
 def receiver_run(w, init, params: SystemParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Response states for a whole received series.
+    """Response states for a whole received series, or for stacked frames.
 
-    Returns an array (len(w), 3); row k is the receiver state at sample k,
+    For a series ``w`` of shape (n,) and a start state ``init`` of shape
+    (3,), returns an array (n, 3); row k is the receiver state at sample k,
     i.e. before consuming w[k], so transmitter and receiver rows align.
+    Stacked frames, ``w`` of shape (F, n) with one start state per frame in
+    ``init`` of shape (F, 3), give (F, n, 3), frame f being the receiver
+    run on ``w[f]`` from ``init[f]``.
 
-    On the interpreted backend a long series with stable params runs block
-    by block in lockstep (see _receiver_blocks); the result is bit-identical
-    to the sequential kernel, which handles every other case.
+    On the interpreted backend every long frame with stable params runs
+    block by block, the blocks of all such frames in one lockstep (see
+    _receiver_blocks); the result is bit-identical to the sequential
+    kernel, which handles every other frame.
     """
     w = np.asarray(w, dtype=float)
-    start = _as_state(init)
-    out = np.empty((w.size, 3))
+    if w.ndim not in (1, 2):
+        raise ValueError(f"w must be a series or stacked frames, got shape {w.shape}")
+    frames = w if w.ndim == 2 else w[None]
+    starts = np.array([_as_state(s) for s in (init if w.ndim == 2 else [init])])
+    if len(starts) != len(frames):
+        raise ValueError(
+            f"{len(frames)} frames need as many start states, got {len(starts)}"
+        )
+    out = np.empty((*frames.shape, 3))
     warm = None if _kernels.HAVE_NUMBA else _warmup_steps(params)
-    if (
-        warm is not None
-        and w.size >= 2 * _block_length(warm)
-        and _stays_finite(w, start, params)
-    ):
-        _receiver_blocks(w, start, params, warm, out)
-    else:
-        _receiver_chain(w, start, params, out)
-    return out
+    long_enough = warm is not None and frames.shape[1] >= 2 * _block_length(warm)
+    blocked = np.array(
+        [long_enough and _stays_finite(f, s, params) for f, s in zip(frames, starts)],
+        dtype=bool,
+    )
+    for f in np.flatnonzero(~blocked):
+        _receiver_chain(frames[f], starts[f], params, out[f])
+    if blocked.size and blocked.all():
+        _receiver_blocks(frames, starts, params, warm, out)
+    elif blocked.any():
+        part = np.empty((int(blocked.sum()), *out.shape[1:]))
+        _receiver_blocks(frames[blocked], starts[blocked], params, warm, part)
+        out[blocked] = part
+    return out.reshape(*w.shape, 3)
 
 
 def _receiver_chain(w, start, params: SystemParams, out) -> None:
@@ -153,7 +170,7 @@ def _stays_finite(w, start, params: SystemParams) -> bool:
 
 
 def _lockstep(state, wk, params: SystemParams, u):
-    """receiver_chain's update on (3, lanes) states, one sample ``wk`` per lane."""
+    """receiver_chain's update on (3, ...) states, one sample ``wk`` per lane."""
     x, y = state[0], state[1]
     zt = wk - params.gamma * x
     u[0] = params.a * x + params.b * zt
@@ -163,48 +180,54 @@ def _lockstep(state, wk, params: SystemParams, u):
 
 
 def _receiver_blocks(w, start, params: SystemParams, warm: int, out):
-    """Block-parallel receiver_chain, exact by construction.
+    """Block-parallel receiver_chain on F stacked frames, exact by construction.
 
-    Block j covers rows [j*block, (j+1)*block), where block comes from
-    _block_length and is at least ``warm``. Block 0 starts from ``start``.
-    Every later block starts from ``start`` placed ``warm`` samples earlier
-    (inside the block before it) and runs over those samples first, which
-    lets it forget the wrong start (see _warmup_steps). All blocks then step together as
-    numpy vectors and write straight into ``out``. A block is kept only if
-    its first row equals, bit for bit, the true end state of the block
-    before it; otherwise the sequential kernel re-runs it from that state.
-    Rows past the last whole block run sequentially too.
+    ``w`` is (F, n), ``start`` (F, 3) and ``out`` (F, n, 3). Block j of a
+    frame covers rows [j*block, (j+1)*block), where block comes from
+    _block_length and is at least ``warm``. Block 0 starts from the frame's
+    ``start``. Every later block starts from that state placed ``warm``
+    samples earlier (inside the block before it) and runs over those
+    samples first, which lets it forget the wrong start (see
+    _warmup_steps). The blocks of all frames then step together as numpy
+    vectors and write straight into ``out``, so a sweep of frames pays for
+    one block's steps, not one per frame. A block is kept only if its first
+    row equals, bit for bit, the true end state of the frame's block before
+    it; otherwise the sequential kernel re-runs it from that state. Rows
+    past the last whole block run sequentially too.
     """
-    n = w.size
+    n = w.shape[1]
     block = _block_length(warm)
     lanes = n // block
-    rows = out[: lanes * block].reshape(lanes, block, 3)
-    series = w[: lanes * block].reshape(lanes, block)
-    early = w[block - warm : lanes * block - warm].reshape(lanes - 1, block)
-    state = np.repeat(start[:, None], lanes - 1, axis=1)
+    whole = lanes * block
+    rows = out[:, :whole].reshape(-1, lanes, block, 3)
+    series = w[:, :whole].reshape(-1, lanes, block)
+    early = w[:, block - warm : whole - warm].reshape(-1, lanes - 1, block)
+    first = start.T[:, :, None]
+    state = np.repeat(first, lanes - 1, axis=2)
     with np.errstate(over="ignore"):  # see _fold_unchecked
-        u = np.empty((3, lanes - 1))
+        u = np.empty(state.shape)
         for s in range(warm):
-            state = _lockstep(state, early[:, s], params, u)
-        state = np.concatenate([start[:, None], state], axis=1)
-        u = np.empty((3, lanes))
+            state = _lockstep(state, early[:, :, s], params, u)
+        state = np.concatenate([first, state], axis=2)
+        u = np.empty(state.shape)
         for s in range(block):
-            rows[:, s, :] = state.T
-            state = _lockstep(state, series[:, s], params, u)
-    starts = rows[:, 0, :].copy()
-    true_end = state[:, 0]
-    for j in range(1, lanes):
-        if starts[j].tobytes() == true_end.tobytes():
-            true_end = state[:, j]
-            continue
-        begin = j * block
-        # one row past the block is the next block's true start; a block
-        # that ends the series has no such row and needs none
-        stop = min(begin + block + 1, n)
-        _receiver_chain(w[begin:stop], true_end, params, out[begin:stop])
-        true_end = out[stop - 1].copy()
-    if lanes * block < n:
-        _receiver_chain(w[lanes * block :], true_end, params, out[lanes * block :])
+            rows[:, :, s, :] = state.transpose(1, 2, 0)
+            state = _lockstep(state, series[:, :, s], params, u)
+    lockstep_starts = rows[:, :, 0, :].copy()
+    for f, frame_out in enumerate(out):
+        true_end = state[:, f, 0]
+        for j in range(1, lanes):
+            if lockstep_starts[f, j].tobytes() == true_end.tobytes():
+                true_end = state[:, f, j]
+                continue
+            begin = j * block
+            # one row past the block is the next block's true start; a block
+            # that ends the series has no such row and needs none
+            stop = min(begin + block + 1, n)
+            _receiver_chain(w[f, begin:stop], true_end, params, frame_out[begin:stop])
+            true_end = frame_out[stop - 1].copy()
+        if whole < n:
+            _receiver_chain(w[f, whole:], true_end, params, frame_out[whole:])
 
 
 def response_estimate(w, states, gamma: float) -> np.ndarray:

@@ -515,6 +515,41 @@ class TestCli:
         )
         assert code == 4
 
+    def test_recv_file_seeds_share_no_stream(self, tmp_path, monkeypatch):
+        """Channel and receiver seeds come from one split of --seed, so no
+        --seed draws its noise or start state from another --seed's stream."""
+        payload = tmp_path / "speech.wav"
+        write_wav(payload, synth_speech(duration=0.05, seed=3))
+        masked = tmp_path / "masked.bin"
+        assert main(
+            ["send-file", "--input", str(payload), "--output", str(masked),
+             "--seed", "9", "--out-dir", str(tmp_path)]
+        ) == 0
+        used = {}
+        channel, unmask = cli.channel_awgn, cli.unmask_receive
+
+        def record_channel(series, sigma, seed):
+            used[current]["channel"] = seed
+            return channel(series, sigma, seed)
+
+        def record_unmask(*args, seed, **kwargs):
+            used[current]["receiver"] = seed
+            return unmask(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(cli, "channel_awgn", record_channel)
+        monkeypatch.setattr(cli, "unmask_receive", record_unmask)
+        for current in range(21):
+            used[current] = {}
+            assert main(
+                ["recv-file", "--input", str(masked),
+                 "--output", str(tmp_path / "recovered.wav"),
+                 "--seed", str(current), "--link-noise-sigma", "0.001",
+                 "--out-dir", str(tmp_path)]
+            ) == 0
+        seeds = [s for run in used.values() for s in (run["channel"], run["receiver"])]
+        assert len(seeds) == 42
+        assert len(set(seeds)) == 42
+
 
 COLD_START = """
 import contextlib, io, json, sys

@@ -211,10 +211,10 @@ class TestMaskTransmitKernel:
         # two kernel calls, the second continuing from the first's end state;
         # neither chunk is empty, as in mask_transmit (numba cannot type an empty list)
         seam = 1 + seam % (info.size - 1)
-        coefficients = (params.a, params.b, params.c, params.beta)
-        xs, zs, *end = _kernels.masked_transmit_chain(info[:seam].tolist(), x, y, z, *coefficients)
-        xs2, zs2, *_ = _kernels.masked_transmit_chain(info[seam:].tolist(), *end, *coefficients)
-        w_clean = params.gamma * np.array(xs + xs2) + np.array(zs + zs2)
+        coefficients = (params.a, params.b, params.c, params.beta, params.gamma)
+        ws, *end = _kernels.masked_transmit_chain(info[:seam].tolist(), x, y, z, *coefficients)
+        ws2, *_ = _kernels.masked_transmit_chain(info[seam:].tolist(), *end, *coefficients)
+        w_clean = np.array(ws + ws2)
         w_star = w_clean + info
 
         ref_clean, ref_star = reference_transmit(params, info, (x, y, z))
@@ -338,14 +338,18 @@ class TestReceiverRunOracle:
         """Count block-path calls; take the block path under numba too."""
         monkeypatch.setattr(sync._kernels, "HAVE_NUMBA", False)
         self.calls = {"blocks": 0, "chain": 0}
+        self.block_frames = []  # frames stepped by each block-path call
+        self.chain_lengths = []  # samples of each sequential-kernel call
         blocks, chain_fn = sync._receiver_blocks, sync._receiver_chain
 
         def count_blocks(*args):
             self.calls["blocks"] += 1
+            self.block_frames.append(len(args[0]))
             return blocks(*args)
 
         def count_chain(*args):
             self.calls["chain"] += 1
+            self.chain_lengths.append(len(args[0]))
             return chain_fn(*args)
 
         monkeypatch.setattr(sync, "_receiver_blocks", count_blocks)
@@ -407,3 +411,49 @@ class TestReceiverRunOracle:
         lanes = w.size // sync._block_length(2)
         assert self.calls["blocks"] == 1
         assert self.calls["chain"] > lanes // 2
+
+    def check_frames(self, frames, params=P, seeds=(11, 12, 13)):
+        """Each frame of a stacked call equals the kernel on that frame alone."""
+        inits = np.stack([random_initial_state(seed) for seed in seeds])
+        got = sync.receiver_run(frames, inits, params)
+        assert got.shape == (*frames.shape, 3)
+        for frame, init, states in zip(frames, inits, got):
+            assert states.tobytes() == chain(frame, init, params).tobytes()
+
+    @pytest.mark.parametrize("n", [5000, 5003])
+    def test_equal_length_noisy_frames(self, n):
+        self.check_frames(np.stack([drive(n, sigma=0.012, seed=s) for s in (3, 4, 5)]))
+        assert self.block_frames == [3]
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_stacked_constant_slope_folds(self, beta):
+        params = P.replace(beta=beta)
+        frames = np.stack([drive(6000, params, sigma=0.005, seed=s) for s in (3, 4)])
+        self.check_frames(frames, params, seeds=(11, 12))
+        assert self.block_frames == [2]
+
+    def test_non_finite_frame_alone_goes_sequential(self):
+        frames = np.stack([drive(6000, sigma=0.012, seed=s) for s in (3, 4, 5)])
+        frames[1, 700] = np.nan
+        self.check_frames(frames)
+        assert self.block_frames == [2]
+        assert self.chain_lengths.count(frames.shape[1]) == 1
+
+    def test_stacked_seams_fall_back_when_warmup_too_short(self, monkeypatch):
+        monkeypatch.setattr(sync, "_warmup_steps", lambda params: 2)
+        frames = np.stack([drive(3000, sigma=0.012, seed=s) for s in (3, 4)])
+        self.check_frames(frames, seeds=(11, 12))
+        lanes = frames.shape[1] // sync._block_length(2)
+        assert self.block_frames == [2]
+        assert self.calls["chain"] > 2 * (lanes // 2)
+
+    def test_one_frame_stack_matches_series(self):
+        w = drive(5003, sigma=0.012)
+        init = random_initial_state(11)
+        stacked = sync.receiver_run(w[None], init[None], P)
+        assert stacked[0].tobytes() == sync.receiver_run(w, init, P).tobytes()
+
+    def test_start_states_must_match_frames(self):
+        frames = np.stack([drive(500, seed=s) for s in (3, 4)])
+        with pytest.raises(ValueError, match="start states"):
+            sync.receiver_run(frames, random_initial_state(11)[None], P)

@@ -7,6 +7,8 @@ from scipy import optimize, special, stats
 
 import chaoslink as cl
 from chaoslink import analysis as an
+from chaoslink import link
+from chaoslink.core_map import spawn_seeds
 from chaoslink.link import (
     BerResult,
     ModulationConfig,
@@ -388,6 +390,7 @@ class TestEndToEnd:
         assert lo <= hi
 
     def test_sweep_validates_amplitudes(self):
+        assert ber_sweep(PARAMS, [], CFG, n_bits=100, seed=1) == []
         with pytest.raises(ValueError):
             ber_sweep(PARAMS, [0.1, 0.05], CFG, n_bits=100, seed=1)
         with pytest.raises(ValueError):
@@ -402,5 +405,50 @@ class TestEndToEnd:
             PARAMS, [0.05, 0.1], CFG, n_bits=2000, seed=4, noise_sigma=0.012,
             max_workers=2,
         )
-        assert [r.measured_ber for r in seq] == [r.measured_ber for r in par]
+        assert seq == par
         assert [r.amplitude for r in par] == [0.05, 0.1]
+
+    @pytest.mark.parametrize(
+        "mismatch, batch_samples",
+        [
+            (0.0, link.RECEIVE_BATCH_SAMPLES),
+            (0.002, link.RECEIVE_BATCH_SAMPLES),
+            (0.0, 1),
+        ],
+        ids=["one-batch", "one-batch-mismatch", "frame-per-batch"],
+    )
+    def test_sweep_point_is_run_link_on_its_sub_seed(
+        self, monkeypatch, mismatch, batch_samples
+    ):
+        """The frames of one sweep pass equal the single-frame chain, point by point."""
+        monkeypatch.setattr(link, "RECEIVE_BATCH_SAMPLES", batch_samples)
+        amplitudes = [0.05, 0.075, 0.1]
+        sweep = ber_sweep(
+            PARAMS, amplitudes, CFG, n_bits=1500, seed=9, noise_sigma=0.012,
+            mismatch=mismatch,
+        )
+        for amp, sub, point in zip(amplitudes, spawn_seeds(9, 3), sweep):
+            bits = prbs(1500, seed=prbs_seed(sub))
+            _, fitted, threshold, decisions = run_link(
+                PARAMS, bits, ModulationConfig(amplitude=amp, samples_per_bit=50),
+                seed=sub, noise_sigma=0.012, mismatch=mismatch,
+            )
+            assert point.errors == ber_measure(bits, decisions).errors
+            assert point.threshold == threshold
+            assert point.predicted_ber == float(ber_predict(fitted, threshold))
+
+    def test_sweep_holds_one_batch_of_frames(self, monkeypatch):
+        """Frames are received a batch at a time and each point's samples are
+        dropped once decided, so peak memory per frame sample is that of
+        run_link on one frame, about 72 B. One more float64 array per sample
+        held across frames reads about 80."""
+        monkeypatch.setattr(link, "RECEIVE_BATCH_SAMPLES", 1)
+        ber_sweep(PARAMS, [0.05], CFG, n_bits=20, seed=1, noise_sigma=0.012)
+        tracemalloc.start()
+        try:
+            ber_sweep(PARAMS, [0.05, 0.1], CFG, n_bits=1000, seed=1, noise_sigma=0.012)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        frame_samples = link.SETTLE_STEPS + (link.PILOT_BITS + 1000) * CFG.samples_per_bit
+        assert peak / frame_samples <= 76
