@@ -274,10 +274,10 @@ def masked_transmit_chain(info, x, y, z, a, b, c, beta, gamma):
     ``info`` is the chunk's information samples as a list. At each step the
     mixed third variable ``z + info[k]`` feeds the x and y updates, so a
     matched receiver driven by ``w_star`` reproduces the same dynamics
-    exactly. Returns ``(ws, x, y, z)``: the unmixed output
-    ``w_clean = gamma*x + z`` of every sample as a list, from which the
-    caller forms ``w_star = w_clean + info``, then the state after the
-    chunk, from which the next chunk continues.
+    exactly. Returns ``(ws, x, y, z)``: the unmixed output ``gamma*x + z``
+    of every sample as a list, to which the caller adds ``info`` to form
+    ``w_star``, then the state after the chunk, from which the next chunk
+    continues.
 
     The three folds are ``fold_scalar`` written out in the loop body, with
     the same operations in the same order, so the states are bit-identical

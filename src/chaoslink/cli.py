@@ -28,12 +28,7 @@ from .codecs import (
     packet_to_bits,
     packet_to_file,
 )
-from .core_map import (
-    DegenerateTrajectoryError,
-    Trajectory,
-    generate_trajectory,
-    spawn_seeds,
-)
+from .core_map import DegenerateTrajectoryError, Trajectory, generate_trajectory
 from .io_formats import (
     read_masked_series,
     write_csv,
@@ -48,7 +43,6 @@ from .link import (
     ber_measure,
     ber_predict,
     ber_sweep,
-    channel_awgn,
     decide_zero,
     mask_transmit,
     optimal_threshold,
@@ -225,6 +219,14 @@ def _write(settings, name: str, content) -> Path:
         header, rows = content
         write_csv(path, header, rows, settings.echo())
     return path
+
+
+def _output_path(settings) -> Path:
+    """``--output``, checked before any work: its directory must exist."""
+    out = Path(settings.args.output)
+    if not out.parent.is_dir():
+        raise CliError(f"output directory {out.parent} does not exist", EXIT_IO)
+    return out
 
 
 def cmd_map(settings: Settings) -> int:
@@ -417,6 +419,7 @@ def cmd_send_file(settings: Settings) -> int:
     params = settings.params()
     seed = settings.seed()
     cfg = settings.modulation()
+    out = _output_path(settings)
     payload = Path(settings.args.input)
     _, packet = file_to_packet(
         payload,
@@ -427,7 +430,6 @@ def cmd_send_file(settings: Settings) -> int:
     bits = packet_to_bits(packet)
     # the file header records this seed, so the transmitter uses it as given
     masked = mask_transmit(params, bits, cfg, seed=seed)
-    out = Path(settings.args.output)
     write_masked_series(out, masked)
     report = _write(
         settings,
@@ -446,15 +448,11 @@ def cmd_send_file(settings: Settings) -> int:
 
 def cmd_recv_file(settings: Settings) -> int:
     seed = settings.seed()
+    out = _output_path(settings)
     masked = read_masked_series(settings.args.input)
-    # transmit_receive's split of the master seed; the file was sent from
-    # --seed as given, so only the channel and receiver sub-seeds are used
-    _, ch_seed, rx_seed = spawn_seeds(seed, 3)
-    received = channel_awgn(masked.w_star, settings["link.noise_sigma"], seed=ch_seed)
-    recovered = unmask_receive(masked, received=received, seed=rx_seed)
+    recovered = unmask_receive(masked, seed, settings["link.noise_sigma"])
     bits = decide_zero(recovered, masked.config)
     packet = bits_to_packet(bits)  # raises PacketCorruptionError on CRC failure
-    out = Path(settings.args.output)
     packet_to_file(packet, out)
     report = _write(
         settings,

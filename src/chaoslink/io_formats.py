@@ -114,9 +114,10 @@ def read_trajectory_dump(path) -> Trajectory:
 def write_masked_series(path, masked: MaskedSeries) -> None:
     """Binary masked-series file: header (params, modulation, seed) + samples.
 
-    Only the transmitted w* travels; the reference bits and the clean output
-    stay with the transmitter, so a separately invoked receiver process gets
-    exactly what the channel would deliver.
+    The file holds every field of ``MaskedSeries``: the transmitted w* and
+    the settings that demodulate it, which is all that leaves the
+    transmitter. So a separately invoked receiver process gets exactly what
+    the channel would deliver.
     """
     cfg = masked.config
     header = (

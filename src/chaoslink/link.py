@@ -80,48 +80,24 @@ class ModulationConfig:
 class MaskedSeries:
     """Transmitted masked scalar plus the metadata needed to demodulate it.
 
-    ``w_clean`` (when available) is the unmixed output of the same run, so
-    ``w_star == w_clean + info`` holds bit-exactly; series read back from
-    files carry only the transmitted ``w_star``.
+    These are exactly the fields of a masked-series file: only w* leaves
+    the transmitter, and the receiver rebuilds everything else from it and
+    the link's settings.
     """
 
     w_star: np.ndarray
     config: ModulationConfig
     params: SystemParams
     seed: int
-    true_bits: np.ndarray | None = None
-    w_clean: np.ndarray | None = None
     settle_steps: int = SETTLE_STEPS
     pilot_bits: int = PILOT_BITS
 
     def __post_init__(self):
-        w = np.asarray(self.w_star, dtype=float)
-        object.__setattr__(self, "w_star", w)
-        if self.true_bits is not None:
-            bits = np.asarray(self.true_bits, dtype=np.uint8)
-            expected = (
-                self.settle_steps
-                + (self.pilot_bits + bits.size) * self.config.samples_per_bit
-            )
-            if w.size != expected:
-                raise ValueError(
-                    f"series length {w.size} does not match "
-                    f"{bits.size} bits plus preamble ({expected})"
-                )
-            object.__setattr__(self, "true_bits", bits)
+        object.__setattr__(self, "w_star", np.asarray(self.w_star, dtype=float))
 
     @property
     def preamble_samples(self) -> int:
         return self.settle_steps + self.pilot_bits * self.config.samples_per_bit
-
-    @property
-    def info(self) -> np.ndarray:
-        """The injected NRZ waveform (zeros over the settle window)."""
-        if self.true_bits is None:
-            raise ValueError("information waveform unknown for received series")
-        return _frame_info(
-            self.true_bits, self.config, self.settle_steps, self.pilot_bits
-        )
 
 
 @dataclass(frozen=True)
@@ -193,25 +169,6 @@ def nrz_waveform(bits, amplitude: float, samples_per_bit: int) -> np.ndarray:
     return np.repeat(levels, samples_per_bit)
 
 
-def _frame_info(
-    bits, cfg: ModulationConfig, settle_steps: int, pilot_bits: int
-) -> np.ndarray:
-    """Information waveform of one frame.
-
-    ``settle_steps`` zeros, then the NRZ waveform of ``pilot_bits`` known
-    '1' symbols followed by ``bits``.
-    """
-    pilot = np.ones(pilot_bits, dtype=np.uint8)
-    return np.concatenate(
-        [
-            np.zeros(settle_steps),
-            nrz_waveform(
-                np.concatenate([pilot, bits]), cfg.amplitude, cfg.samples_per_bit
-            ),
-        ]
-    )
-
-
 def mask_transmit(
     params: SystemParams,
     bits,
@@ -225,9 +182,9 @@ def mask_transmit(
     inside the loop: the mixed value ``z + i`` feeds the x and y updates and
     the scalar output. A matched receiver driven by the mixed output then
     reproduces the same dynamics regardless of the signal amplitude, which
-    is what makes exact unmasking possible. The emitted series satisfies
-    ``w_star == w_clean + info`` bit-exactly, where w_clean is this run's
-    unmixed output.
+    is what makes exact unmasking possible. The emitted series is the
+    run's unmixed output ``gamma*x + z`` plus the NRZ waveform, sample by
+    sample.
 
     A preamble of ``settle_steps`` unmasked samples plus one known '1'
     pilot symbol precedes the data for receiver convergence and polarity
@@ -241,22 +198,26 @@ def mask_transmit(
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 1 or bits.size == 0:
         raise ValueError("bits must be a non-empty 1-d sequence")
-    info = _frame_info(bits, cfg, settle_steps, PILOT_BITS)
+    # settle_steps zeros, then the NRZ waveform of the known '1' pilot and the
+    # data, in one expression so that no array but info outlives it
+    symbols = np.concatenate([np.ones(PILOT_BITS, dtype=np.uint8), bits])
+    info = np.concatenate(
+        [np.zeros(settle_steps), nrz_waveform(symbols, cfg.amplitude, cfg.samples_per_bit)]
+    )
     x, y, z = generate_trajectory(1, params=params, seed=seed).states[0]
     coefficients = (params.a, params.b, params.c, params.beta, params.gamma)
-    w_clean = np.empty(info.size)
+    w_star = np.empty(info.size)
     for lo in range(0, info.size, _kernels.CHUNK):
         hi = lo + _kernels.CHUNK
-        w_clean[lo:hi], x, y, z = _kernels.masked_transmit_chain(
+        w_star[lo:hi], x, y, z = _kernels.masked_transmit_chain(
             info[lo:hi].tolist(), x, y, z, *coefficients
         )
+    w_star += info
     return MaskedSeries(
-        w_star=w_clean + info,
+        w_star=w_star,
         config=cfg,
         params=params,
         seed=seed,
-        true_bits=bits,
-        w_clean=w_clean,
         settle_steps=settle_steps,
         pilot_bits=PILOT_BITS,
     )
@@ -275,14 +236,17 @@ def channel_awgn(series, sigma: float, seed: int) -> np.ndarray:
 
 def unmask_receive(
     masked: MaskedSeries,
-    received=None,
+    seed: int,
+    noise_sigma: float = 0.0,
     recv_params: SystemParams | None = None,
-    seed: int = 1,
 ) -> np.ndarray:
-    """Recover the information samples from a (possibly noisy) masked series.
+    """Send a masked series through the AWGN channel and recover its data samples.
 
-    The receiver starts from ``random_initial_state(seed)``, is driven by
-    the received scalar, regenerates its own unmasked output
+    ``seed`` is the link's master seed, split by ``spawn_seeds(seed, 3)``:
+    sub-seed 0 is the transmitter's, sub-seed 1 draws the channel noise of
+    standard deviation ``noise_sigma`` and sub-seed 2 the receiver's start
+    state. The receiver (``recv_params``, by default the series' own) is
+    driven by the received scalar, regenerates its own unmasked output
     ``w_r = gamma*x_r + z_r``, and the per-sample recovery is
     ``received - w_r``, which equals +i under additive masking once
     synchronized. The mean over the known '1' pilot symbol fixes any
@@ -290,31 +254,44 @@ def unmask_receive(
     too small to trust, e.g. amplitude 0). Preamble samples are stripped;
     the returned array covers exactly the data symbols.
     """
-    w_rx = np.asarray(
-        masked.w_star if received is None else received, dtype=float
-    )
     params = masked.params if recv_params is None else recv_params
-    states = receiver_run(w_rx, random_initial_state(seed), params)
-    return _recover(masked, w_rx, states, params)
+    (recovered,) = _receive_batch([(masked, seed)], noise_sigma, params)
+    return recovered
 
 
-def _recover(masked: MaskedSeries, w_rx, states, params: SystemParams) -> np.ndarray:
-    """Data samples from the received series and the receiver's states.
+def _receive_batch(sent, noise_sigma: float, recv_params: SystemParams) -> list:
+    """unmask_receive on each ``(masked series, master seed)`` of ``sent``.
 
-    The per-sample recovery is ``w_rx - (gamma*x_r + z_r)``; the pilot's
-    mean fixes its sign and the preamble is stripped (see unmask_receive).
+    Each series goes through the channel on its own and is dropped there,
+    so the batch holds only the received series and the receiver states.
+    The received series, which must have equal lengths, then go through one
+    stacked ``receiver_run`` call whose lockstep steps them together.
+    Returns the recovered data samples of each series, in order.
     """
-    w_r = params.gamma * states[:, 0] + states[:, 2]
-    recovered = w_rx - w_r
-    n = masked.config.samples_per_bit
-    pilot_start = masked.settle_steps
-    data_start = masked.preamble_samples
-    sign = 1.0
-    if masked.pilot_bits > 0:
-        pilot_mean = recovered[pilot_start : pilot_start + n].mean()
-        if abs(pilot_mean) > 0.25 * masked.config.amplitude:
-            sign = float(np.sign(pilot_mean))
-    return sign * recovered[data_start:]
+
+    def channel(masked, seed):
+        _, ch_seed, rx_seed = spawn_seeds(seed, 3)
+        received = channel_awgn(masked.w_star, noise_sigma, seed=ch_seed)
+        layout = (masked.config, masked.settle_steps, masked.pilot_bits)
+        return received, random_initial_state(rx_seed), layout
+
+    received, inits, layouts = zip(*(channel(*frame) for frame in sent))
+    w_rx = np.stack(received)
+    del received
+    states = receiver_run(w_rx, np.stack(inits), recv_params)
+    # received - w_r; the (F, n, 3) states go before the per-frame data is cut
+    recovered = w_rx - (recv_params.gamma * states[..., 0] + states[..., 2])
+    del w_rx, states
+    data = []
+    for samples, (cfg, settle_steps, pilot_bits) in zip(recovered, layouts):
+        n = cfg.samples_per_bit
+        sign = 1.0
+        if pilot_bits > 0:
+            pilot_mean = samples[settle_steps : settle_steps + n].mean()
+            if abs(pilot_mean) > 0.25 * cfg.amplitude:
+                sign = float(np.sign(pilot_mean))
+        data.append(sign * samples[settle_steps + pilot_bits * n :])
+    return data
 
 
 def integrate_and_dump(samples, cfg: ModulationConfig) -> np.ndarray:
@@ -428,27 +405,6 @@ def ber_measure(sent, recovered) -> BerResult:
     )
 
 
-def transmit_receive(
-    params: SystemParams,
-    bits,
-    cfg: ModulationConfig,
-    seed: int,
-    noise_sigma: float = 0.0,
-    mismatch: float = 0.0,
-) -> np.ndarray:
-    """Mask, send through AWGN, and unmask; return the recovered data samples.
-
-    The master ``seed`` is split into transmitter, channel and receiver
-    seeds. ``mismatch`` scales the receiver's a, b, c coefficients by
-    (1 + mismatch) to emulate component tolerances. This is the one-frame
-    case of the chain that ``ber_sweep`` runs on all its points at once.
-    """
-    ((_, recovered),) = _transmit_receive_frames(
-        params, [(bits, cfg, seed)], noise_sigma, mismatch
-    )
-    return recovered
-
-
 def _transmit_receive_frames(
     params: SystemParams,
     frames,
@@ -456,15 +412,18 @@ def _transmit_receive_frames(
     mismatch: float,
     max_workers: int = 1,
 ):
-    """transmit_receive on each ``(bits, cfg, seed)`` frame, receivers stacked.
+    """Mask, send through AWGN and unmask each ``(bits, cfg, seed)`` frame.
 
-    Each frame is masked and sent through the channel on its own, from the
-    split of its master seed, on up to ``max_workers`` threads. The frames,
-    which must have equal lengths, are then received in batches of at most
-    RECEIVE_BATCH_SAMPLES samples (at least one frame), each by one stacked
-    ``receiver_run`` call whose lockstep steps its frames together. Yields
-    ``(frame, recovered data samples)`` in frame order, one batch at a
-    time, so a caller that drops each as it comes holds one batch.
+    ``seed`` is the frame's master seed; its sub-seed 0 drives the
+    transmitter and the receive splits it as unmask_receive does.
+    ``mismatch`` scales the receiver's a, b, c coefficients by
+    (1 + mismatch) to emulate component tolerances. Each frame is masked on
+    its own, on up to ``max_workers`` threads. The frames, which must have
+    equal lengths, are received in batches of at most
+    RECEIVE_BATCH_SAMPLES samples (at least one frame), each by one
+    _receive_batch call. Yields ``(frame, recovered data samples)`` in
+    frame order, one batch at a time, so a caller that drops each as it
+    comes holds one batch.
     """
     recv_params = params
     if mismatch:
@@ -475,21 +434,10 @@ def _transmit_receive_frames(
 
     def send(frame):
         bits, cfg, seed = frame
-        tx_seed, ch_seed, rx_seed = spawn_seeds(seed, 3)
-        masked = mask_transmit(params, bits, cfg, seed=tx_seed)
-        received = channel_awgn(masked.w_star, noise_sigma, seed=ch_seed)
-        return masked, received, random_initial_state(rx_seed)
+        return mask_transmit(params, bits, cfg, seed=spawn_seeds(seed, 3)[0]), seed
 
     def link_pass(batch, run):
-        masked, received, inits = zip(*run(send, batch))
-        received = np.stack(received)
-        states = receiver_run(received, np.stack(inits), recv_params)
-        return [
-            (frame, _recover(series, w_rx, frame_states, recv_params))
-            for frame, series, w_rx, frame_states in zip(
-                batch, masked, received, states
-            )
-        ]
+        return zip(batch, _receive_batch(run(send, batch), noise_sigma, recv_params))
 
     if not frames:
         return
@@ -530,7 +478,8 @@ def run_link(
 ):
     """Full transmit/channel/receive chain returning decisions and statistics.
 
-    The chain and ``mismatch`` are those of ``transmit_receive``. With
+    The chain, its split of ``seed`` and ``mismatch`` are those of
+    _transmit_receive_frames, on one frame. With
     ``filtered`` False every recovered sample is its own statistic and the
     labels are repeated per sample; this models a receiver without the
     matched filter.
@@ -538,7 +487,9 @@ def run_link(
     Returns (symbol_stats, fitted SymbolStats, threshold, decisions).
     """
     bits = np.asarray(bits, dtype=np.uint8)
-    recovered = transmit_receive(params, bits, cfg, seed, noise_sigma, mismatch)
+    ((_, recovered),) = _transmit_receive_frames(
+        params, [(bits, cfg, seed)], noise_sigma, mismatch
+    )
     return _decide(bits, recovered, cfg, filtered)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import struct
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import chaoslink as cl
-from chaoslink import cli, codecs
+from chaoslink import cli, codecs, link
 from chaoslink.cli import main
 from chaoslink.codecs import (
     compress_audio,
@@ -33,7 +34,7 @@ from chaoslink.io_formats import (
     write_trajectory_csv,
     write_trajectory_dump,
 )
-from chaoslink.link import ModulationConfig, mask_transmit, prbs
+from chaoslink.link import MaskedSeries, ModulationConfig, mask_transmit, prbs
 from chaoslink.signals import synth_image, synth_speech
 from test_codecs import hand_packet
 
@@ -94,13 +95,16 @@ class TestMaskedSeriesFile:
         path = tmp_path / "series.bin"
         write_masked_series(path, masked)
         back = read_masked_series(path)
-        assert np.array_equal(back.w_star, masked.w_star)
-        assert back.params == masked.params
+        # the file holds every field of the series, so all of them come back
+        for field in dataclasses.fields(MaskedSeries):
+            sent, got = getattr(masked, field.name), getattr(back, field.name)
+            if field.name == "w_star":
+                assert got.tobytes() == sent.tobytes()
+            else:
+                assert got == sent, field.name
         assert back.config == cfg
         assert back.seed == 9
         assert back.preamble_samples == masked.preamble_samples
-        # reference data stays with the transmitter
-        assert back.true_bits is None and back.w_clean is None
 
 
 def masked_file(tmp_path, bits):
@@ -515,9 +519,45 @@ class TestCli:
         )
         assert code == 4
 
+    def test_send_file_checks_output_directory_first(self, tmp_path, monkeypatch):
+        payload = tmp_path / "speech.wav"
+        write_wav(payload, synth_speech(duration=0.05, seed=3))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached after the output check")
+
+        monkeypatch.setattr(cli, "file_to_packet", unreachable)
+        monkeypatch.setattr(cli, "mask_transmit", unreachable)
+        out = tmp_path / "absent" / "masked.bin"
+        code = main(
+            ["send-file", "--input", str(payload), "--output", str(out),
+             "--seed", "1", "--out-dir", str(tmp_path / "reports")]
+        )
+        assert code == 4
+        assert not (tmp_path / "absent").exists()
+        assert not (tmp_path / "reports").exists()
+
+    def test_recv_file_checks_output_directory_first(self, tmp_path, monkeypatch):
+        masked = masked_file(tmp_path, prbs(64, seed=2))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached after the output check")
+
+        monkeypatch.setattr(cli, "read_masked_series", unreachable)
+        monkeypatch.setattr(link, "receiver_run", unreachable)
+        out = tmp_path / "absent" / "out.wav"
+        code = main(
+            ["recv-file", "--input", str(masked), "--output", str(out),
+             "--seed", "1", "--out-dir", str(tmp_path / "reports")]
+        )
+        assert code == 4
+        assert not (tmp_path / "absent").exists()
+        assert not (tmp_path / "reports").exists()
+
     def test_recv_file_seeds_share_no_stream(self, tmp_path, monkeypatch):
         """Channel and receiver seeds come from one split of --seed, so no
-        --seed draws its noise or start state from another --seed's stream."""
+        --seed draws its noise or start state from another --seed's stream.
+        The seeds are recorded where the link draws them."""
         payload = tmp_path / "speech.wav"
         write_wav(payload, synth_speech(duration=0.05, seed=3))
         masked = tmp_path / "masked.bin"
@@ -526,18 +566,18 @@ class TestCli:
              "--seed", "9", "--out-dir", str(tmp_path)]
         ) == 0
         used = {}
-        channel, unmask = cli.channel_awgn, cli.unmask_receive
+        channel, start = link.channel_awgn, link.random_initial_state
 
         def record_channel(series, sigma, seed):
             used[current]["channel"] = seed
             return channel(series, sigma, seed)
 
-        def record_unmask(*args, seed, **kwargs):
+        def record_start(seed):
             used[current]["receiver"] = seed
-            return unmask(*args, seed=seed, **kwargs)
+            return start(seed)
 
-        monkeypatch.setattr(cli, "channel_awgn", record_channel)
-        monkeypatch.setattr(cli, "unmask_receive", record_unmask)
+        monkeypatch.setattr(link, "channel_awgn", record_channel)
+        monkeypatch.setattr(link, "random_initial_state", record_start)
         for current in range(21):
             used[current] = {}
             assert main(
