@@ -45,7 +45,6 @@ from .link import (
     ber_sweep,
     decide_zero,
     mask_transmit,
-    optimal_threshold,
     prbs,
     prbs_seed,
     run_link,
@@ -70,7 +69,6 @@ DEFAULTS = {
     "link.amplitude": 0.1,
     "link.samples_per_bit": 50,
     "link.f_clk": 0.5e6,
-    "link.bit_rate": 1.0e4,
     "link.noise_sigma": 0.0,
     "link.mismatch": 0.0,
     "codec.keep_fraction": 0.22,
@@ -153,27 +151,20 @@ class Settings:
         return self.values[key]
 
     def params(self) -> SystemParams:
-        try:
-            return SystemParams(
-                a=self["map.a"],
-                b=self["map.b"],
-                c=self["map.c"],
-                beta=self["map.beta"],
-                gamma=self["map.gamma"],
-            )
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_VALIDATION)
+        return SystemParams(
+            a=self["map.a"],
+            b=self["map.b"],
+            c=self["map.c"],
+            beta=self["map.beta"],
+            gamma=self["map.gamma"],
+        )
 
     def modulation(self) -> ModulationConfig:
-        try:
-            return ModulationConfig(
-                amplitude=self["link.amplitude"],
-                samples_per_bit=self["link.samples_per_bit"],
-                f_clk=self["link.f_clk"],
-                bit_rate=self["link.bit_rate"],
-            )
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_VALIDATION)
+        return ModulationConfig(
+            amplitude=self["link.amplitude"],
+            samples_per_bit=self["link.samples_per_bit"],
+            f_clk=self["link.f_clk"],
+        )
 
     def seed(self) -> int:
         if self.args.seed is None:
@@ -202,12 +193,7 @@ def _write(settings, name: str, content) -> Path:
     ``(header, rows)`` table goes to a CSV and a dict to a JSON report; both
     carry ``settings.echo()``, the CSV as its comment line.
     """
-    out_dir = Path(settings.args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot create output directory: {exc}", EXIT_IO)
-    path = out_dir / name
+    path = _out_dir(settings) / name
     if isinstance(content, Trajectory):
         if path.suffix == ".csv":
             write_trajectory_csv(path, content)
@@ -219,6 +205,16 @@ def _write(settings, name: str, content) -> Path:
         header, rows = content
         write_csv(path, header, rows, settings.echo())
     return path
+
+
+def _out_dir(settings) -> Path:
+    """``--out-dir``, created if it does not exist yet."""
+    out_dir = Path(settings.args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create output directory: {exc}", EXIT_IO)
+    return out_dir
 
 
 def _output_path(settings) -> Path:
@@ -253,10 +249,6 @@ def cmd_lyapunov(settings: Settings) -> int:
     method = settings.args.method
     lambdas = ["lambda1", "lambda2", "lambda3"]
     if method == "analytic":
-        # the closed form exists only for the constant-slope folds and is the
-        # same for beta 0 and 1, so evaluate it there for any configured beta
-        if params.beta not in (0.0, 1.0):
-            params = params.replace(beta=0.0)
         spectrum = analysis.le_analytic(params)
     else:
         seed = settings.seed()
@@ -406,11 +398,9 @@ def cmd_ber(settings: Settings) -> int:
     else:
         grid = np.linspace(fitted.mu0, fitted.mu1, settings.args.bins)
         rows = [[lam, float(ber_predict(fitted, lam))] for lam in grid]
-        lam_opt, ber_opt = optimal_threshold(fitted)
         path = _write(settings, "threshold_scan.csv", (["threshold", "predicted_ber"], rows))
-        report = _write(
-            settings, "threshold_optimum.json", {"lambda_opt": lam_opt, "ber_opt": ber_opt}
-        )
+        optimum = {"lambda_opt": threshold, "ber_opt": float(ber_predict(fitted, threshold))}
+        report = _write(settings, "threshold_optimum.json", optimum)
     print(f"wrote {path} and {report}")
     return EXIT_OK
 
@@ -420,6 +410,7 @@ def cmd_send_file(settings: Settings) -> int:
     seed = settings.seed()
     cfg = settings.modulation()
     out = _output_path(settings)
+    _out_dir(settings)
     payload = Path(settings.args.input)
     _, packet = file_to_packet(
         payload,
@@ -449,6 +440,7 @@ def cmd_send_file(settings: Settings) -> int:
 def cmd_recv_file(settings: Settings) -> int:
     seed = settings.seed()
     out = _output_path(settings)
+    _out_dir(settings)
     masked = read_masked_series(settings.args.input)
     recovered = unmask_receive(masked, seed, settings["link.noise_sigma"])
     bits = decide_zero(recovered, masked.config)
@@ -463,6 +455,9 @@ def cmd_recv_file(settings: Settings) -> int:
             "payload_kind": packet.kind,
             "payload_bits": int(bits.size),
             "compression_ratio": packet.compression_ratio,
+            # the receiver runs with the file header's values, not the flags'
+            "params": asdict(masked.params),
+            "modulation": {**asdict(masked.config), "bit_rate": masked.config.bit_rate},
         },
     )
     print(f"wrote {out} and {report}")

@@ -143,7 +143,8 @@ def read_masked_series(path) -> MaskedSeries:
     params, fields, rows = _read_binary(
         path, MASKED_MAGIC, "masked-series", "<dIddqIIQ", 1
     )
-    amplitude, spb, f_clk, bit_rate, seed, settle, pilot, _ = fields
+    # the bit-rate slot is ignored: the rate follows from f_clk and spb
+    amplitude, spb, f_clk, _, seed, settle, pilot, _ = fields
     # one NaN or inf sample would leave every later receiver state non-finite
     bad = np.flatnonzero(~np.isfinite(rows[:, 0]))
     if bad.size:
@@ -156,12 +157,7 @@ def read_masked_series(path) -> MaskedSeries:
         )
     return MaskedSeries(
         w_star=rows[:, 0].copy(),
-        config=ModulationConfig(
-            amplitude=amplitude,
-            samples_per_bit=spb,
-            f_clk=f_clk,
-            bit_rate=bit_rate,
-        ),
+        config=ModulationConfig(amplitude=amplitude, samples_per_bit=spb, f_clk=f_clk),
         params=params,
         seed=int(seed),
         settle_steps=int(settle),

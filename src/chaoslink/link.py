@@ -56,24 +56,29 @@ class ModulationConfig:
 
     ``amplitude`` is the dimensionless signal level. One state unit spans
     2 V on the reference hardware, so 0.1 is the 200 mV drive.
-    ``samples_per_bit`` is the number of clock periods each symbol occupies;
-    clock and bit rate are carried as metadata.
+    ``samples_per_bit`` is the number of clock periods each symbol occupies
+    and ``f_clk`` the clock in Hz, which the simulation carries as metadata;
+    the bit rate follows from the two (0.5 MHz / 50 = 10 kbps).
     """
 
     amplitude: float = 0.1
     samples_per_bit: int = 50
     f_clk: float = 0.5e6
-    bit_rate: float = 1.0e4
 
     def __post_init__(self):
-        if not (math.isfinite(self.amplitude) and self.amplitude > 0):
-            raise ValueError(
-                f"amplitude must be finite and positive, got {self.amplitude}"
-            )
+        for name in ("amplitude", "f_clk"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.samples_per_bit < 1:
             raise ValueError(
                 f"samples_per_bit must be >= 1, got {self.samples_per_bit}"
             )
+
+    @property
+    def bit_rate(self) -> float:
+        """Symbols per second: one every ``samples_per_bit`` clock periods."""
+        return self.f_clk / self.samples_per_bit
 
 
 @dataclass(frozen=True)

@@ -28,20 +28,6 @@ SYNC_DISCARD = 100  # settle window dropped before error statistics
 
 
 @dataclass(frozen=True)
-class CouplingConfig:
-    """Coupling gain and channel noise level for a synchronization run."""
-
-    gamma: float = DEFAULT_PARAMS.gamma
-    noise_sigma: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(
-                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}"
-            )
-
-
-@dataclass(frozen=True)
 class SyncRun:
     """Synchronization quality metrics for one drive/response simulation."""
 
@@ -303,36 +289,30 @@ def normalized_deviation(z1, z2) -> float:
 
 def run_sync(
     params: SystemParams = DEFAULT_PARAMS,
-    coupling: CouplingConfig = CouplingConfig(),
+    noise_sigma: float = 0.0,
     n: int = 10_000,
     seed: int = 0,
 ) -> SyncRun:
     """Simulate drive and response over a noisy scalar channel.
 
-    White Gaussian noise of ``coupling.noise_sigma`` is added to the
-    transmitted scalar only. The drive starts from the seeded cube draw
-    (sub-seed 0), the receiver from a different point (sub-seed 1), and the
-    noise uses sub-seed 2; the first ``SYNC_DISCARD`` samples are excluded
-    from the statistics so convergence is exercised but not measured. Errors are
-    scored against the receiver's reconstructed estimate (x_r, y_r, z_est),
-    see response_estimate.
+    White Gaussian noise of ``noise_sigma`` is added to the transmitted
+    scalar only. ``seed`` is split as the link's master seed is: the drive
+    starts from sub-seed 0 of ``spawn_seeds(seed, 3)``, the channel draws
+    from sub-seed 1 and the receiver starts from sub-seed 2. The first
+    ``SYNC_DISCARD`` samples are excluded from the statistics so
+    convergence is exercised but not measured. Errors are scored against
+    the receiver's reconstructed estimate (x_r, y_r, z_est), see
+    response_estimate.
     """
+    from .link import channel_awgn  # link imports this module
+
     if n < 1000:
         raise ValueError("need at least 1000 samples after the settle window")
-    run_params = params.replace(gamma=coupling.gamma)
-    total = n + SYNC_DISCARD
-    drive_seed, recv_seed, noise_seed = np.random.SeedSequence(seed).spawn(3)
-    drive = generate_trajectory(
-        total,
-        params=run_params,
-        init=random_initial_state(drive_seed),
-    )
-    w = drive.w
-    if coupling.noise_sigma > 0:
-        rng = np.random.default_rng(noise_seed)
-        w = w + rng.normal(0.0, coupling.noise_sigma, size=w.size)
-    recv_init = random_initial_state(recv_seed)
-    response = response_estimate(w, receiver_run(w, recv_init, run_params), coupling.gamma)
+    drive_seed, ch_seed, rx_seed = spawn_seeds(seed, 3)
+    drive = generate_trajectory(n + SYNC_DISCARD, params=params, seed=drive_seed)
+    w = channel_awgn(drive.w, noise_sigma, seed=ch_seed)
+    states = receiver_run(w, random_initial_state(rx_seed), params)
+    response = response_estimate(w, states, params.gamma)
 
     d = drive.states[SYNC_DISCARD:]
     r = response[SYNC_DISCARD:]
@@ -365,8 +345,7 @@ def sync_sweep(
     grid = [(gamma, sigma) for gamma in gammas for sigma in sigmas]
     points = []
     for (gamma, sigma), point_seed in zip(grid, spawn_seeds(seed, len(grid))):
-        coupling = CouplingConfig(gamma=gamma, noise_sigma=sigma)
-        run = run_sync(params, coupling, n=n, seed=point_seed)
+        run = run_sync(params.replace(gamma=gamma), sigma, n=n, seed=point_seed)
         points.append({"gamma": gamma, "sigma": sigma, "run": run})
     return points
 

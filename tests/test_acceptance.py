@@ -38,7 +38,7 @@ from chaoslink.link import (
     unmask_receive,
 )
 from chaoslink.signals import synth_image, synth_speech
-from chaoslink.sync import CouplingConfig, fit_deviation_model, run_sync
+from chaoslink.sync import fit_deviation_model, run_sync
 
 CFG = ModulationConfig(amplitude=0.1, samples_per_bit=50)
 
@@ -156,9 +156,7 @@ def test_criterion_07_stability_region():
     start = time.perf_counter()
     errors = {}
     for gamma in (-1.7, -1.33, -0.9, -2.0, -0.5):
-        run = run_sync(
-            cl.DEFAULT_PARAMS, CouplingConfig(gamma=gamma), n=10_000, seed=4
-        )
+        run = run_sync(cl.DEFAULT_PARAMS.replace(gamma=gamma), n=10_000, seed=4)
         errors[gamma] = run.rms_error[0]
     ok = all(errors[g] < 1e-3 for g in (-1.7, -1.33, -0.9)) and all(
         errors[g] > 0.1 for g in (-2.0, -0.5)
@@ -173,10 +171,7 @@ def test_criterion_08_noise_linearity_and_ordering():
     rms = np.array(
         [
             run_sync(
-                cl.DEFAULT_PARAMS,
-                CouplingConfig(gamma=-4.0 / 3.0, noise_sigma=float(s)),
-                n=20_000,
-                seed=8,
+                cl.DEFAULT_PARAMS.replace(gamma=-4.0 / 3.0), float(s), n=20_000, seed=8
             ).rms_error
             for s in sigmas
         ]
@@ -204,10 +199,7 @@ def test_criterion_09_deviation_model():
     points = []
     for k, sigma in enumerate(np.linspace(0.0, 0.06, 13)):
         run = run_sync(
-            cl.DEFAULT_PARAMS,
-            CouplingConfig(gamma=-1.0, noise_sigma=float(sigma)),
-            n=20_000,
-            seed=15 + k,
+            cl.DEFAULT_PARAMS.replace(gamma=-1.0), float(sigma), n=20_000, seed=15 + k
         )
         points.append((sigma, run.delta_n))
     fit = fit_deviation_model(points)

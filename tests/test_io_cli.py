@@ -106,6 +106,23 @@ class TestMaskedSeriesFile:
         assert back.seed == 9
         assert back.preamble_samples == masked.preamble_samples
 
+    def test_bit_rate_slot_holds_the_derived_rate(self, tmp_path):
+        cfg = ModulationConfig(samples_per_bit=20)
+        masked = mask_transmit(cl.DEFAULT_PARAMS, prbs(10, seed=3), cfg, seed=9)
+        path = tmp_path / "series.bin"
+        write_masked_series(path, masked)
+        raw = bytearray(path.read_bytes())
+        # bytes 66-74 of the header: 0.5 MHz / 20
+        assert struct.unpack("<d", raw[66:74]) == (25_000.0,)
+        # files written while the rate was a setting of its own hold 10 kbps
+        # at any N; the reader ignores the slot, so they still read
+        raw[66:74] = struct.pack("<d", 1.0e4)
+        path.write_bytes(raw)
+        back = read_masked_series(path)
+        assert back.config == cfg
+        assert back.config.bit_rate == 25_000.0
+        assert back.w_star.tobytes() == masked.w_star.tobytes()
+
 
 def masked_file(tmp_path, bits):
     """Write a short-symbol masked series carrying ``bits``."""
@@ -113,6 +130,17 @@ def masked_file(tmp_path, bits):
     path = tmp_path / "masked.bin"
     write_masked_series(path, mask_transmit(cl.DEFAULT_PARAMS, bits, cfg, seed=1))
     return path
+
+
+def output_directory_cases(tmp_path, name):
+    """(--output, --out-dir) pairs that must exit 4 before any input is read:
+    --output's directory is missing, or --out-dir lies under a regular file."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    return [
+        (tmp_path / "absent" / name, tmp_path / "reports"),
+        (tmp_path / name, blocker / "reports"),
+    ]
 
 
 def recv(tmp_path, path, capsys):
@@ -262,18 +290,36 @@ class TestNonFiniteLinkFlags:
     """A NaN or inf link parameter is a validation error (exit 2), not a
     NaN-filled masked file or a packet failure further down the chain."""
 
-    def test_send_file_amplitude(self, tmp_path, capsys, value):
+    def send(self, tmp_path, capsys, flag, value):
         payload = tmp_path / "image.pgm"
         write_pgm(payload, synth_image(8, 8, seed=1))
         out = tmp_path / "masked.bin"
         code = main(
             ["send-file", "--input", str(payload), "--output", str(out),
-             "--seed", "2", "--out-dir", str(tmp_path), "--link-amplitude", value]
+             "--seed", "2", "--out-dir", str(tmp_path), flag, value]
         )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"amplitude must be finite and positive, got {float(value)}" in err
         assert not out.exists()
+        return code, capsys.readouterr().err
+
+    def test_send_file_amplitude(self, tmp_path, capsys, value):
+        code, err = self.send(tmp_path, capsys, "--link-amplitude", value)
+        assert code == 2
+        assert f"amplitude must be finite and positive, got {float(value)}" in err
+
+    def test_send_file_f_clk(self, tmp_path, capsys, value):
+        code, err = self.send(tmp_path, capsys, "--link-f-clk", value)
+        assert code == 2
+        assert f"f_clk must be finite and positive, got {float(value)}" in err
+
+    def test_recv_file_f_clk_header(self, tmp_path, capsys, value):
+        path = masked_file(tmp_path, prbs(20, seed=3))
+        raw = bytearray(path.read_bytes())
+        raw[58:66] = struct.pack("<d", float(value))  # the header's f_clk
+        path.write_bytes(raw)
+        code, err = recv(tmp_path, path, capsys)
+        assert code == 2
+        assert f"f_clk must be finite and positive, got {float(value)}" in err
+        assert not (tmp_path / "x.wav").exists()
 
     def test_recv_file_noise_sigma(self, tmp_path, capsys, value):
         path = masked_file(tmp_path, prbs(20, seed=3))
@@ -312,13 +358,17 @@ class TestCli:
         assert main(["map", "--out-dir", str(tmp_path)]) == 2
 
     def test_analytic_csv(self, tmp_path, capsys):
-        code = main(
-            ["lyapunov", "--method", "analytic", "--map-beta", "0",
-             "--out-dir", str(tmp_path)]
-        )
+        argv = ["lyapunov", "--method", "analytic"]
+        code = main(argv + ["--map-beta", "0", "--out-dir", str(tmp_path)])
         assert code == 0
         assert "0.682909" in capsys.readouterr().out
         assert (tmp_path / "lyapunov_analytic.csv").exists()
+        # the closed form holds only for beta in {0, 1}, so the default 0.5
+        # is refused rather than evaluated at another beta
+        out = tmp_path / "default_beta"
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert "analytic spectrum requires beta in {0, 1}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_file_and_flag_override(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -528,12 +578,13 @@ class TestCli:
 
         monkeypatch.setattr(cli, "file_to_packet", unreachable)
         monkeypatch.setattr(cli, "mask_transmit", unreachable)
-        out = tmp_path / "absent" / "masked.bin"
-        code = main(
-            ["send-file", "--input", str(payload), "--output", str(out),
-             "--seed", "1", "--out-dir", str(tmp_path / "reports")]
-        )
-        assert code == 4
+        for out, out_dir in output_directory_cases(tmp_path, "masked.bin"):
+            code = main(
+                ["send-file", "--input", str(payload), "--output", str(out),
+                 "--seed", "1", "--out-dir", str(out_dir)]
+            )
+            assert code == 4
+            assert not out.exists()
         assert not (tmp_path / "absent").exists()
         assert not (tmp_path / "reports").exists()
 
@@ -545,14 +596,38 @@ class TestCli:
 
         monkeypatch.setattr(cli, "read_masked_series", unreachable)
         monkeypatch.setattr(link, "receiver_run", unreachable)
-        out = tmp_path / "absent" / "out.wav"
-        code = main(
-            ["recv-file", "--input", str(masked), "--output", str(out),
-             "--seed", "1", "--out-dir", str(tmp_path / "reports")]
-        )
-        assert code == 4
+        for out, out_dir in output_directory_cases(tmp_path, "out.wav"):
+            code = main(
+                ["recv-file", "--input", str(masked), "--output", str(out),
+                 "--seed", "1", "--out-dir", str(out_dir)]
+            )
+            assert code == 4
+            assert not out.exists()
         assert not (tmp_path / "absent").exists()
         assert not (tmp_path / "reports").exists()
+
+    def test_recv_report_names_the_header_settings(self, tmp_path):
+        """recv-file runs with the masked file's map and modulation, not
+        with its own flags, and its report says so."""
+        payload = tmp_path / "speech.wav"
+        write_wav(payload, synth_speech(duration=0.05, seed=3))
+        masked = tmp_path / "masked.bin"
+        assert main(
+            ["send-file", "--input", str(payload), "--output", str(masked),
+             "--seed", "9", "--map-gamma", "-1.2", "--link-samples-per-bit", "20",
+             "--out-dir", str(tmp_path / "sent")]
+        ) == 0
+        assert main(
+            ["recv-file", "--input", str(masked), "--output", str(tmp_path / "x.wav"),
+             "--seed", "10", "--out-dir", str(tmp_path / "received")]
+        ) == 0
+        report = json.loads((tmp_path / "received" / "recv_report.json").read_text())
+        assert report["params"] == dataclasses.asdict(cl.DEFAULT_PARAMS.replace(gamma=-1.2))
+        assert report["modulation"] == {
+            "amplitude": 0.1, "samples_per_bit": 20, "f_clk": 5.0e5, "bit_rate": 2.5e4
+        }
+        # the echo keeps the receiver's own (unused) flag values
+        assert report["config"]["map.gamma"] == -1.0
 
     def test_recv_file_seeds_share_no_stream(self, tmp_path, monkeypatch):
         """Channel and receiver seeds come from one split of --seed, so no

@@ -167,10 +167,17 @@ class TestChannel:
             channel_awgn(np.zeros(10), sigma, seed=0)
 
 
-@pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), 0.0, -0.1])
-def test_modulation_amplitude_must_be_finite_and_positive(amplitude):
-    with pytest.raises(ValueError, match="amplitude must be finite and positive"):
-        ModulationConfig(amplitude=amplitude)
+BAD_LEVELS = [float("nan"), float("inf"), 0.0, -0.1]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [pytest.param("amplitude", v, id=str(v)) for v in BAD_LEVELS]
+    + [pytest.param("f_clk", v, id=f"f_clk-{v}") for v in BAD_LEVELS],
+)
+def test_modulation_amplitude_must_be_finite_and_positive(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        ModulationConfig(**{field: value})
 
 
 class TestUnmask:

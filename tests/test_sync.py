@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaoslink as cl
-from chaoslink.core_map import random_initial_state
+from chaoslink.core_map import random_initial_state, spawn_seeds
+from chaoslink.link import channel_awgn
 from chaoslink.sync import (
-    CouplingConfig,
+    SYNC_DISCARD,
     coupled_matrix,
     fit_deviation_model,
     normalized_deviation,
@@ -105,13 +106,13 @@ class TestStability:
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
 def test_coupling_noise_sigma_must_be_finite(sigma):
-    with pytest.raises(ValueError, match="noise_sigma must be finite"):
-        CouplingConfig(noise_sigma=sigma)
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        run_sync(cl.DEFAULT_PARAMS, sigma, n=1000, seed=0)
 
 
 class TestRunSync:
     def test_noiseless_error_tiny(self):
-        run = run_sync(cl.DEFAULT_PARAMS, CouplingConfig(gamma=-1.0), n=5000, seed=4)
+        run = run_sync(cl.DEFAULT_PARAMS.replace(gamma=-1.0), n=5000, seed=4)
         assert max(run.rms_error) < 1e-6
         assert min(run.correlation) > 0.999999
 
@@ -119,12 +120,7 @@ class TestRunSync:
         sigmas = np.linspace(0.005, 0.05, 6)
         rms = np.array(
             [
-                run_sync(
-                    cl.DEFAULT_PARAMS,
-                    CouplingConfig(gamma=-4.0 / 3.0, noise_sigma=float(s)),
-                    n=8000,
-                    seed=8,
-                ).rms_error
+                run_sync(DEADBEAT, float(s), n=8000, seed=8).rms_error
                 for s in sigmas
             ]
         )
@@ -137,18 +133,32 @@ class TestRunSync:
             assert slope > 0
 
     def test_noise_sensitivity_ordering(self):
-        run = run_sync(
-            cl.DEFAULT_PARAMS,
-            CouplingConfig(gamma=-4.0 / 3.0, noise_sigma=0.02),
-            n=10_000,
-            seed=8,
-        )
+        run = run_sync(DEADBEAT, 0.02, n=10_000, seed=8)
         rms_x, rms_y, rms_z = run.rms_error
         assert rms_y > rms_z > rms_x
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.02])
+    def test_splits_its_seed_as_the_link_does(self, sigma):
+        """Drive from sub-seed 0, channel from 1, receiver from 2: the
+        layout of the link's transmitter, channel and receiver."""
+        seed, n = 5, 2000
+        drive_seed, ch_seed, rx_seed = spawn_seeds(seed, 3)
+        drive = cl.generate_trajectory(n + SYNC_DISCARD, params=DEADBEAT, seed=drive_seed)
+        w = channel_awgn(drive.w, sigma, seed=ch_seed)
+        states = receiver_run(w, random_initial_state(rx_seed), DEADBEAT)
+        d = drive.states[SYNC_DISCARD:]
+        r = response_estimate(w, states, DEADBEAT.gamma)[SYNC_DISCARD:]
+        run = run_sync(DEADBEAT, sigma, n=n, seed=seed)
+        assert run.rms_error == tuple(np.sqrt(np.mean((r - d) ** 2, axis=0)))
+        assert run.correlation == tuple(
+            float(np.corrcoef(d[:, k], r[:, k])[0, 1]) for k in range(3)
+        )
+        assert run.delta_n == normalized_deviation(d[:, 2], r[:, 2])
+        assert run.samples == n
+
     def test_requires_minimum_samples(self):
         with pytest.raises(ValueError):
-            run_sync(cl.DEFAULT_PARAMS, CouplingConfig(), n=100, seed=0)
+            run_sync(cl.DEFAULT_PARAMS, n=100, seed=0)
 
 
 class TestNormalizedDeviation:
@@ -177,12 +187,7 @@ class TestDeviationModel:
     def test_simulated_sweep_fits_well(self):
         points = []
         for k, sigma in enumerate(np.linspace(0.0, 0.05, 8)):
-            run = run_sync(
-                cl.DEFAULT_PARAMS,
-                CouplingConfig(gamma=-4.0 / 3.0, noise_sigma=float(sigma)),
-                n=8000,
-                seed=15 + k,
-            )
+            run = run_sync(DEADBEAT, float(sigma), n=8000, seed=15 + k)
             points.append((sigma, run.delta_n))
         fit = fit_deviation_model(points)
         mean_sq = np.mean([d**2 for _, d in points])
@@ -224,7 +229,7 @@ class TestSyncSweep:
             for gamma in (-2.2, -1.9, -1.6, -1.3, -1.0, -0.7, -0.4):
                 params = cl.SystemParams(beta=beta, gamma=gamma)
                 verdict = stability_check(params)["stable"]
-                run = run_sync(params, CouplingConfig(gamma=gamma), n=3000, seed=6)
+                run = run_sync(params, n=3000, seed=6)
                 worst = max(run.rms_error)
                 empirical = worst < 1e-6 if verdict else worst > 1e-2
                 total += 1
