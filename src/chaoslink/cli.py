@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,17 +58,12 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 EXIT_IO = 4
 
+# the map and modulation entries are the library's own field defaults
 DEFAULTS = {
-    "map.a": -4.0 / 3.0,
-    "map.b": 1.0,
-    "map.c": 1.0 / 3.0,
-    "map.beta": 0.5,
-    "map.gamma": -1.0,
+    **{f"map.{f.name}": f.default for f in fields(SystemParams)},
     "run.n": 10000,
     "run.transient": 1000,
-    "link.amplitude": 0.1,
-    "link.samples_per_bit": 50,
-    "link.f_clk": 0.5e6,
+    **{f"link.{f.name}": f.default for f in fields(ModulationConfig)},
     "link.noise_sigma": 0.0,
     "link.mismatch": 0.0,
     "codec.keep_fraction": 0.22,
@@ -150,21 +145,14 @@ class Settings:
     def __getitem__(self, key):
         return self.values[key]
 
+    def _build(self, prefix: str, cls):
+        return cls(**{f.name: self[f"{prefix}.{f.name}"] for f in fields(cls)})
+
     def params(self) -> SystemParams:
-        return SystemParams(
-            a=self["map.a"],
-            b=self["map.b"],
-            c=self["map.c"],
-            beta=self["map.beta"],
-            gamma=self["map.gamma"],
-        )
+        return self._build("map", SystemParams)
 
     def modulation(self) -> ModulationConfig:
-        return ModulationConfig(
-            amplitude=self["link.amplitude"],
-            samples_per_bit=self["link.samples_per_bit"],
-            f_clk=self["link.f_clk"],
-        )
+        return self._build("link", ModulationConfig)
 
     def seed(self) -> int:
         if self.args.seed is None:
@@ -231,6 +219,7 @@ def cmd_map(settings: Settings) -> int:
     settling = None
     if settings.args.t_n is not None:
         settling = SettlingConfig(t_n=settings.args.t_n)
+    _out_dir(settings)
     traj = generate_trajectory(
         settings["run.n"],
         params=params,
@@ -253,6 +242,9 @@ def cmd_lyapunov(settings: Settings) -> int:
     else:
         seed = settings.seed()
         n = settings["run.n"]
+    if method == "settling-sweep":
+        grid = _parse_grid(settings.args.t_n_grid)
+    _out_dir(settings)
 
     if method in ("qr", "er", "wolf"):
         traj = generate_trajectory(n, params=params, seed=seed)
@@ -280,7 +272,6 @@ def cmd_lyapunov(settings: Settings) -> int:
             settings, "lyapunov_beta_sweep.csv", (["beta", "method", *lambdas], rows)
         )
     elif method == "settling-sweep":
-        grid = _parse_grid(settings.args.t_n_grid)
         rows = [
             [t_n, *spectrum.exponents]
             for t_n, spectrum in analysis.le_vs_settling(params, grid, n=n, seed=seed)
@@ -302,22 +293,24 @@ def cmd_sync(settings: Settings) -> int:
     seed = settings.seed()
     n = settings["run.n"]
     sigmas = _parse_grid(settings.args.sigmas)
+    gammas = [params.gamma]
     if settings.args.mode == "grid":
         gammas = _parse_grid(settings.args.gammas)
-        points = sync_sweep(params, gammas, sigmas, n=n, seed=seed)
+    # the deviation fit needs 3 points at 2 or more noise levels; check before any run
+    elif len(sigmas) < 3 or len(set(sigmas)) < 2:
+        raise CliError(
+            "sigma mode needs at least 3 --sigmas with at least 2 distinct values",
+            EXIT_VALIDATION,
+        )
+    _out_dir(settings)
+    points = sync_sweep(params, gammas, sigmas, n=n, seed=seed)
+    if settings.args.mode == "grid":
         rows = [[p["gamma"], p["sigma"], *p["run"].rms_error] for p in points]
         header = ["gamma", "sigma", "rms_x", "rms_y", "rms_z"]
         path = _write(settings, "sync_grid.csv", (header, rows))
         print(f"wrote {path}")
         return EXIT_OK
 
-    # the deviation fit needs 3 points at 2 or more noise levels; check before any run
-    if len(sigmas) < 3 or len(set(sigmas)) < 2:
-        raise CliError(
-            "sigma mode needs at least 3 --sigmas with at least 2 distinct values",
-            EXIT_VALIDATION,
-        )
-    points = sync_sweep(params, [params.gamma], sigmas, n=n, seed=seed)
     rows = [
         [p["sigma"], *p["run"].rms_error, *p["run"].correlation, p["run"].delta_n]
         for p in points
@@ -338,11 +331,14 @@ def cmd_ber(settings: Settings) -> int:
     n_bits = int(settings.args.bits)
     noise = settings["link.noise_sigma"]
     mismatch = settings["link.mismatch"]
+    if mode == "sweep":
+        amplitudes = _parse_grid(settings.args.amplitudes)
+    _out_dir(settings)
 
     if mode == "sweep":
         results = ber_sweep(
             params,
-            _parse_grid(settings.args.amplitudes),
+            amplitudes,
             cfg,
             n_bits=n_bits,
             seed=seed,

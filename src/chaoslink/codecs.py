@@ -1,14 +1,16 @@
 """DCT payload codecs, packet framing, and WAV/PGM payload files.
 
-Audio is compressed frame-by-frame (1024-sample DCT frames) and images with
-one global 2-D DCT read out in zigzag order. Either the low-frequency prefix
-(implicit positions, the default) or the largest-magnitude subset (explicit
-delta-coded positions) of coefficients is kept.
-
-Kept coefficients are quantized to ``value_bits`` uniform steps in chunks of
-64 values, each chunk with its own float32 scale, so the step size follows
-the spectral decay; scales are stored (and held in memory) at float32
-precision, which makes local and transmitted reconstructions identical.
+Every payload is a (frames x coefficients) array, and one encoder and one
+decoder serve both kinds. Speech is ceil(n / 1024) frames of 1024 DCT
+coefficients (the last frame zero-padded); an image is one frame of its h*w
+global 2-D DCT coefficients in zigzag order. Each frame keeps ``keep_count``
+coefficients: the low-frequency prefix (implicit positions, the default) or
+the largest magnitudes (explicit delta-coded positions). A frame's kept
+coefficients are quantized to ``value_bits`` uniform steps in chunks of 64
+values (its last chunk possibly shorter), each chunk with its own float32
+scale, so the step size follows the spectral decay; scales are stored (and
+held in memory) at float32 precision, which makes local and transmitted
+reconstructions identical.
 
 Serialized packet layout, all little-endian, sizes in bits:
 
@@ -20,11 +22,6 @@ Serialized packet layout, all little-endian, sizes in bits:
     footer  = zero padding to a byte boundary | payload_crc u32
 
     total_bits = 36*8 + 8*ceil(sum_c(32 + k_c*(value_bits + 16*is_magnitude))/8) + 32
-
-For audio the kept coefficients of each 1024-sample time frame are chunked
-independently (chunk sizes 64 except a possibly shorter last chunk per
-frame); for images the zigzag-ordered keep_count coefficients form one run
-of 64-wide chunks.
 
 scipy subpackages are imported inside the functions that call them, so
 importing the package (and starting the CLI) loads none of them.
@@ -153,7 +150,7 @@ class CoefficientPacket:
 
 
 def dct_forward(x, axes=None) -> np.ndarray:
-    """Orthonormal type-II DCT; 1-d arrays directly, 2-d over both axes."""
+    """Orthonormal type-II DCT; 1-d arrays directly, 2-d over ``axes`` (default both)."""
     from scipy import fft as sfft
 
     x = np.asarray(x, dtype=float)
@@ -191,54 +188,84 @@ def zigzag_order(height: int, width: int) -> np.ndarray:
     return np.asarray(order, dtype=np.int64)
 
 
-def _select(coeffs: np.ndarray, keep: int, selection: str):
-    """Pick kept positions (ascending) from a 1-d coefficient vector."""
-    if selection == "lowfreq":
-        return np.arange(keep, dtype=np.int64)
-    order = np.argsort(-np.abs(coeffs), kind="stable")[:keep]
-    return np.sort(order)
+# ---------------------------------------------------------------------------
+# coefficient frames
+
+
+def _concat(arrays) -> np.ndarray:
+    """The per-chunk arrays end to end as int64."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *arrays]).astype(np.int64)
 
 
 def _chunk_sizes(count: int) -> list:
     return [min(QUANT_CHUNK, count - s) for s in range(0, count, QUANT_CHUNK)]
 
 
-def _quantize_chunks(values: np.ndarray, value_bits: int):
-    """Quantize a kept-coefficient run in 64-wide chunks.
+def _frame_shape(kind: str, dim0: int, dim1: int, frame_len: int):
+    """(frames, coefficients per frame) of a payload, from its header fields.
 
-    Each chunk scale is the chunk's max magnitude rounded to float32 (the
-    precision it will travel at), so reconstruction from the in-memory
-    packet matches reconstruction after serialization exactly.
+    Speech is ceil(n_samples / frame_len) frames of frame_len DCT
+    coefficients; an image is one frame of its h*w coefficients in zigzag
+    order. Frames of no coefficients number none, so nothing divides by a
+    zero frame_len before keep_count is checked against it.
     """
+    if kind == "image":
+        return 1, dim0 * dim1
+    return (-(-dim0 // frame_len) if frame_len else 0), frame_len
+
+
+def _encode(coeffs, keep_fraction, selection, value_bits, **header) -> CoefficientPacket:
+    """Select, quantize and chunk every row of a (frames, size) coefficient array.
+
+    Each frame keeps ``round(keep_fraction * size)`` coefficients, either the
+    low-frequency prefix or the largest magnitudes, and quantizes them in
+    64-wide chunks (the frame's last chunk possibly shorter). Each chunk scale
+    is the chunk's max magnitude rounded to float32 (the precision it will
+    travel at), so reconstruction from the in-memory packet matches
+    reconstruction after serialization exactly. ``header`` holds the
+    packet's kind, dim0, dim1, frame_len and mean.
+    """
+    frames, size = coeffs.shape
+    keep = max(1, round(keep_fraction * size))
+    pos = np.tile(np.arange(keep), (frames, 1))
+    if selection != "lowfreq":
+        order = np.argsort(-np.abs(coeffs), axis=1, kind="stable")[:, :keep]
+        pos = np.sort(order, axis=1)
+    width = -(-keep // QUANT_CHUNK) * QUANT_CHUNK
+    kept = np.zeros((frames, width))
+    kept[:, :keep] = np.take_along_axis(coeffs, pos, axis=1)
+    chunks = kept.reshape(-1, QUANT_CHUNK)
+    scales = np.max(np.abs(chunks), axis=1).astype(np.float32).astype(float)
     qmax = (1 << (value_bits - 1)) - 1
-    scales, chunks = [], []
-    for start in range(0, values.size, QUANT_CHUNK):
-        part = values[start : start + QUANT_CHUNK]
-        scale = float(np.float32(np.max(np.abs(part)))) if part.size else 0.0
-        if scale == 0.0:
-            q = np.zeros(part.size, dtype=np.int32)
-        else:
-            q = np.clip(np.round(part / scale * qmax), -qmax, qmax).astype(np.int32)
-        scales.append(scale)
-        chunks.append(q)
-    return scales, chunks
+    # a zero scale means an all-zero chunk, which quantizes to zeros
+    q = np.round(chunks / np.where(scales == 0.0, 1.0, scales)[:, None] * qmax)
+    q = np.clip(q, -qmax, qmax).astype(np.int32).reshape(frames, width)[:, :keep]
+    ends = np.cumsum(np.tile(_chunk_sizes(keep), frames))[:-1]
+    return CoefficientPacket(
+        keep_count=keep,
+        selection=selection,
+        value_bits=value_bits,
+        scales=tuple(scales.tolist()),
+        indices=tuple(np.split(pos.ravel(), ends)) if selection == "magnitude" else None,
+        values=tuple(np.split(q.ravel(), ends)),
+        **header,
+    )
 
 
-def _dequantize(q: np.ndarray, scale: float, value_bits: int) -> np.ndarray:
-    qmax = (1 << (value_bits - 1)) - 1
-    return q.astype(float) * (scale / qmax)
-
-
-def _dequantize_run(values, scales, value_bits: int, offset: int, count: int):
-    """Concatenate dequantized chunks [offset, offset+n_chunks) for a run."""
-    out = []
-    used = 0
-    k = offset
-    while used < count:
-        out.append(_dequantize(values[k], scales[k], value_bits))
-        used += len(values[k])
-        k += 1
-    return np.concatenate(out) if out else np.empty(0), k
+def _decode(packet: CoefficientPacket) -> np.ndarray:
+    """Dequantize and scatter every chunk into the (frames, size) coefficient array."""
+    frames, size = _frame_shape(packet.kind, packet.dim0, packet.dim1, packet.frame_len)
+    keep = packet.keep_count
+    qmax = (1 << (packet.value_bits - 1)) - 1
+    steps = np.asarray(packet.scales, dtype=float) / qmax
+    kept = _concat(packet.values) * np.repeat(steps, [len(v) for v in packet.values])
+    if packet.indices is None:
+        pos = np.tile(np.arange(keep), (frames, 1))
+    else:
+        pos = _concat(packet.indices).reshape(frames, keep)
+    coeffs = np.zeros((frames, size))
+    np.put_along_axis(coeffs, pos, kept.reshape(frames, keep), axis=1)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -270,36 +297,18 @@ def compress_audio(
     n = x.size
     if n == 0:
         raise ValueError("empty clip")
-    keep = max(1, round(keep_fraction * frame_len))
-    n_frames = -(-n // frame_len)
-    if n_frames * frame_len > MAX_PAYLOAD_SAMPLES:
+    frames, size = _frame_shape("audio", n, clip.sample_rate, frame_len)
+    if frames * size > MAX_PAYLOAD_SAMPLES:
         raise ValueError(
-            f"{n_frames} frames of {frame_len} samples exceed the "
+            f"{frames} frames of {frame_len} samples exceed the "
             f"{MAX_PAYLOAD_SAMPLES}-sample payload limit"
         )
-    padded = np.zeros(n_frames * frame_len)
+    padded = np.zeros(frames * size)
     padded[:n] = x
-    scales, indices, values = [], [], []
-    for f in range(n_frames):
-        coeffs = dct_forward(padded[f * frame_len : (f + 1) * frame_len])
-        pos = _select(coeffs, keep, selection)
-        frame_scales, frame_chunks = _quantize_chunks(coeffs[pos], value_bits)
-        scales.extend(frame_scales)
-        values.extend(frame_chunks)
-        for start in range(0, keep, QUANT_CHUNK):
-            indices.append(pos[start : start + QUANT_CHUNK])
-    return CoefficientPacket(
-        kind="audio",
-        dim0=n,
-        dim1=clip.sample_rate,
-        frame_len=frame_len,
-        keep_count=keep,
-        selection=selection,
-        value_bits=value_bits,
-        mean=0.0,
-        scales=tuple(scales),
-        indices=tuple(indices) if selection == "magnitude" else None,
-        values=tuple(values),
+    coeffs = dct_forward(padded.reshape(frames, size), axes=(1,))
+    return _encode(
+        coeffs, keep_fraction, selection, value_bits,
+        kind="audio", dim0=n, dim1=clip.sample_rate, frame_len=frame_len, mean=0.0,
     )
 
 
@@ -307,24 +316,7 @@ def decompress_audio(packet: CoefficientPacket, bit_depth: int = 16) -> AudioCli
     """Rebuild an AudioClip from a compressed packet."""
     if packet.kind != "audio":
         raise ValueError("not an audio packet")
-    frame_len = packet.frame_len
-    chunks_per_frame = len(_chunk_sizes(packet.keep_count))
-    n_frames = len(packet.values) // chunks_per_frame
-    out = np.empty(n_frames * frame_len)
-    cursor = 0
-    for f in range(n_frames):
-        kept, cursor = _dequantize_run(
-            packet.values, packet.scales, packet.value_bits, cursor, packet.keep_count
-        )
-        coeffs = np.zeros(frame_len)
-        if packet.indices is not None:
-            pos = np.concatenate(
-                packet.indices[f * chunks_per_frame : (f + 1) * chunks_per_frame]
-            )
-        else:
-            pos = np.arange(packet.keep_count)
-        coeffs[pos] = kept
-        out[f * frame_len : (f + 1) * frame_len] = dct_inverse(coeffs)
+    out = dct_inverse(_decode(packet), axes=(1,)).ravel()
     shift = max(bit_depth - 8, 0)
     top = 1 << (bit_depth - 1)
     samples = np.clip(
@@ -347,41 +339,25 @@ def compress_image(
 
     The pixel mean is removed first (and carried in the header) so the DC
     does not dominate the quantizer scale. Coefficients are read in zigzag
-    order; kept values are quantized in 64-wide chunks, each with its own
-    scale, so the step size follows the spectral decay.
+    order and kept as one frame.
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must lie in (0, 1]")
-    if img.height * img.width > MAX_PAYLOAD_SAMPLES:
+    if img.pixels.size == 0:
+        raise ValueError("empty image")
+    frames, size = _frame_shape("image", img.height, img.width, 0)
+    if frames * size > MAX_PAYLOAD_SAMPLES:
         raise ValueError(
             f"{img.height}x{img.width} image exceeds the "
             f"{MAX_PAYLOAD_SAMPLES}-sample payload limit"
         )
     pixels = img.pixels.astype(float)
     mean = float(np.float32(pixels.mean()))
-    coeffs2 = dct_forward(pixels - mean)
     zz = zigzag_order(img.height, img.width)
-    coeffs = coeffs2.reshape(-1)[zz]
-    total = coeffs.size
-    keep = max(1, round(keep_fraction * total))
-    pos = _select(coeffs, keep, selection)
-    kept = coeffs[pos]
-    scales, values = _quantize_chunks(kept, value_bits)
-    indices = [
-        pos[start : start + QUANT_CHUNK] for start in range(0, keep, QUANT_CHUNK)
-    ]
-    return CoefficientPacket(
-        kind="image",
-        dim0=img.height,
-        dim1=img.width,
-        frame_len=0,
-        keep_count=keep,
-        selection=selection,
-        value_bits=value_bits,
-        mean=mean,
-        scales=tuple(scales),
-        indices=tuple(indices) if selection == "magnitude" else None,
-        values=tuple(values),
+    coeffs = dct_forward(pixels - mean).reshape(frames, size)[:, zz]
+    return _encode(
+        coeffs, keep_fraction, selection, value_bits,
+        kind="image", dim0=img.height, dim1=img.width, frame_len=0, mean=mean,
     )
 
 
@@ -390,18 +366,8 @@ def decompress_image(packet: CoefficientPacket) -> GrayImage:
     if packet.kind != "image":
         raise ValueError("not an image packet")
     h, w = packet.dim0, packet.dim1
-    coeffs = np.zeros(h * w)
-    kept, _ = _dequantize_run(
-        packet.values, packet.scales, packet.value_bits, 0, packet.keep_count
-    )
-    if packet.indices is not None:
-        pos = np.concatenate(packet.indices)
-    else:
-        pos = np.arange(packet.keep_count)
-    coeffs[pos] = kept
-    zz = zigzag_order(h, w)
     grid = np.zeros(h * w)
-    grid[zz] = coeffs
+    grid[zigzag_order(h, w)] = _decode(packet)[0]
     pixels = dct_inverse(grid.reshape(h, w)) + packet.mean
     return GrayImage(pixels=np.clip(np.round(pixels), 0, 255))
 
@@ -443,11 +409,6 @@ def _bits_to_uint(bits: np.ndarray, width: int) -> np.ndarray:
     padded = np.zeros((bits.size // width, 32), dtype=np.uint8)
     padded[:, 32 - width :] = bits.reshape(-1, width)
     return np.packbits(padded, axis=1).view(">u4").ravel().astype(np.int64)
-
-
-def _concat(arrays) -> np.ndarray:
-    """The per-chunk arrays end to end as int64."""
-    return np.concatenate([np.empty(0, dtype=np.int64), *arrays]).astype(np.int64)
 
 
 def _bits_to_bytes(bits: np.ndarray) -> bytes:
@@ -536,10 +497,11 @@ def bits_to_packet(bits) -> CoefficientPacket:
         raise PacketCorruptionError(
             "header", 5, f"kind {kind}, selection {sel}, value_bits {value_bits}"
         )
-    if kind == 0 and dim0 == 0:
+    kind = "audio" if kind == 0 else "image"
+    if kind == "audio" and dim0 == 0:
         raise PacketCorruptionError("header", 8, "audio packet declares no samples")
-    # magnitude positions index one audio frame or the whole image
-    limit = frame_len if kind == 0 else dim0 * dim1
+    # magnitude positions index one frame: an audio frame or the whole image
+    frames, limit = _frame_shape(kind, dim0, dim1, frame_len)
     if not 1 <= keep <= limit:
         raise PacketCorruptionError(
             "header", 20, f"keep_count {keep} outside [1, {limit}]"
@@ -547,7 +509,6 @@ def bits_to_packet(bits) -> CoefficientPacket:
     selection = "lowfreq" if sel == 0 else "magnitude"
     per_coeff = value_bits + (INDEX_BITS if selection == "magnitude" else 0)
     # sizes from the header are checked as numbers before anything is allocated
-    frames = -(-dim0 // frame_len) if kind == 0 else 1
     needed = -(-keep // QUANT_CHUNK) * frames
     if needed != n_chunks:
         raise PacketCorruptionError(
@@ -558,7 +519,7 @@ def bits_to_packet(bits) -> CoefficientPacket:
     total_bytes = 36 + payload_bytes_len + 4
     if bits.size < total_bytes * 8:
         raise PacketCorruptionError("payload", 36, "truncated payload")
-    samples = frames * frame_len if kind == 0 else dim0 * dim1
+    samples = frames * limit
     if samples > MAX_PAYLOAD_SAMPLES:
         raise PacketCorruptionError(
             "header", 8, f"{samples} decoded samples exceed {MAX_PAYLOAD_SAMPLES}"
@@ -598,7 +559,7 @@ def bits_to_packet(bits) -> CoefficientPacket:
     q -= (q >> (value_bits - 1)) << value_bits  # two's complement sign
     values = tuple(np.split(q.astype(np.int32), ends)[:-1])
     return CoefficientPacket(
-        kind="audio" if kind == 0 else "image",
+        kind=kind,
         dim0=dim0,
         dim1=dim1,
         frame_len=frame_len,

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import tracemalloc
 import zlib
@@ -183,10 +184,39 @@ def assert_packets_equal(got, expected):
             assert x.dtype == y.dtype and np.array_equal(x, y), field
 
 
+def reference_decode(packet):
+    """Chunk-by-chunk decoder: each frame's run of chunks is dequantized one
+    chunk at a time and scattered, then inverted by one dct_inverse per audio
+    frame, or over the image grid read back from zigzag order."""
+    qmax = (1 << (packet.value_bits - 1)) - 1
+    keep = packet.keep_count
+    size = packet.frame_len if packet.kind == "audio" else packet.dim0 * packet.dim1
+    frames, k = [], 0
+    while k < len(packet.values):
+        kept, pos, used = [], [], 0
+        while used < keep:
+            kept.append(packet.values[k].astype(float) * (packet.scales[k] / qmax))
+            if packet.indices is not None:
+                pos.append(packet.indices[k])
+            used += len(packet.values[k])
+            k += 1
+        coeffs = np.zeros(size)
+        coeffs[np.concatenate(pos) if pos else np.arange(keep)] = np.concatenate(kept)
+        frames.append(coeffs)
+    if packet.kind == "audio":
+        out = np.concatenate([dct_inverse(c) for c in frames])[: packet.dim0]
+        return np.clip(np.round(out) * 256, -32768, 32767).astype(np.int16)
+    h, w = packet.dim0, packet.dim1
+    grid = np.zeros(h * w)
+    grid[zigzag_order(h, w)] = frames[0]
+    pixels = dct_inverse(grid.reshape(h, w)) + packet.mean
+    return np.clip(np.round(pixels), 0, 255).astype(np.uint8)
+
+
 @st.composite
-def packets(draw, value_bits=None):
+def packets(draw, value_bits=None, max_delta=(1 << INDEX_BITS) - 1):
     """Well-formed packets: every kind, selection and value width, ragged last
-    chunks, zero and extreme scales, values up to +-qmax, deltas 0..65535."""
+    chunks, zero and extreme scales, values up to +-qmax, deltas 0..max_delta."""
     kind = draw(st.sampled_from(["audio", "image"]))
     selection = draw(st.sampled_from(["lowfreq", "magnitude"]))
     if value_bits is None:
@@ -201,7 +231,7 @@ def packets(draw, value_bits=None):
     ]
     indices, top = None, keep - 1
     if selection == "magnitude":
-        deltas = st.integers(0, (1 << INDEX_BITS) - 1)
+        deltas = st.integers(0, max_delta)
         indices = tuple(
             np.cumsum(draw(hnp.arrays(np.int64, k, elements=deltas)) + 1) - 1
             for k in sizes
@@ -264,6 +294,14 @@ class TestDct:
         coeffs = dct_forward(x)
         assert np.allclose(dct_inverse(coeffs), x, atol=1e-9 * max(1.0, np.abs(x).max()))
         assert np.sum(coeffs**2) == pytest.approx(np.sum(x**2), rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("rows, n", [(1, 1), (3, 16), (5, 100), (9, 1024), (13, 17)])
+    def test_row_axis_equals_per_row_calls(self, rows, n):
+        # the codec transforms all speech frames in one call over axis 1
+        x = np.random.default_rng(rows * n).normal(scale=100.0, size=(rows, n))
+        for transform in (dct_forward, dct_inverse):
+            per_row = np.stack([transform(row) for row in x])
+            assert transform(x, axes=(1,)).tobytes() == per_row.tobytes()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -329,6 +367,11 @@ class TestImageCodec:
         compress_image(synth_image(8, 8, seed=1), 0.5)
         with pytest.raises(ValueError, match="8x9 image exceeds the 64-sample"):
             compress_image(synth_image(8, 9, seed=1), 0.5)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
+    def test_empty_image_rejected(self, shape):
+        with pytest.raises(ValueError, match="^empty image$"):
+            compress_image(GrayImage(np.zeros(shape)), 0.5)
 
     def test_reference_fraction_metrics(self):
         img = synth_image(256, 256, seed=7)
@@ -450,6 +493,13 @@ class TestPacketHeaderChecks:
             bits_to_packet(packet_to_bits(packet))
         assert (info.value.section, info.value.offset) == ("header", 8)
 
+    def test_audio_frame_len_zero(self):
+        # no frame length: the keep_count check refuses it, before any frame count is used
+        packet = hand_packet("audio", dim0=16, frame_len=0, keep=1)
+        with pytest.raises(PacketCorruptionError, match=r"keep_count 1 outside \[1, 0\]") as info:
+            bits_to_packet(packet_to_bits(packet))
+        assert (info.value.section, info.value.offset) == ("header", 20)
+
     def test_audio_keep_count_above_frame_len(self):
         packet = hand_packet("audio", dim0=16, frame_len=16, keep=20)
         with pytest.raises(PacketCorruptionError, match="keep_count 20"):
@@ -524,6 +574,22 @@ class TestPacketLayer:
         assert bits.dtype == np.uint8 and bits.size == packet.serialized_bits
         assert bits.tobytes() == reference_packet_to_bits(packet).tobytes()
         assert_packets_equal(bits_to_packet(bits), reference_bits_to_packet(bits))
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_decoders_match_chunk_by_chunk_reference(self, data):
+        packet = data.draw(packets(max_delta=64))
+        # finite scales and means: an infinite one makes 0 * inf warn
+        finite = st.floats(-1e3, 1e3, width=32)
+        scales = data.draw(st.lists(finite, min_size=len(packet.values), max_size=len(packet.values)))
+        mean = data.draw(finite) if packet.kind == "image" else 0.0
+        packet = dataclasses.replace(packet, scales=tuple(scales), mean=mean)
+        if packet.kind == "audio":
+            got = decompress_audio(packet).samples
+        else:
+            got = decompress_image(packet).pixels
+        expected = reference_decode(packet)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("selection", ["lowfreq", "magnitude"])
     def test_codec_packets_match_reference(self, selection):

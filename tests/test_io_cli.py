@@ -277,6 +277,19 @@ class TestUntrustedSend:
         assert code == 2
         assert "8x8 image exceeds the 32-sample payload limit" in err
 
+    def test_pgm_without_pixels(self, tmp_path):
+        # a fresh process, so numpy's warnings would reach its stderr
+        path = tmp_path / "empty.pgm"
+        path.write_bytes(b"P5\n0 0\n255\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "chaoslink.cli", "send-file", "--input", str(path),
+             "--output", str(tmp_path / "x.masked"), "--seed", "2", "--out-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr == "error: empty image\n"
+
     def test_pgm_with_short_pixel_data(self, tmp_path, capsys):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + bytes(2))
@@ -587,6 +600,37 @@ class TestCli:
             assert not out.exists()
         assert not (tmp_path / "absent").exists()
         assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize(
+        "argv, stage",
+        [
+            (["map"], "generate_trajectory"),
+            (["lyapunov", "--method", "qr"], "generate_trajectory"),
+            (["sync"], "sync_sweep"),
+            (["ber"], "ber_sweep"),
+            (["ber", "--mode", "histogram"], "run_link"),
+        ],
+        ids=["map", "lyapunov", "sync", "ber", "ber_histogram"],
+    )
+    def test_command_checks_output_directory_first(self, tmp_path, monkeypatch, argv, stage):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached after the output check")
+
+        monkeypatch.setattr(cli, stage, unreachable)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        assert main(argv + ["--seed", "1", "--out-dir", str(blocker / "out")]) == 4
+
+    def test_defaults_are_the_library_defaults(self):
+        settings = cli.Settings(cli.build_parser().parse_args(["map"]))
+        assert settings.params() == cl.SystemParams()
+        assert settings.modulation() == ModulationConfig()
+        assert list(cli.DEFAULTS) == [
+            "map.a", "map.b", "map.c", "map.beta", "map.gamma", "run.n",
+            "run.transient", "link.amplitude", "link.samples_per_bit", "link.f_clk",
+            "link.noise_sigma", "link.mismatch", "codec.keep_fraction",
+            "codec.selection", "codec.value_bits",
+        ]
 
     def test_recv_file_checks_output_directory_first(self, tmp_path, monkeypatch):
         masked = masked_file(tmp_path, prbs(64, seed=2))
