@@ -154,16 +154,33 @@ class Settings:
     def modulation(self) -> ModulationConfig:
         return self._build("link", ModulationConfig)
 
+    def recv_params(self) -> SystemParams:
+        """The receiver's map: the map's a, b and c scaled by 1 + link.mismatch."""
+        params = self.params()
+        scale = 1.0 + self["link.mismatch"]
+        return params.replace(
+            a=params.a * scale, b=params.b * scale, c=params.c * scale
+        )
+
     def seed(self) -> int:
         if self.args.seed is None:
             raise CliError("--seed is required for stochastic commands", EXIT_VALIDATION)
         return self.args.seed
 
     def echo(self) -> dict:
+        """Version, dotted settings, seed, and the subcommand with its other
+        arguments. ``--config`` is echoed through the settings it set;
+        ``--threads`` changes no result and ``--out-dir`` only where the
+        files go, so neither is echoed."""
+        skip = {"config", "seed", "out_dir", "threads", "handler"}
+        args = {
+            k: v for k, v in vars(self.args).items() if "__" not in k and k not in skip
+        }
         return {
             "version": __version__,
             "config": {k: self.values[k] for k in sorted(self.values)},
             "seed": self.args.seed,
+            "args": args,
         }
 
 
@@ -330,7 +347,7 @@ def cmd_ber(settings: Settings) -> int:
     mode = settings.args.mode
     n_bits = int(settings.args.bits)
     noise = settings["link.noise_sigma"]
-    mismatch = settings["link.mismatch"]
+    recv_params = settings.recv_params()
     if mode == "sweep":
         amplitudes = _parse_grid(settings.args.amplitudes)
     _out_dir(settings)
@@ -343,7 +360,7 @@ def cmd_ber(settings: Settings) -> int:
             n_bits=n_bits,
             seed=seed,
             noise_sigma=noise,
-            mismatch=mismatch,
+            recv_params=recv_params,
             max_workers=settings.args.threads,
         )
         rows = [
@@ -364,7 +381,7 @@ def cmd_ber(settings: Settings) -> int:
 
     bits = prbs(n_bits, seed=prbs_seed(seed))
     values, fitted, threshold, decisions = run_link(
-        params, bits, cfg, seed=seed, noise_sigma=noise, mismatch=mismatch,
+        params, bits, cfg, seed=seed, noise_sigma=noise, recv_params=recv_params,
         filtered=not settings.args.unfiltered,
     )
     if mode == "histogram":

@@ -214,6 +214,14 @@ def _frame_shape(kind: str, dim0: int, dim1: int, frame_len: int):
     return (-(-dim0 // frame_len) if frame_len else 0), frame_len
 
 
+def _check_encoding(keep_fraction, value_bits) -> None:
+    """Reject a compressor's keep fraction or value width before any transform."""
+    if not 0.0 < keep_fraction <= 1.0:
+        raise ValueError("keep_fraction must lie in (0, 1]")
+    if not 2 <= value_bits <= 16:
+        raise ValueError("value_bits must lie in [2, 16]")
+
+
 def _encode(coeffs, keep_fraction, selection, value_bits, **header) -> CoefficientPacket:
     """Select, quantize and chunk every row of a (frames, size) coefficient array.
 
@@ -291,8 +299,9 @@ def compress_audio(
     largest magnitudes (positions stored). The trailing frame is
     zero-padded.
     """
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError("keep_fraction must lie in (0, 1]")
+    _check_encoding(keep_fraction, value_bits)
+    if frame_len < 1:
+        raise ValueError(f"frame_len must be >= 1, got {frame_len}")
     x = _to_internal8(clip)
     n = x.size
     if n == 0:
@@ -341,8 +350,7 @@ def compress_image(
     does not dominate the quantizer scale. Coefficients are read in zigzag
     order and kept as one frame.
     """
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError("keep_fraction must lie in (0, 1]")
+    _check_encoding(keep_fraction, value_bits)
     if img.pixels.size == 0:
         raise ValueError("empty image")
     frames, size = _frame_shape("image", img.height, img.width, 0)

@@ -149,13 +149,7 @@ def read_masked_series(path) -> MaskedSeries:
     bad = np.flatnonzero(~np.isfinite(rows[:, 0]))
     if bad.size:
         raise ValueError(f"{path}: sample {bad[0]} is not finite ({rows[bad[0], 0]})")
-    preamble = settle + pilot * spb
-    if preamble > rows.shape[0]:
-        raise ValueError(
-            f"{path}: preamble of {preamble} samples (settle {settle} + pilot "
-            f"{pilot} x {spb}) exceeds the {rows.shape[0]} samples in the file"
-        )
-    return MaskedSeries(
+    masked = MaskedSeries(
         w_star=rows[:, 0].copy(),
         config=ModulationConfig(amplitude=amplitude, samples_per_bit=spb, f_clk=f_clk),
         params=params,
@@ -163,6 +157,12 @@ def read_masked_series(path) -> MaskedSeries:
         settle_steps=int(settle),
         pilot_bits=int(pilot),
     )
+    if masked.preamble_samples > rows.shape[0]:
+        raise ValueError(
+            f"{path}: preamble of {masked.preamble_samples} samples (settle {settle} "
+            f"+ pilot {pilot} x {spb}) exceeds the {rows.shape[0]} samples in the file"
+        )
+    return masked
 
 
 def write_csv(path, header, rows, metadata: dict | None = None) -> None:

@@ -254,33 +254,35 @@ def unmask_receive(
     driven by the received scalar, regenerates its own unmasked output
     ``w_r = gamma*x_r + z_r``, and the per-sample recovery is
     ``received - w_r``, which equals +i under additive masking once
-    synchronized. The mean over the known '1' pilot symbol fixes any
+    synchronized. The mean over the known '1' pilot symbols fixes any
     residual polarity mismatch at run time (skipped when the pilot level is
     too small to trust, e.g. amplitude 0). Preamble samples are stripped;
     the returned array covers exactly the data symbols.
     """
-    params = masked.params if recv_params is None else recv_params
-    (recovered,) = _receive_batch([(masked, seed)], noise_sigma, params)
+    (recovered,) = _receive_batch([(masked, seed)], noise_sigma, recv_params)
     return recovered
 
 
-def _receive_batch(sent, noise_sigma: float, recv_params: SystemParams) -> list:
+def _receive_batch(sent, noise_sigma: float, recv_params: SystemParams | None) -> list:
     """unmask_receive on each ``(masked series, master seed)`` of ``sent``.
 
     Each series goes through the channel on its own and is dropped there,
     so the batch holds only the received series and the receiver states.
     The received series, which must have equal lengths, then go through one
-    stacked ``receiver_run`` call whose lockstep steps them together.
-    Returns the recovered data samples of each series, in order.
+    stacked ``receiver_run`` call whose lockstep steps them together with the
+    map ``recv_params`` (None: the series' own, which they share). Returns
+    the recovered data samples of each series, in order.
     """
 
     def channel(masked, seed):
         _, ch_seed, rx_seed = spawn_seeds(seed, 3)
         received = channel_awgn(masked.w_star, noise_sigma, seed=ch_seed)
-        layout = (masked.config, masked.settle_steps, masked.pilot_bits)
-        return received, random_initial_state(rx_seed), layout
+        layout = (masked.config.amplitude, masked.settle_steps, masked.preamble_samples)
+        return received, random_initial_state(rx_seed), masked.params, layout
 
-    received, inits, layouts = zip(*(channel(*frame) for frame in sent))
+    received, inits, maps, layouts = zip(*(channel(*frame) for frame in sent))
+    if recv_params is None:
+        recv_params = maps[0]
     w_rx = np.stack(received)
     del received
     states = receiver_run(w_rx, np.stack(inits), recv_params)
@@ -288,14 +290,13 @@ def _receive_batch(sent, noise_sigma: float, recv_params: SystemParams) -> list:
     recovered = w_rx - (recv_params.gamma * states[..., 0] + states[..., 2])
     del w_rx, states
     data = []
-    for samples, (cfg, settle_steps, pilot_bits) in zip(recovered, layouts):
-        n = cfg.samples_per_bit
+    for samples, (amplitude, settle_steps, preamble) in zip(recovered, layouts):
         sign = 1.0
-        if pilot_bits > 0:
-            pilot_mean = samples[settle_steps : settle_steps + n].mean()
-            if abs(pilot_mean) > 0.25 * cfg.amplitude:
+        if preamble > settle_steps:
+            pilot_mean = samples[settle_steps:preamble].mean()
+            if abs(pilot_mean) > 0.25 * amplitude:
                 sign = float(np.sign(pilot_mean))
-        data.append(sign * samples[settle_steps + pilot_bits * n :])
+        data.append(sign * samples[preamble:])
     return data
 
 
@@ -414,15 +415,15 @@ def _transmit_receive_frames(
     params: SystemParams,
     frames,
     noise_sigma: float,
-    mismatch: float,
+    recv_params: SystemParams | None = None,
     max_workers: int = 1,
 ):
     """Mask, send through AWGN and unmask each ``(bits, cfg, seed)`` frame.
 
     ``seed`` is the frame's master seed; its sub-seed 0 drives the
-    transmitter and the receive splits it as unmask_receive does.
-    ``mismatch`` scales the receiver's a, b, c coefficients by
-    (1 + mismatch) to emulate component tolerances. Each frame is masked on
+    transmitter and the receive splits it as unmask_receive does. The
+    receiver runs the map ``recv_params``, by default ``params``; another
+    map models component tolerances or a wrong key. Each frame is masked on
     its own, on up to ``max_workers`` threads. The frames, which must have
     equal lengths, are received in batches of at most
     RECEIVE_BATCH_SAMPLES samples (at least one frame), each by one
@@ -430,13 +431,6 @@ def _transmit_receive_frames(
     frame order, one batch at a time, so a caller that drops each as it
     comes holds one batch.
     """
-    recv_params = params
-    if mismatch:
-        scale = 1.0 + mismatch
-        recv_params = params.replace(
-            a=params.a * scale, b=params.b * scale, c=params.c * scale
-        )
-
     def send(frame):
         bits, cfg, seed = frame
         return mask_transmit(params, bits, cfg, seed=spawn_seeds(seed, 3)[0]), seed
@@ -478,12 +472,13 @@ def run_link(
     cfg: ModulationConfig,
     seed: int,
     noise_sigma: float = 0.0,
-    mismatch: float = 0.0,
+    recv_params: SystemParams | None = None,
     filtered: bool = True,
 ):
     """Full transmit/channel/receive chain returning decisions and statistics.
 
-    The chain, its split of ``seed`` and ``mismatch`` are those of
+    The chain, its split of ``seed`` and its receiver map ``recv_params``
+    (None: the transmitter's ``params``) are those of
     _transmit_receive_frames, on one frame. With
     ``filtered`` False every recovered sample is its own statistic and the
     labels are repeated per sample; this models a receiver without the
@@ -493,7 +488,7 @@ def run_link(
     """
     bits = np.asarray(bits, dtype=np.uint8)
     ((_, recovered),) = _transmit_receive_frames(
-        params, [(bits, cfg, seed)], noise_sigma, mismatch
+        params, [(bits, cfg, seed)], noise_sigma, recv_params
     )
     return _decide(bits, recovered, cfg, filtered)
 
@@ -524,7 +519,7 @@ def ber_sweep(
     n_bits: int,
     seed: int,
     noise_sigma: float = 0.0,
-    mismatch: float = 0.0,
+    recv_params: SystemParams | None = None,
     max_workers: int = 1,
 ):
     """Measure and predict BER across transmit amplitudes.
@@ -533,9 +528,9 @@ def ber_sweep(
     PRBS payload: point k equals ``run_link`` on sub-seed k with that
     payload. The frames go through one link pass whose receiver steps them
     together, in batches of up to RECEIVE_BATCH_SAMPLES samples (see
-    _transmit_receive_frames); ``max_workers`` > 1 transmits them on that
-    many threads. Results come back in amplitude order. Amplitudes must be
-    positive and ascending.
+    _transmit_receive_frames), and ``recv_params`` is its receiver map.
+    ``max_workers`` > 1 transmits them on that many threads. Results come
+    back in amplitude order. Amplitudes must be positive and ascending.
     """
     amplitudes = [float(a) for a in amplitudes]
     finite_positive = all(math.isfinite(a) and a > 0 for a in amplitudes)
@@ -549,7 +544,7 @@ def ber_sweep(
     # each point is decided as it arrives and its samples dropped before
     # the next batch is received, so one batch is held at a time
     for (bits, point_cfg, _), samples in _transmit_receive_frames(
-        params, frames, noise_sigma, mismatch, max_workers
+        params, frames, noise_sigma, recv_params, max_workers
     ):
         _, fitted, threshold, decisions = _decide(bits, samples, point_cfg)
         del samples

@@ -360,6 +360,29 @@ class TestAudioCodec:
         with pytest.raises(ValueError):
             compress_audio(clip, 1.2)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("frame_len", [0, -4])
+    def test_frame_len_validated(self, frame_len):
+        clip = synth_speech(duration=0.05, seed=1)
+        with pytest.raises(ValueError, match=f"^frame_len must be >= 1, got {frame_len}$"):
+            compress_audio(clip, 0.5, frame_len=frame_len)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value_bits", [0, 1, 17, 40])
+@pytest.mark.parametrize(
+    "compress, payload",
+    [
+        (compress_audio, synth_speech(duration=0.05, seed=1)),
+        (compress_image, synth_image(8, 8, seed=1)),
+    ],
+    ids=["audio", "image"],
+)
+def test_value_bits_checked_before_quantizing(compress, payload, value_bits):
+    """An out-of-range width is named before any cast or shift could warn or fail."""
+    with pytest.raises(ValueError, match=r"^value_bits must lie in \[2, 16\]$"):
+        compress(payload, 0.5, value_bits=value_bits)
+
 
 class TestImageCodec:
     def test_pixel_count_capped(self, monkeypatch):

@@ -290,6 +290,18 @@ class TestUntrustedSend:
         assert done.returncode == 2
         assert done.stderr == "error: empty image\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_value_bits_out_of_range(self, tmp_path, capsys):
+        path = tmp_path / "speech.wav"
+        write_wav(path, synth_speech(duration=0.05, seed=3))
+        code = main(
+            ["send-file", "--input", str(path), "--output", str(tmp_path / "x.masked"),
+             "--seed", "2", "--codec-value-bits", "40", "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: value_bits must lie in [2, 16]\n"
+        assert not (tmp_path / "x.masked").exists()
+
     def test_pgm_with_short_pixel_data(self, tmp_path, capsys):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + bytes(2))
@@ -418,6 +430,49 @@ class TestCli:
         ) == 0
         stats = json.loads((tmp_path / "symbol_stats.json").read_text())
         assert stats["mu0"] < 0 < stats["mu1"]
+
+    def test_link_mismatch_scales_the_receiver_map(self, tmp_path):
+        """--link-mismatch runs ber's receiver on the map with a, b and c
+        scaled by 1 + mismatch; the transmitter keeps the map."""
+        assert main(
+            ["ber", "--mode", "histogram", "--seed", "4", "--bits", "600",
+             "--link-noise-sigma", "0.006", "--link-mismatch", "0.002",
+             "--out-dir", str(tmp_path)]
+        ) == 0
+        stats = json.loads((tmp_path / "symbol_stats.json").read_text())
+        p = cl.DEFAULT_PARAMS
+        bits = prbs(600, seed=link.prbs_seed(4))
+
+        def fit(recv_params):
+            _, fitted, threshold, _ = link.run_link(
+                p, bits, ModulationConfig(), seed=4, noise_sigma=0.006,
+                recv_params=recv_params,
+            )
+            return {**dataclasses.asdict(fitted), "optimal_threshold": threshold}
+
+        scaled = fit(p.replace(a=p.a * 1.002, b=p.b * 1.002, c=p.c * 1.002))
+        matched = fit(None)
+        for key in ("mu0", "sigma0", "mu1", "sigma1", "p0", "p1", "optimal_threshold"):
+            assert stats[key] == scaled[key], key
+        assert stats["sigma1"] != matched["sigma1"]
+
+    def test_metadata_echoes_the_command_arguments(self, tmp_path):
+        """Runs that differ only in a subcommand argument write different
+        metadata; the output directory and the thread count are not echoed."""
+
+        def metadata(out, *extra):
+            argv = ["ber", "--mode", "sweep", "--seed", "1", "--amplitudes", "0.1",
+                    "--out-dir", str(tmp_path / out), *extra]
+            assert main(argv) == 0
+            return (tmp_path / out / "ber_amplitude.csv").read_text().splitlines()[0]
+
+        first = metadata("a", "--bits", "300")
+        assert metadata("b", "--bits", "300", "--threads", "2") == first
+        assert metadata("c", "--bits", "400") != first
+        assert json.loads(first.lstrip("# "))["args"] == {
+            "command": "ber", "mode": "sweep", "amplitudes": "0.1", "bits": 300,
+            "bins": 81, "unfiltered": False,
+        }
 
     def test_sync_sigma_seeds_do_not_overlap(self, tmp_path):
         """Each sigma gets a spawned sub-seed, so shifting the master seed shares no run."""

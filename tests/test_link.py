@@ -32,6 +32,8 @@ from chaoslink.link import (
 
 PARAMS = cl.DEFAULT_PARAMS
 CFG = ModulationConfig(amplitude=0.1, samples_per_bit=50)
+# a receiver whose a, b and c sit 0.2 % off the transmitter's
+MISMATCHED = PARAMS.replace(a=PARAMS.a * 1.002, b=PARAMS.b * 1.002, c=PARAMS.c * 1.002)
 
 
 def normal_at_one_percent(z):
@@ -219,6 +221,28 @@ class TestUnmask:
         symbols = integrate_and_dump(flipped, CFG)
         decisions = (symbols > 0).astype(np.uint8)
         assert np.count_nonzero(decisions != bits) <= len(bits) // 4
+
+    def test_two_symbol_pilot_is_stripped_and_read_whole(self):
+        """A two-symbol pilot, as a hand-made file header may declare, is
+        stripped with the settle window, and the polarity is the sign of the
+        mean over both symbols. Here they carry +A and -3A, so the first
+        alone would keep the sign and both together flip it."""
+        settle, n, amp = 200, CFG.samples_per_bit, CFG.amplitude
+        data = nrz_waveform(prbs(100, seed=5), amp, n)
+        info = np.concatenate(
+            [np.zeros(settle), np.full(n, amp), np.full(n, -3 * amp), data]
+        )
+        x, y, z = cl.generate_trajectory(1, params=PARAMS, seed=3).states[0]
+        w_clean, *_ = _kernels.masked_transmit_chain(
+            info.tolist(), x, y, z, PARAMS.a, PARAMS.b, PARAMS.c, PARAMS.beta, PARAMS.gamma
+        )
+        masked = link.MaskedSeries(
+            np.array(w_clean) + info, CFG, PARAMS, seed=3, settle_steps=settle, pilot_bits=2
+        )
+        assert masked.preamble_samples == settle + 2 * n
+        recovered = unmask_receive(masked, seed=11)
+        assert recovered.size == data.size
+        assert np.max(np.abs(recovered + data)) < 1e-9
 
 
 class TestIntegrateAndDump:
@@ -424,41 +448,40 @@ class TestEndToEnd:
         assert [r.amplitude for r in par] == [0.05, 0.1]
 
     @pytest.mark.parametrize(
-        "mismatch, batch_samples",
+        "recv_params, batch_samples",
         [
-            (0.0, link.RECEIVE_BATCH_SAMPLES),
-            (0.002, link.RECEIVE_BATCH_SAMPLES),
-            (0.0, 1),
+            (None, link.RECEIVE_BATCH_SAMPLES),
+            (MISMATCHED, link.RECEIVE_BATCH_SAMPLES),
+            (None, 1),
         ],
         ids=["one-batch", "one-batch-mismatch", "frame-per-batch"],
     )
     def test_sweep_point_is_run_link_on_its_sub_seed(
-        self, monkeypatch, mismatch, batch_samples
+        self, monkeypatch, recv_params, batch_samples
     ):
         """The frames of one sweep pass equal the single-frame chain, point by point."""
         monkeypatch.setattr(link, "RECEIVE_BATCH_SAMPLES", batch_samples)
         amplitudes = [0.05, 0.075, 0.1]
         sweep = ber_sweep(
             PARAMS, amplitudes, CFG, n_bits=1500, seed=9, noise_sigma=0.012,
-            mismatch=mismatch,
+            recv_params=recv_params,
         )
         for amp, sub, point in zip(amplitudes, spawn_seeds(9, 3), sweep):
             bits = prbs(1500, seed=prbs_seed(sub))
             _, fitted, threshold, decisions = run_link(
                 PARAMS, bits, ModulationConfig(amplitude=amp, samples_per_bit=50),
-                seed=sub, noise_sigma=0.012, mismatch=mismatch,
+                seed=sub, noise_sigma=0.012, recv_params=recv_params,
             )
             assert point.errors == ber_measure(bits, decisions).errors
             assert point.threshold == threshold
             assert point.predicted_ber == float(ber_predict(fitted, threshold))
 
-    @pytest.mark.parametrize("mismatch", [0.0, 0.002], ids=["matched", "mismatch"])
-    def test_file_path_and_simulation_path_run_one_chain(self, monkeypatch, mismatch):
+    @pytest.mark.parametrize("recv_params", [None, MISMATCHED], ids=["matched", "mismatch"])
+    def test_file_path_and_simulation_path_run_one_chain(self, monkeypatch, recv_params):
         """unmask_receive on a series masked from sub-seed 0 of the master seed
-        gives, byte for byte, the samples run_link and ber_sweep decide on."""
+        gives, byte for byte, the samples run_link and ber_sweep decide on,
+        with one receiver map handed to all three."""
         sigma, seed, amplitudes = 0.012, 9, [0.05, 0.1]
-        scale = 1.0 + mismatch
-        recv_params = PARAMS.replace(a=PARAMS.a * scale, b=PARAMS.b * scale, c=PARAMS.c * scale)
         decided = []
         decide = link._decide
 
@@ -469,7 +492,7 @@ class TestEndToEnd:
         monkeypatch.setattr(link, "_decide", record)
         ber_sweep(
             PARAMS, amplitudes, CFG, n_bits=600, seed=seed, noise_sigma=sigma,
-            mismatch=mismatch,
+            recv_params=recv_params,
         )
         swept = decided[:]
         assert len(swept) == len(amplitudes)
@@ -479,7 +502,7 @@ class TestEndToEnd:
             masked = mask_transmit(PARAMS, bits, cfg, seed=spawn_seeds(sub, 3)[0])
             received = unmask_receive(masked, sub, sigma, recv_params)
             values, *_ = run_link(
-                PARAMS, bits, cfg, seed=sub, noise_sigma=sigma, mismatch=mismatch,
+                PARAMS, bits, cfg, seed=sub, noise_sigma=sigma, recv_params=recv_params,
                 filtered=False,
             )
             assert received.tobytes() == in_sweep.tobytes()
