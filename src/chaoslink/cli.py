@@ -78,11 +78,12 @@ class CliError(Exception):
         self.code = code
 
 
-def load_config(path) -> dict:
+def load_config(path, keys, command: str) -> dict:
     """Parse a flat dotted-key config file into a dict.
 
-    Every key must name a setting in ``DEFAULTS``; a misspelt key would
-    otherwise be ignored silently and the run would use the default.
+    Every key must be one of ``keys``, the settings ``command`` reads; a
+    misspelt key, or one the command does not read, would otherwise be
+    ignored silently and the run would use the default.
     """
     config = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -95,8 +96,10 @@ def load_config(path) -> dict:
             )
         key, _, raw = line.partition("=")
         key = key.strip()
-        if key not in DEFAULTS:
-            raise CliError(f"{path}:{lineno}: unknown setting {key!r}", EXIT_VALIDATION)
+        if key not in keys:
+            raise CliError(
+                f"{path}:{lineno}: {command} has no setting {key!r}", EXIT_VALIDATION
+            )
         raw = raw.strip()
         try:
             value = json.loads(raw)
@@ -125,20 +128,19 @@ def _coerce(key: str, value):
 class Settings:
     """Layered configuration: defaults, then config file, then CLI flags.
 
-    Every dotted value has the type of its ``DEFAULTS`` entry.
+    The settings are the dotted flags the subcommand registered, each with
+    the type of its ``DEFAULTS`` entry.
     """
 
     def __init__(self, args):
-        self.values = dict(DEFAULTS)
+        flags = {k.replace("__", "."): v for k, v in vars(args).items() if "__" in k}
+        self.values = {key: value for key, value in DEFAULTS.items() if key in flags}
         if args.config:
             try:
-                self.values.update(load_config(args.config))
+                self.values.update(load_config(args.config, flags, args.command))
             except OSError as exc:
                 raise CliError(f"cannot read config: {exc}", EXIT_IO)
-        for key, value in vars(args).items():
-            dotted = key.replace("__", ".")
-            if "." in dotted and value is not None:
-                self.values[dotted] = value
+        self.values.update((key, value) for key, value in flags.items() if value is not None)
         self.values = {key: _coerce(key, value) for key, value in self.values.items()}
         self.args = args
 
@@ -169,7 +171,8 @@ class Settings:
 
     def echo(self) -> dict:
         """Version, dotted settings, seed, and the subcommand with its other
-        arguments. ``--config`` is echoed through the settings it set;
+        arguments. ``config`` holds the command's own settings, exactly the
+        ones it reads. ``--config`` is echoed through the settings it set;
         ``--threads`` changes no result and ``--out-dir`` only where the
         files go, so neither is echoed."""
         skip = {"config", "seed", "out_dir", "threads", "handler"}
@@ -186,9 +189,19 @@ class Settings:
 
 def _parse_grid(text: str):
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise CliError(f"cannot parse grid {text!r}", EXIT_VALIDATION)
+    if not values:
+        raise CliError(f"grid {text!r} holds no values", EXIT_VALIDATION)
+    return values
+
+
+def _count(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def _write(settings, name: str, content) -> Path:
@@ -468,7 +481,7 @@ def cmd_recv_file(settings: Settings) -> int:
             "payload_kind": packet.kind,
             "payload_bits": int(bits.size),
             "compression_ratio": packet.compression_ratio,
-            # the receiver runs with the file header's values, not the flags'
+            # the receiver runs with the file header's map and modulation
             "params": asdict(masked.params),
             "modulation": {**asdict(masked.config), "bit_rate": masked.config.bit_rate},
         },
@@ -497,9 +510,7 @@ def cmd_selftest(settings: Settings) -> int:
     )
     check("default coupling stable", stability_check(params)["stable"])
     bits = prbs(2000, seed=7)
-    _, fitted, threshold, decisions = run_link(
-        params, bits, settings.modulation(), seed=11
-    )
+    _, fitted, threshold, decisions = run_link(params, bits, ModulationConfig(), seed=11)
     result = ber_measure(bits, decisions)
     check("noiseless link", result.errors == 0, f"ber={result.measured_ber:.1e}")
     from .signals import synth_speech
@@ -514,15 +525,25 @@ def cmd_selftest(settings: Settings) -> int:
     return EXIT_OK if failures == 0 else EXIT_RUNTIME
 
 
+def _settings(*prefixes: str) -> argparse.ArgumentParser:
+    """A parent parser with a flag for each ``DEFAULTS`` key that is one of
+    ``prefixes`` or lies under one (``"map"`` holds ``map.a``, ...)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for key in DEFAULTS:
+        if any(key == p or key.startswith(p + ".") for p in prefixes):
+            flag = "--" + key.replace(".", "-").replace("_", "-")
+            parent.add_argument(flag, dest=key.replace(".", "__"), default=None)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat dotted-key config file")
     common.add_argument("--seed", type=int, help="master seed (required for stochastic commands)")
     common.add_argument("--out-dir", default=".", help="directory for output artifacts")
     common.add_argument("--threads", type=int, default=1, help="worker cap for ber --mode sweep")
-    for key in DEFAULTS:
-        flag = "--" + key.replace(".", "-").replace("_", "-")
-        common.add_argument(flag, dest=key.replace(".", "__"), default=None)
+    # send-file's modulation settings; the channel and mismatch act only at a receiver
+    modulation = [f"link.{f.name}" for f in fields(ModulationConfig)]
 
     parser = argparse.ArgumentParser(
         prog="chaoslink",
@@ -532,47 +553,65 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_map = sub.add_parser(
-        "map", parents=[common], help="simulate a trajectory, write CSV + binary dump"
+        "map",
+        parents=[common, _settings("map", "run")],
+        help="simulate a trajectory, write CSV + binary dump",
     )
     p_map.add_argument("--t-n", type=float, default=None, help="settling hold time (non-ideal mode)")
     p_map.set_defaults(handler=cmd_map)
 
-    p_le = sub.add_parser("lyapunov", parents=[common], help="Lyapunov spectra and sweeps")
+    p_le = sub.add_parser(
+        "lyapunov", parents=[common, _settings("map", "run.n")], help="Lyapunov spectra and sweeps"
+    )
     p_le.add_argument(
         "--method",
         choices=["analytic", "qr", "er", "wolf", "beta-sweep", "settling-sweep"],
         default="qr",
     )
-    p_le.add_argument("--points", type=int, default=21, help="beta sweep resolution")
+    p_le.add_argument("--points", type=_count, default=21, help="beta sweep resolution")
     p_le.add_argument(
         "--t-n-grid", default="0.8,1.5,2,3,5,7.37", help="settling sweep grid"
     )
     p_le.set_defaults(handler=cmd_lyapunov)
 
-    p_sync = sub.add_parser("sync", parents=[common], help="synchronization metrics")
+    p_sync = sub.add_parser(
+        "sync", parents=[common, _settings("map", "run.n")], help="synchronization metrics"
+    )
     p_sync.add_argument("--mode", choices=["sigma", "grid"], default="sigma")
     p_sync.add_argument("--sigmas", default="0,0.01,0.02,0.03,0.04,0.05")
     p_sync.add_argument("--gammas", default="-1.9,-1.6,-1.3,-1.0,-0.7")
     p_sync.set_defaults(handler=cmd_sync)
 
-    p_ber = sub.add_parser("ber", parents=[common], help="link BER tables and histograms")
+    p_ber = sub.add_parser(
+        "ber", parents=[common, _settings("map", "link")], help="link BER tables and histograms"
+    )
     p_ber.add_argument("--mode", choices=["sweep", "histogram", "threshold-scan"], default="sweep")
     p_ber.add_argument("--amplitudes", default="0.025,0.05,0.075,0.1")
-    p_ber.add_argument("--bits", type=int, default=20000)
-    p_ber.add_argument("--bins", type=int, default=81)
+    p_ber.add_argument("--bits", type=_count, default=20000)
+    p_ber.add_argument("--bins", type=_count, default=81)
     p_ber.add_argument("--unfiltered", action="store_true", help="skip the matched filter")
     p_ber.set_defaults(handler=cmd_ber)
 
-    p_send = sub.add_parser("send-file", parents=[common], help="compress and mask a WAV/PGM payload")
+    p_send = sub.add_parser(
+        "send-file",
+        parents=[common, _settings("map", *modulation, "codec")],
+        help="compress and mask a WAV/PGM payload",
+    )
     p_send.add_argument("--input", required=True)
     p_send.add_argument("--output", required=True, help="masked-series binary path")
     p_send.set_defaults(handler=cmd_send_file)
 
-    p_recv = sub.add_parser("recv-file", parents=[common], help="demodulate a masked series into a payload file")
+    # the map and modulation come from the masked file's header
+    p_recv = sub.add_parser(
+        "recv-file",
+        parents=[common, _settings("link.noise_sigma")],
+        help="demodulate a masked series into a payload file",
+    )
     p_recv.add_argument("--input", required=True, help="masked-series binary path")
     p_recv.add_argument("--output", required=True, help="recovered payload path")
     p_recv.set_defaults(handler=cmd_recv_file)
 
+    # runs at the library defaults, so it takes no dotted settings
     p_self = sub.add_parser("selftest", parents=[common], help="fast internal checks")
     p_self.set_defaults(handler=cmd_selftest)
     return parser

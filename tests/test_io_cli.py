@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shlex
 import struct
 import subprocess
 import sys
@@ -359,6 +360,27 @@ class TestNonFiniteLinkFlags:
         assert not out.exists()
 
 
+MAP = {"map.a", "map.b", "map.c", "map.beta", "map.gamma"}
+MODULATION = {"link.amplitude", "link.samples_per_bit", "link.f_clk"}
+# the dotted settings each subcommand reads, accepts and echoes
+COMMAND_SETTINGS = {
+    "map": MAP | {"run.n", "run.transient"},
+    "lyapunov": MAP | {"run.n"},
+    "sync": MAP | {"run.n"},
+    "ber": MAP | MODULATION | {"link.noise_sigma", "link.mismatch"},
+    "send-file": MAP | MODULATION | {"codec.keep_fraction", "codec.selection", "codec.value_bits"},
+    "recv-file": {"link.noise_sigma"},
+    "selftest": set(),
+}
+
+
+def command_argv(command, tmp_path):
+    """``command`` with its required arguments, none of which need exist."""
+    if command in ("send-file", "recv-file"):
+        return [command, "--input", str(tmp_path / "in"), "--output", str(tmp_path / "o")]
+    return [command]
+
+
 class TestCli:
     def test_selftest_passes(self, capsys):
         assert main(["selftest", "--seed", "1"]) == 0
@@ -504,7 +526,8 @@ class TestCli:
         assert from_flags["config"] == from_config["config"]
         echo = from_flags["config"]
         assert echo["run.n"] == 1200 and echo["map.b"] == 1.0
-        assert all(type(echo[key]) is type(value) for key, value in cli.DEFAULTS.items())
+        assert set(echo) == COMMAND_SETTINGS["map"]
+        assert all(type(value) is type(cli.DEFAULTS[key]) for key, value in echo.items())
 
     @pytest.mark.parametrize(
         "flags, config",
@@ -517,13 +540,16 @@ class TestCli:
             ([], "link.samples_per_bit = [50]"),
         ],
     )
-    def test_uncoercible_setting_exits_validation(self, tmp_path, flags, config):
-        argv = ["map", "--seed", "1", "--out-dir", str(tmp_path / "out"), *flags]
+    def test_uncoercible_setting_exits_validation(self, tmp_path, capsys, flags, config):
+        # each setting goes to a command that reads it: ber the link's, map the rest
+        command = "ber" if config and config.startswith("link.") else "map"
+        argv = [command, "--seed", "1", "--out-dir", str(tmp_path / "out"), *flags]
         if config is not None:
             path = tmp_path / "run.cfg"
             path.write_text(config + "\n")
             argv += ["--config", str(path)]
         assert main(argv) == 2
+        assert ": expected " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_exits_validation(self, tmp_path, capsys):
@@ -562,9 +588,11 @@ class TestCli:
              "ber-sweep", "threshold-scan", "histogram-unfiltered"],
     )
     def test_table_modes(self, tmp_path, argv, table, header, report):
-        common = ["--seed", "6", "--run-n", "2000", "--out-dir", str(tmp_path)]
+        common = ["--seed", "6", "--out-dir", str(tmp_path)]
         if argv[0] == "ber":
             common += ["--bits", "600", "--link-noise-sigma", "0.006"]
+        else:
+            common += ["--run-n", "2000"]
         assert main(argv + common) == 0
         lines = (tmp_path / table).read_text().splitlines()
         metas = [json.loads(lines[0].lstrip("# "))]
@@ -574,9 +602,12 @@ class TestCli:
             metas.append(json.loads((tmp_path / report).read_text()))
         for meta in metas:
             assert meta["seed"] == 6
-            assert set(meta["config"]) == set(cli.DEFAULTS)
-            assert type(meta["config"]["run.n"]) is int
-            assert meta["config"]["run.n"] == 2000
+            assert set(meta["config"]) == COMMAND_SETTINGS[argv[0]]
+            if argv[0] == "ber":
+                assert meta["config"]["link.noise_sigma"] == 0.006
+            else:
+                assert type(meta["config"]["run.n"]) is int
+                assert meta["config"]["run.n"] == 2000
 
     def test_wav_round_trip_via_files(self, tmp_path):
         payload = tmp_path / "speech.wav"
@@ -677,7 +708,7 @@ class TestCli:
         assert main(argv + ["--seed", "1", "--out-dir", str(blocker / "out")]) == 4
 
     def test_defaults_are_the_library_defaults(self):
-        settings = cli.Settings(cli.build_parser().parse_args(["map"]))
+        settings = cli.Settings(cli.build_parser().parse_args(["ber"]))
         assert settings.params() == cl.SystemParams()
         assert settings.modulation() == ModulationConfig()
         assert list(cli.DEFAULTS) == [
@@ -706,8 +737,8 @@ class TestCli:
         assert not (tmp_path / "reports").exists()
 
     def test_recv_report_names_the_header_settings(self, tmp_path):
-        """recv-file runs with the masked file's map and modulation, not
-        with its own flags, and its report says so."""
+        """recv-file runs with the masked file's map and modulation, which
+        it takes no flags for, and its report says so."""
         payload = tmp_path / "speech.wav"
         write_wav(payload, synth_speech(duration=0.05, seed=3))
         masked = tmp_path / "masked.bin"
@@ -725,8 +756,8 @@ class TestCli:
         assert report["modulation"] == {
             "amplitude": 0.1, "samples_per_bit": 20, "f_clk": 5.0e5, "bit_rate": 2.5e4
         }
-        # the echo keeps the receiver's own (unused) flag values
-        assert report["config"]["map.gamma"] == -1.0
+        # the echo holds only the setting the receiver reads: the channel
+        assert report["config"] == {"link.noise_sigma": 0.0}
 
     def test_recv_file_seeds_share_no_stream(self, tmp_path, monkeypatch):
         """Channel and receiver seeds come from one split of --seed, so no
@@ -763,6 +794,100 @@ class TestCli:
         seeds = [s for run in used.values() for s in (run["channel"], run["receiver"])]
         assert len(seeds) == 42
         assert len(set(seeds)) == 42
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("map", ["--link-amplitude", "0.2"]),
+            ("lyapunov", ["--run-transient", "5"]),
+            ("sync", ["--link-noise-sigma", "0.1"]),
+            ("ber", ["--run-n", "2000"]),
+            ("send-file", ["--link-noise-sigma", "0.1"]),
+            ("recv-file", ["--map-a", "1"]),
+            ("selftest", ["--link-amplitude", "0.2"]),
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_validation(
+        self, tmp_path, capsys, command, flag
+    ):
+        argv = command_argv(command, tmp_path) + flag
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1", "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_config_key_the_command_does_not_read_exits_validation(self, tmp_path, capsys):
+        masked = masked_file(tmp_path, prbs(64, seed=2))
+        config = tmp_path / "run.cfg"
+        config.write_text("link.noise_sigma = 0.001\nmap.beta = 0.4\n")
+        out, out_dir = tmp_path / "x.wav", tmp_path / "out"
+        code = main(
+            ["recv-file", "--input", str(masked), "--output", str(out), "--seed", "1",
+             "--config", str(config), "--out-dir", str(out_dir)]
+        )
+        assert code == 2
+        assert "recv-file has no setting 'map.beta'" in capsys.readouterr().err
+        assert not out.exists() and not out_dir.exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_SETTINGS))
+    def test_config_echo_holds_the_command_settings(self, tmp_path, command):
+        args = cli.build_parser().parse_args(command_argv(command, tmp_path))
+        echo = cli.Settings(args).echo()["config"]
+        assert set(echo) == COMMAND_SETTINGS[command]
+        assert echo == {key: cli.DEFAULTS[key] for key in echo}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ber", "--mode", "sweep", "--amplitudes", ","], "grid ',' holds no values"),
+            (["lyapunov", "--method", "settling-sweep", "--t-n-grid", ","],
+             "grid ',' holds no values"),
+            (["sync", "--sigmas", ","], "grid ',' holds no values"),
+            (["sync", "--mode", "grid", "--sigmas", ","], "grid ',' holds no values"),
+            (["sync", "--mode", "grid", "--gammas", ","], "grid ',' holds no values"),
+            (["lyapunov", "--method", "beta-sweep", "--points", "0"],
+             "argument --points: must be an integer of at least 1, got '0'"),
+            (["lyapunov", "--method", "beta-sweep", "--points", "-2"],
+             "argument --points: must be an integer of at least 1, got '-2'"),
+            (["ber", "--mode", "threshold-scan", "--bins", "0"],
+             "argument --bins: must be an integer of at least 1, got '0'"),
+            (["ber", "--mode", "histogram", "--bins", "0"],
+             "argument --bins: must be an integer of at least 1, got '0'"),
+            (["ber", "--mode", "sweep", "--bits", "0"],
+             "argument --bits: must be an integer of at least 1, got '0'"),
+        ],
+        ids=["amplitudes", "t-n-grid", "sigmas", "grid-sigmas", "grid-gammas",
+             "points-0", "points-negative", "scan-bins", "histogram-bins", "bits"],
+    )
+    def test_empty_grid_or_count_exits_validation(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        try:
+            code = main(argv + ["--seed", "1", "--out-dir", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_commands_parse(self):
+        """Every ``chaoslink`` line in README's code blocks names only
+        arguments its command takes."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = readme.split("```")[1::2]
+        lines = [
+            line
+            for block in blocks
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("chaoslink ")
+        ]
+        assert len(lines) >= 20
+        parser = cli.build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README line does not parse: {line}")
 
 
 COLD_START = """
