@@ -38,6 +38,11 @@ CD_RADII = 24
 CD_MIN_R_SQUARED = 0.995
 CD_MIN_WINDOW = 6
 
+# le_qr: the fewest trajectory steps it accepts; le_eckmann_ruelle and
+# le_wolf: their default fewest series points (min_points)
+QR_MIN_STEPS = 10
+NEIGHBOR_MIN_POINTS = 2000
+
 # compensate_zoh drops bins within this fraction of f_clk of a hold null
 ZOH_GUARD_FRACTION = 0.05
 
@@ -125,7 +130,7 @@ def le_qr(traj: Trajectory) -> LeSpectrum:
     reported in meta["breakpoint_fraction"].
     """
     states = traj.states
-    if len(traj) < 10:
+    if len(traj) < QR_MIN_STEPS:
         raise ValueError("trajectory too short for spectrum estimation")
     p = traj.params
     weight = 1.0 if traj.settling is None else traj.settling.weight
@@ -178,7 +183,7 @@ def le_eckmann_ruelle(
     series,
     n_reference: int = 2000,
     n_neighbors: int | None = None,
-    min_points: int = 2000,
+    min_points: int = NEIGHBOR_MIN_POINTS,
 ) -> LeSpectrum:
     """Data-driven spectrum from locally fitted linear maps.
 
@@ -209,41 +214,43 @@ def le_eckmann_ruelle(
             RuntimeWarning,
         )
 
-    # +2 candidates so the point itself and its successor can be dropped.
-    _, neighbors = cKDTree(states[:-1]).query(
-        states[:n_reference], k=n_neighbors + 2
-    )
+    if n_neighbors < 4:
+        # a local fit needs at least four neighbors, so no row could be used
+        raise DegenerateTrajectoryError("no usable reference points for local fits")
+    # +2 candidates so the point itself and its successor can be dropped. A
+    # row drops at most those two, so each keeps its first n_neighbors
+    # survivors, and the neighborhoods of all reference points are prepared
+    # at once.
+    _, neighbors = cKDTree(states[:-1]).query(states[:n_reference], k=n_neighbors + 2)
+    rows = np.arange(len(neighbors))[:, None]
+    survivor = (neighbors != rows) & (neighbors != rows + 1)
+    first = survivor & (np.cumsum(survivor, axis=1) <= n_neighbors)
+    keep = neighbors[first].reshape(-1, n_neighbors)
+    all_dx = states[keep] - states[rows]
+    all_dy = states[keep + 1] - states[rows + 1]
+    all_target = np.sum(all_dy**2, axis=(1, 2))
     q = np.eye(3)
     sums = np.zeros(3)
     used = 0
-    short = 0
     resid_power = 0.0
     target_power = 0.0
+    # one least-squares fit and one QR step per point, in order: the tests pin
+    # these LAPACK results bit for bit
     for i in range(n_reference):
-        idx = neighbors[i]
-        keep = idx[(idx != i) & (idx != i + 1)][:n_neighbors]
-        if keep.size < 4:
-            short += 1
-            continue
-        dx = states[keep] - states[i]
-        dy = states[keep + 1] - states[i + 1]
-        jac, res, rank, _ = np.linalg.lstsq(dx, dy, rcond=None)
+        dx = all_dx[i]
+        dy = all_dy[i]
+        jac, _, rank, _ = np.linalg.lstsq(dx, dy, rcond=None)
         if rank < 3:
-            short += 1
             continue
         pred = dx @ jac
         resid_power += np.sum((dy - pred) ** 2)
-        target_power += np.sum(dy**2)
-        m = jac.T @ q
-        q, r = np.linalg.qr(m)
-        diag = np.abs(np.diag(r))
+        target_power += all_target[i]
+        q, r = np.linalg.qr(jac.T @ q)
+        diag = r.diagonal()
         if np.any(diag == 0.0):
-            short += 1
             continue
-        signs = np.sign(np.diag(r))
-        signs[signs == 0] = 1.0
-        q = q * signs
-        sums += np.log(diag)
+        q = q * np.sign(diag)
+        sums += np.log(np.abs(diag))
         used += 1
     if used == 0:
         raise DegenerateTrajectoryError("no usable reference points for local fits")
@@ -274,7 +281,7 @@ def le_wolf(
     min_separation: float = 1e-6,
     theiler: int = 10,
     n_candidates: int = 50,
-    min_points: int = 2000,
+    min_points: int = NEIGHBOR_MIN_POINTS,
 ) -> LeSpectrum:
     """Dominant exponent by direct neighbor tracking (Wolf-style).
 
@@ -384,15 +391,19 @@ def le_wolf(
 def _pair_counts(states: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Ordered pairs of distinct points closer than each ascending radius.
 
-    The last radius is inclusive (d <= r). One dual KD-tree pass counts all
-    radii; the tree counts d <= r, so the inner radii step down one ulp, and
-    every point pairs with itself once at distance 0.
+    The last radius is inclusive (d <= r). One dual KD-tree pass in scipy's
+    non-cumulative mode, which is tuned for many radii, counts the pairs in
+    each shell between consecutive radii (the first shell from 0); their
+    cumulative sum is the count within each radius. The tree counts d <= r,
+    so the inner radii step down one ulp, and every point pairs with itself
+    once at distance 0.
     """
     from scipy.spatial import cKDTree
 
     tree = cKDTree(states)
     bounds = np.append(np.nextafter(radii[:-1], -np.inf), radii[-1])
-    return tree.count_neighbors(tree, bounds) - states.shape[0]
+    shells = tree.count_neighbors(tree, bounds, cumulative=False)
+    return np.cumsum(shells) - states.shape[0]
 
 
 def correlation_dimension(
@@ -410,8 +421,9 @@ def correlation_dimension(
     stable counts, the upper one stays well below the attractor extent
     where the sum saturates. Points beyond ``max_points``
     are thinned deterministically (every k-th sample). The pair counts come
-    from one dual KD-tree pass over all radii, so the cap no longer bounds
-    a quadratic cost; it stays so that the results do not change.
+    from one dual KD-tree pass that counts the pairs between consecutive
+    radii and sums them up, so the cap no longer bounds a quadratic cost; it
+    stays so that the results do not change.
 
     Raises NoScalingRegionError when no window is linear enough, and
     ValueError on a non-finite series or radius.

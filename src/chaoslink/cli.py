@@ -51,7 +51,7 @@ from .link import (
     unmask_receive,
 )
 from .params import SettlingConfig, SystemParams
-from .sync import fit_deviation_model, stability_check, sync_sweep
+from .sync import SYNC_MIN_SAMPLES, fit_deviation_model, stability_check, sync_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -249,13 +249,15 @@ def cmd_map(settings: Settings) -> int:
     settling = None
     if settings.args.t_n is not None:
         settling = SettlingConfig(t_n=settings.args.t_n)
+    # generate_trajectory's own checks, made before --out-dir is created
+    n, transient = settings["run.n"], settings["run.transient"]
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if transient < 0:
+        raise ValueError(f"transient must be >= 0, got {transient}")
     _out_dir(settings)
     traj = generate_trajectory(
-        settings["run.n"],
-        params=params,
-        seed=seed,
-        settling=settling,
-        transient=settings["run.transient"],
+        n, params=params, seed=seed, settling=settling, transient=transient
     )
     csv_path = _write(settings, "trajectory.csv", traj)
     dump_path = _write(settings, "trajectory.bin", traj)
@@ -272,6 +274,11 @@ def cmd_lyapunov(settings: Settings) -> int:
     else:
         seed = settings.seed()
         n = settings["run.n"]
+        # the estimators' own minimums, checked before --out-dir is created
+        if method in ("qr", "settling-sweep") and n < analysis.QR_MIN_STEPS:
+            raise ValueError("trajectory too short for spectrum estimation")
+        if method in ("er", "wolf", "beta-sweep") and n < analysis.NEIGHBOR_MIN_POINTS:
+            raise ValueError(f"need at least {analysis.NEIGHBOR_MIN_POINTS} points, got {n}")
     if method == "settling-sweep":
         grid = _parse_grid(settings.args.t_n_grid)
     _out_dir(settings)
@@ -322,6 +329,9 @@ def cmd_sync(settings: Settings) -> int:
     params = settings.params()
     seed = settings.seed()
     n = settings["run.n"]
+    # run_sync's own check, made before --out-dir is created
+    if n < SYNC_MIN_SAMPLES:
+        raise ValueError(f"need at least {SYNC_MIN_SAMPLES} samples after the settle window")
     sigmas = _parse_grid(settings.args.sigmas)
     gammas = [params.gamma]
     if settings.args.mode == "grid":

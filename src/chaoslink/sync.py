@@ -25,6 +25,7 @@ from .core_map import (
 from .params import DEFAULT_PARAMS, SystemParams
 
 SYNC_DISCARD = 100  # settle window dropped before error statistics
+SYNC_MIN_SAMPLES = 1000  # run_sync: the fewest samples it scores
 
 
 @dataclass(frozen=True)
@@ -306,8 +307,8 @@ def run_sync(
     """
     from .link import channel_awgn  # link imports this module
 
-    if n < 1000:
-        raise ValueError("need at least 1000 samples after the settle window")
+    if n < SYNC_MIN_SAMPLES:
+        raise ValueError(f"need at least {SYNC_MIN_SAMPLES} samples after the settle window")
     drive_seed, ch_seed, rx_seed = spawn_seeds(seed, 3)
     drive = generate_trajectory(n + SYNC_DISCARD, params=params, seed=drive_seed)
     w = channel_awgn(drive.w, noise_sigma, seed=ch_seed)

@@ -107,16 +107,21 @@ class TestEckmannRuelle:
     def test_requires_enough_points(self):
         with pytest.raises(ValueError):
             an.le_eckmann_ruelle(np.zeros((100, 3)))
+        # three neighbors per row are too few for a local fit, so no row is used
+        doubled = np.repeat(cl.generate_trajectory(1500, seed=1).states, 2, axis=0)
+        with pytest.raises(DegenerateTrajectoryError, match="no usable reference points"):
+            an.le_eckmann_ruelle(doubled, n_neighbors=3)
 
     @pytest.mark.parametrize(
-        "n, n_neighbors",
-        [(21, None), (400, 398)],
-        ids=["default_on_21_points", "398_on_400_points"],
+        "n, n_neighbors, repeat",
+        [(21, None, 1), (400, 398, 1), (400, 398, 2)],
+        ids=["default_on_21_points", "398_on_400_points", "398_on_400_doubled_points"],
     )
-    def test_neighborhood_clamped_to_the_tree(self, n, n_neighbors):
+    def test_neighborhood_clamped_to_the_tree(self, n, n_neighbors, repeat):
         # the tree holds n - 1 points and each query drops the point itself
-        # and its successor, so at most n - 3 neighbors remain
-        states = cl.generate_trajectory(n, seed=1).states
+        # and its successor, so at most n - 3 neighbors remain; in a doubled
+        # series every point also has a neighbor at distance 0
+        states = np.repeat(cl.generate_trajectory(n // repeat, seed=1).states, repeat, axis=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             er = an.le_eckmann_ruelle(states, n_neighbors=n_neighbors, min_points=10)
@@ -551,9 +556,12 @@ class TestPairCountOracle:
         fit, ref = self.fit_pair(monkeypatch, line_segment(5000))
         assert_same_fit(fit, ref)
 
-    @pytest.mark.parametrize("beta", [0.0, 0.5])
-    def test_counts_match_brute_force(self, oracle_trajectories, beta):
-        states = oracle_trajectories[beta].states[:1200]
+    @pytest.mark.parametrize(
+        "beta, repeat", [(0.0, 1), (0.5, 1), (0.5, 2)], ids=["0.0", "0.5", "0.5-doubled"]
+    )
+    def test_counts_match_brute_force(self, oracle_trajectories, beta, repeat):
+        # a doubled set puts a pair of distinct points at distance 0
+        states = np.repeat(oracle_trajectories[beta].states[: 1200 // repeat], repeat, axis=0)
         radii = np.geomspace(0.08, 0.55, 24) * np.std(states)
         counts = an._pair_counts(states, radii)
         assert np.array_equal(counts, brute_force_pair_counts(states, radii))

@@ -870,6 +870,37 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, library",
+        [
+            (["map", "--run-n", "0"], lambda: cl.generate_trajectory(0, seed=1)),
+            (["map", "--run-transient", "-1"],
+             lambda: cl.generate_trajectory(1, seed=1, transient=-1)),
+            (["lyapunov", "--method", "qr", "--run-n", "1"],
+             lambda: cl.analysis.le_qr(cl.generate_trajectory(1, seed=1))),
+            (["lyapunov", "--method", "er", "--run-n", "1999"],
+             lambda: cl.analysis.le_eckmann_ruelle(cl.generate_trajectory(1999, seed=1).states)),
+            (["lyapunov", "--method", "wolf", "--run-n", "500"],
+             lambda: cl.analysis.le_wolf(cl.generate_trajectory(500, seed=1).states)),
+            (["lyapunov", "--method", "beta-sweep", "--run-n", "500"],
+             lambda: cl.analysis.le_wolf(cl.generate_trajectory(500, seed=1).states)),
+            (["lyapunov", "--method", "settling-sweep", "--run-n", "5"],
+             lambda: cl.analysis.le_vs_settling(cl.SystemParams(), [7.37], n=5)),
+            (["sync", "--run-n", "0"], lambda: cl.sync.run_sync(n=0)),
+        ],
+        ids=["map-n", "map-transient", "qr", "er", "wolf", "beta-sweep",
+             "settling-sweep", "sync"],
+    )
+    def test_run_too_short_exits_before_output(self, tmp_path, capsys, argv, library):
+        """A ``run.n`` below what the method needs exits 2 with the library's
+        own message, before ``--out-dir`` is created."""
+        with pytest.raises(ValueError) as exc:
+            library()
+        out = tmp_path / "out"
+        assert main(argv + ["--seed", "1", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+        assert not out.exists()
+
     def test_readme_commands_parse(self):
         """Every ``chaoslink`` line in README's code blocks names only
         arguments its command takes."""
