@@ -426,7 +426,7 @@ def correlation_dimension(
     stays so that the results do not change.
 
     Raises NoScalingRegionError when no window is linear enough, and
-    ValueError on a non-finite series or radius.
+    ValueError on a non-finite series or a non-finite or non-positive radius.
     """
     states = np.asarray(series, dtype=float)
     if states.ndim == 1:
@@ -449,8 +449,8 @@ def correlation_dimension(
         radii = np.sort(np.asarray(radii, dtype=float))
         if radii.size < CD_MIN_WINDOW:
             raise ValueError("need at least as many radii as the fit window")
-        if not np.all(np.isfinite(radii)) or radii[0] < 0:
-            raise ValueError("radii must be finite and non-negative")
+        if not np.all(np.isfinite(radii)) or radii[0] <= 0:
+            raise ValueError("radii must be finite and positive")
 
     csums = _pair_counts(states, radii) / (n * (n - 1))
 

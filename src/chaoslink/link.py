@@ -33,9 +33,6 @@ PILOT_BITS = 1
 # no less for larger batches, which would only hold more (F, n, 3) states
 RECEIVE_BATCH_SAMPLES = 1 << 18
 
-# grid points of optimal_threshold's dense scan over [mu0, mu1]
-THRESHOLD_SCAN_POINTS = 2001
-
 # primitive feedback taps per register degree (x^d + x^t + ... + 1)
 LFSR_TAPS = {
     3: (3, 2),
@@ -362,35 +359,49 @@ def ber_predict(s: SymbolStats, threshold) -> float:
 def optimal_threshold(s: SymbolStats) -> tuple:
     """Threshold minimizing the predicted error rate, with its value.
 
-    Dense scan over [mu0, mu1] followed by golden-section refinement around
-    the best scan cell. Requires ordered classes (mu0 < mu1).
-    """
-    from scipy import optimize
+    The predicted error rate's stationary points solve
+    ``p0*N(lam; mu0, sigma0) = p1*N(lam; mu1, sigma1)``. With
+    ``t = lam - mu0`` and ``d = mu1 - mu0`` that is ``A*t**2 + B*t + C = 0``:
 
+        A = 1/sigma1**2 - 1/sigma0**2
+        B = -2*d/sigma1**2
+        C = d**2/sigma1**2 + 2*ln(p0*sigma1 / (p1*sigma0))
+
+    which is linear when the spreads are equal. The threshold is whichever
+    of mu0, mu1 and the real roots inside (mu0, mu1) predicts the fewest
+    errors: the exact minimum on [mu0, mu1]. A prior of 0 leaves only the
+    two endpoints. Requires ordered classes (mu0 < mu1).
+    """
     if not s.mu0 < s.mu1:
         raise ValueError(f"classes must be ordered: mu0={s.mu0} >= mu1={s.mu1}")
-    grid = np.linspace(s.mu0, s.mu1, THRESHOLD_SCAN_POINTS)
-    errors = ber_predict(s, grid)
+    d = s.mu1 - s.mu0
+    candidates = [s.mu0, s.mu1]
+    if s.p0 > 0 and s.p1 > 0:
+        a = 1.0 / s.sigma1**2 - 1.0 / s.sigma0**2
+        b = -2.0 * d / s.sigma1**2
+        c = d * d / s.sigma1**2 + 2.0 * math.log(s.p0 * s.sigma1 / (s.p1 * s.sigma0))
+        disc = b * b - 4.0 * a * c
+        if disc >= 0:
+            # b < 0, so q = -(b - sqrt(disc))/2 > 0 has no cancellation;
+            # the roots are c/q and q/a (c/q alone, -c/b, when a = 0)
+            q = 0.5 * (math.sqrt(disc) - b)
+            roots = [c / q, q / a] if a else [c / q]
+            candidates += [s.mu0 + t for t in roots if 0 < t < d]
+    errors = ber_predict(s, candidates)
     k = int(np.argmin(errors))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, THRESHOLD_SCAN_POINTS - 1)]
-    result = optimize.minimize_scalar(
-        lambda lam: ber_predict(s, lam),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": (s.mu1 - s.mu0) * 1e-9},
-    )
-    lam_opt = float(result.x)
-    return lam_opt, float(ber_predict(s, lam_opt))
+    return float(candidates[k]), float(errors[k])
 
 
 def ber_measure(sent, recovered) -> BerResult:
     """Error fraction with a Clopper-Pearson 95% confidence interval.
 
-    Zero-error runs report interval (0, upper) where the upper bound is the
-    exact one-sided 97.5% binomial limit (about 3.7/n).
+    The limits are the 2.5% and 97.5% quantiles of Beta(e, n - e + 1) and
+    Beta(e + 1, n - e) for e errors in n bits, taken with the inverse
+    regularized incomplete beta function. Zero-error runs report interval
+    (0, upper) where the upper bound is the exact one-sided 97.5% binomial
+    limit (about 3.7/n).
     """
-    from scipy import stats
+    from scipy import special
 
     sent = np.asarray(sent).astype(np.uint8)
     recovered = np.asarray(recovered).astype(np.uint8)
@@ -401,8 +412,8 @@ def ber_measure(sent, recovered) -> BerResult:
     n = sent.size
     errors = int(np.count_nonzero(sent != recovered))
     point = errors / n
-    lo = 0.0 if errors == 0 else float(stats.beta.ppf(0.025, errors, n - errors + 1))
-    hi = 1.0 if errors == n else float(stats.beta.ppf(0.975, errors + 1, n - errors))
+    lo = 0.0 if errors == 0 else float(special.betaincinv(errors, n - errors + 1, 0.025))
+    hi = 1.0 if errors == n else float(special.betaincinv(errors + 1, n - errors, 0.975))
     return BerResult(
         measured_ber=point,
         bits=n,

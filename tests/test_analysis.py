@@ -708,8 +708,9 @@ class TestNonFiniteSeries:
         with pytest.raises(ValueError, match="series row 0 is not finite"):
             an.le_eckmann_ruelle(states)
 
-    @pytest.mark.parametrize("radius", [np.nan, np.inf, -0.1])
+    # at radius 0 the inner count (d < 0) must be empty, and log(0) has no fit
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -0.1, 0.0])
     def test_correlation_dimension_radii(self, radius):
         radii = np.append(np.geomspace(0.01, 0.1, 8), radius)
-        with pytest.raises(ValueError, match="radii must be finite"):
+        with pytest.raises(ValueError, match="radii must be finite and positive"):
             an.correlation_dimension(line_segment(500), radii=radii)

@@ -921,14 +921,16 @@ class TestCli:
                 pytest.fail(f"README line does not parse: {line}")
 
 
-COLD_START = """
+COLD_START_LOADED = """
 import contextlib, io, json, sys
 from pathlib import Path
 
 def loaded():
     names = ("fft", "special", "stats", "optimize", "signal", "spatial")
     return [m for m in names if "scipy." + m in sys.modules]
+"""
 
+COLD_START = COLD_START_LOADED + """
 import chaoslink, chaoslink.cli
 print(json.dumps(loaded()))
 from chaoslink import codecs, signals
@@ -943,17 +945,37 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps(loaded()))
 """
 
+COLD_START_BER = COLD_START_LOADED + """
+import chaoslink.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["ber", "--mode", "sweep", "--amplitudes", "0.05,0.1"],
+        ["ber", "--mode", "histogram"],
+    ):
+        assert chaoslink.cli.main(argv + ["--bits", "2000", "--seed", "1", "--out-dir", sys.argv[1]]) == 0
+print(json.dumps(loaded()))
+"""
+
 
 class TestColdStart:
     """A fresh process imports each scipy subpackage only where it is called."""
 
-    def test_import_and_file_link_leave_unused_subpackages_unloaded(self, tmp_path):
+    def run_fresh(self, script, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         done = subprocess.run(
-            [sys.executable, "-c", COLD_START, str(tmp_path)],
+            [sys.executable, "-c", script, str(tmp_path)],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        after_import, after_link = (json.loads(line) for line in done.stdout.splitlines())
+        return [json.loads(line) for line in done.stdout.splitlines()]
+
+    def test_import_and_file_link_leave_unused_subpackages_unloaded(self, tmp_path):
+        after_import, after_link = self.run_fresh(COLD_START, tmp_path)
         assert after_import == []
         # the DCT codecs call scipy.fft, which loads scipy.special
         assert set(after_link) <= {"fft", "special"}
+
+    def test_ber_sweep_and_histogram_load_only_special(self, tmp_path):
+        # the threshold and the confidence interval are closed forms in
+        # scipy.special: neither scipy.stats nor scipy.optimize is loaded
+        (after_ber,) = self.run_fresh(COLD_START_BER, tmp_path)
+        assert after_ber == ["special"]

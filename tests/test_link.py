@@ -351,6 +351,34 @@ class TestBerPredict:
         assert optimal_threshold(noisier)[1] > optimal_threshold(base)[1]
 
 
+def scan_and_brent_threshold(s):
+    """The scanning reference: a 2001-point grid over [mu0, mu1], then
+    bounded Brent on the best grid cell. Returns (threshold, its cell)."""
+    grid = np.linspace(s.mu0, s.mu1, 2001)
+    k = int(np.argmin(ber_predict(s, grid)))
+    cell = (grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)])
+    result = optimize.minimize_scalar(
+        lambda lam: ber_predict(s, lam),
+        bounds=cell,
+        method="bounded",
+        options={"xatol": (s.mu1 - s.mu0) * 1e-9},
+    )
+    return float(result.x), cell
+
+
+def random_fits(count, seed):
+    """Seeded two-class fits: every fourth with equal spreads, the others with
+    spread ratios up to 10 either way; priors 0.05-0.95."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        mu0 = rng.normal()
+        d = rng.uniform(0.01, 3.0)
+        sigma0 = rng.uniform(0.1, 1.0) * d
+        ratio = 1.0 if k % 4 == 0 else np.exp(rng.uniform(-np.log(10), np.log(10)))
+        p0 = rng.uniform(0.05, 0.95)
+        yield mu0, sigma0, mu0 + d, sigma0 * ratio, p0
+
+
 class TestOptimalThreshold:
     def _stats(self, mu0, s0, mu1, s1, p0=0.5):
         values = np.array([mu0, mu0, mu1, mu1])
@@ -373,8 +401,49 @@ class TestOptimalThreshold:
                 x, s.mu1, s.sigma1
             )
 
-        root = optimize.brentq(weighted_pdf_gap, s.mu0, s.mu1)
-        assert lam == pytest.approx(root, abs=1e-4)
+        root = optimize.brentq(weighted_pdf_gap, s.mu0, s.mu1, xtol=1e-15)
+        assert lam == pytest.approx(root, abs=1e-12)
+
+    def check_against_scan_reference(self, s):
+        lam, ber = optimal_threshold(s)
+        assert s.mu0 <= lam <= s.mu1
+        assert ber == ber_predict(s, lam)
+        reference, cell = scan_and_brent_threshold(s)
+        dense = np.linspace(s.mu0, s.mu1, 100_001)
+        best = min(ber_predict(s, reference), ber_predict(s, dense).min())
+        assert ber <= best + 1e-15
+        if cell[0] > s.mu0 and cell[1] < s.mu1:
+            # interior: bounded Brent only places a minimum to about
+            # sqrt(eps), so the location reference is the stationary point
+            # p0*N0 = p1*N1 inside the reference's scan cell
+            def log_gap(x):
+                return (
+                    np.log(s.p1) + stats.norm.logpdf(x, s.mu1, s.sigma1)
+                    - np.log(s.p0) - stats.norm.logpdf(x, s.mu0, s.sigma0)
+                )
+
+            root = optimize.brentq(log_gap, *cell, xtol=1e-15)
+            assert abs(lam - root) <= 1e-9 * (s.mu1 - s.mu0)
+            assert abs(lam - reference) <= 1e-5 * (s.mu1 - s.mu0)
+        return lam
+
+    def test_matches_scan_reference_on_random_fits(self):
+        for fit in random_fits(300, seed=2101):
+            self.check_against_scan_reference(self._stats(*fit))
+
+    @pytest.mark.parametrize(
+        "fit, expected",
+        [
+            ((0.0, 3.0, 1.0, 0.3, 0.95), 1.0),
+            ((0.0, 0.3, 1.0, 3.0, 0.05), 0.0),
+            ((0.0, 1.0, 1.0, 1.0, 0.9), 1.0),  # the linear case's root lies beyond mu1
+            ((0.0, 0.2, 1.0, 0.5, 0.0), 0.0),  # a prior of 0 leaves the endpoints
+            ((0.0, 0.2, 1.0, 0.5, 1.0), 1.0),
+        ],
+        ids=["mu1", "mu0", "equal-spreads", "p0=0", "p0=1"],
+    )
+    def test_optimum_at_an_endpoint(self, fit, expected):
+        assert self.check_against_scan_reference(self._stats(*fit)) == expected
 
     def test_unordered_classes_rejected(self):
         with pytest.raises(ValueError):
@@ -403,6 +472,18 @@ class TestBerMeasure:
         assert result.errors == 5
         lo, hi = result.confidence_interval
         assert lo < 5e-5 < hi
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 1000, 100_003, 10_000_000])
+    def test_interval_matches_beta_quantiles(self, n):
+        sent = np.zeros(n, dtype=np.uint8)
+        for errors in sorted({e for e in (0, 1, 5, n // 3, n - 1, n) if e <= n}):
+            recovered = np.zeros(n, dtype=np.uint8)
+            recovered[:errors] = 1
+            lo, hi = ber_measure(sent, recovered).confidence_interval
+            expected_lo = stats.beta.ppf(0.025, errors, n - errors + 1) if errors else 0.0
+            expected_hi = stats.beta.ppf(0.975, errors + 1, n - errors) if errors < n else 1.0
+            assert lo == pytest.approx(expected_lo, rel=1e-12, abs=0.0)
+            assert hi == pytest.approx(expected_hi, rel=1e-12, abs=0.0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
