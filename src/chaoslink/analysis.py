@@ -11,17 +11,22 @@ Four Lyapunov estimators with different trust models:
 * ``le_wolf``       data-driven dominant exponent by following a neighbor
   trajectory and renormalizing through replacements.
 
-scipy subpackages are imported inside the functions that call them, so
-importing the package (and starting the CLI) loads none of them.
+The Welch PSD and the zero-order-hold helpers run on numpy alone. The
+only scipy subpackage this module loads is ``scipy.spatial``, imported
+inside the neighbour searches (``le_eckmann_ruelle``, ``le_wolf`` and the
+correlation sums), so importing the package (and starting the CLI) loads
+none.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .core_map import (
@@ -492,39 +497,75 @@ def correlation_dimension(
     )
 
 
+def _require_count(value, name: str) -> int:
+    """Return ``value`` as an int, raising ValueError unless it is an integer >= 1."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _require_clock(f_clk) -> None:
+    if not (math.isfinite(f_clk) and f_clk > 0):
+        raise ValueError(f"f_clk must be finite and positive, got {f_clk}")
+
+
 def welch_psd(
     series,
     segment_length: int = 1024,
     overlap: float = 0.5,
     fs: float = 1.0,
 ) -> PsdEstimate:
-    """Averaged periodogram over overlapping Hann-windowed segments.
+    """Averaged periodogram over overlapping Hann-windowed segments (Welch).
 
-    Density scaling, so the integral over [0, fs/2] approximates the series
-    variance (the mean is removed per segment).
+    The series is cut into segments of L = ``segment_length`` samples whose
+    starts are ``L - noverlap`` apart, with ``noverlap = round(L * overlap)``;
+    a tail shorter than a segment is left out. Each segment has its mean
+    removed and is multiplied by the periodic Hann window
+    ``0.5 - 0.5 cos(2 pi k / L)``. The |rfft|^2 of the segments is averaged,
+    divided by ``fs * sum(window**2)`` and doubled in every bin but DC (and
+    Nyquist when L is even): density scaling, so the integral over
+    [0, fs/2] approximates the series variance.
+
+    Raises ValueError, before any arithmetic, when ``segment_length`` is not
+    an integer >= 1, when ``noverlap`` falls outside [0, L) (a NaN or
+    negative overlap, or one that rounds up to the whole segment), when
+    ``fs`` is not finite and positive, or when the series is not 1-D, is
+    shorter than one segment or holds a NaN or inf (the message names the
+    first such sample).
     """
-    from scipy import signal
-
+    seg = _require_count(segment_length, "segment_length")
+    noverlap = seg * float(overlap)
+    if math.isfinite(noverlap):
+        noverlap = int(round(noverlap))
+    if not 0 <= noverlap < seg:
+        raise ValueError(
+            f"overlap {overlap} gives {noverlap} overlapping samples, "
+            f"outside [0, {seg})"
+        )
+    fs = float(fs)
+    if not (math.isfinite(fs) and fs > 0):
+        raise ValueError(f"fs must be finite and positive, got {fs}")
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValueError("welch_psd expects a scalar series")
-    if x.size < segment_length:
-        raise ValueError(
-            f"series length {x.size} shorter than segment length {segment_length}"
-        )
-    noverlap = int(round(segment_length * overlap))
-    freqs, power = signal.welch(
-        x,
-        fs=fs,
-        window="hann",
-        nperseg=segment_length,
-        noverlap=noverlap,
-        scaling="density",
-    )
+    if x.size < seg:
+        raise ValueError(f"series length {x.size} shorter than segment length {seg}")
+    _require_finite(x[:, None])
+
+    starts = np.arange(0, x.size - seg + 1, seg - noverlap)
+    segments = sliding_window_view(x, seg)[starts]
+    segments -= segments.mean(axis=1, keepdims=True)
+    window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(seg) / seg)
+    if seg == 1:
+        window[0] = 1.0  # scipy's one-point Hann window, so the scale is not 0
+    spectra = np.fft.rfft(segments * window, axis=1)
+    power = np.mean(spectra.real**2 + spectra.imag**2, axis=0)
+    power /= fs * np.sum(window**2)
+    power[1 : (seg + 1) // 2] *= 2
     return PsdEstimate(
-        frequencies=freqs,
+        frequencies=np.fft.rfftfreq(seg, 1 / fs),
         power=power,
-        segment_length=segment_length,
+        segment_length=seg,
         overlap=overlap,
     )
 
@@ -533,10 +574,10 @@ def zoh_magnitude(f, f_clk: float):
     """Magnitude response |sin(pi f/f_clk) / (pi f/f_clk)| of a zero-order hold.
 
     Equals 1 at f = 0 (the sinc limit) and 0 at every integer multiple of
-    the clock frequency.
+    the clock frequency. Raises ValueError on a non-finite or non-positive
+    ``f_clk`` and on negative frequencies.
     """
-    if f_clk <= 0:
-        raise ValueError("f_clk must be positive")
+    _require_clock(f_clk)
     f = np.asarray(f, dtype=float)
     if np.any(f < 0):
         raise ValueError("frequencies must be non-negative")
@@ -545,9 +586,11 @@ def zoh_magnitude(f, f_clk: float):
 
 
 def hold_upsample(series, factor: int) -> np.ndarray:
-    """Zero-order-hold upsampling: repeat every sample ``factor`` times."""
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
+    """Zero-order-hold upsampling: repeat every sample ``factor`` times.
+
+    Raises ValueError unless ``factor`` is an integer >= 1.
+    """
+    factor = _require_count(factor, "factor")
     return np.repeat(np.asarray(series, dtype=float), factor)
 
 
@@ -556,8 +599,10 @@ def compensate_zoh(psd: PsdEstimate, f_clk: float) -> PsdEstimate:
 
     Bins whose frequency falls within ``ZOH_GUARD_FRACTION * f_clk`` of a
     hold null (any positive integer multiple of f_clk) are dropped rather
-    than amplified. Raises ValueError when no bins survive.
+    than amplified. Raises ValueError on a non-finite or non-positive
+    ``f_clk`` and when no bins survive.
     """
+    _require_clock(f_clk)
     f = psd.frequencies
     nearest_null = np.round(f / f_clk) * f_clk
     null_distance = np.abs(f - nearest_null)

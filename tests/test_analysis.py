@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal
 from scipy.spatial import cKDTree
 
 import chaoslink as cl
@@ -226,6 +227,62 @@ class TestWelch:
         with pytest.raises(ValueError):
             an.welch_psd(np.zeros(100), segment_length=1024)
 
+    # (series, segment_length, overlap, fs) built from one map output
+    ORACLE_CASES = {
+        "map-1024-0.5": lambda w: (w, 1024, 0.5, 1.0),
+        "odd-1023": lambda w: (w, 1023, 0.5, 1.0),
+        "overlap-0": lambda w: (w, 1024, 0.0, 1.0),
+        "overlap-0.3": lambda w: (w, 1024, 0.3, 1.0),
+        "held-fs8": lambda w: (an.hold_upsample(w[:4000], 8), 8192, 0.5, 8.0),
+        "ragged-tail": lambda w: (w[:5000], 1024, 0.5, 1.0),
+        "one-point": lambda w: (w[:64], 1, 0.0, 2.0),
+        "zero": lambda w: (np.zeros(4096), 1024, 0.5, 1.0),
+    }
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_matches_scipy_welch(self, case):
+        w = cl.generate_trajectory(20_000, seed=21).w
+        x, length, overlap, fs = self.ORACLE_CASES[case](w)
+        psd = an.welch_psd(x, segment_length=length, overlap=overlap, fs=fs)
+        freqs, power = signal.welch(
+            x, fs=fs, window="hann", nperseg=length,
+            noverlap=int(round(length * overlap)), scaling="density",
+        )
+        assert np.array_equal(psd.frequencies, freqs)
+        # equal up to the order of the sums, not bit for bit
+        assert np.max(np.abs(psd.power - power)) <= 1e-12 * np.max(power)
+        assert psd.segment_length == length and type(psd.segment_length) is int
+
+    BAD_ARGUMENTS = [
+        ("segment_length", 1024.0, "segment_length must be an integer >= 1, got 1024.0"),
+        ("segment_length", 1.5, "segment_length must be an integer >= 1, got 1.5"),
+        ("segment_length", 0, "segment_length must be an integer >= 1, got 0"),
+        ("overlap", np.nan, r"overlap nan gives nan overlapping samples, outside \[0, 1024\)"),
+        ("overlap", 1.0, r"overlap 1.0 gives 1024 overlapping samples, outside \[0, 1024\)"),
+        ("overlap", 0.9996, "overlap 0.9996 gives 1024 overlapping samples"),
+        ("overlap", -0.25, "overlap -0.25 gives -256 overlapping samples"),
+        ("fs", 0.0, "fs must be finite and positive, got 0.0"),
+        ("fs", -8.0, "fs must be finite and positive, got -8.0"),
+        ("fs", np.inf, "fs must be finite and positive, got inf"),
+        ("fs", np.nan, "fs must be finite and positive, got nan"),
+    ]
+
+    @pytest.mark.parametrize(
+        "setting, value, message",
+        BAD_ARGUMENTS,
+        ids=[f"{setting}={value}" for setting, value, _ in BAD_ARGUMENTS],
+    )
+    def test_refuses_bad_arguments(self, setting, value, message):
+        with pytest.raises(ValueError, match=message):
+            an.welch_psd(np.zeros(4096), **{setting: value})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_series(self, bad):
+        x = np.zeros(4096)
+        x[2049] = bad
+        with pytest.raises(ValueError, match="series row 2049 is not finite"):
+            an.welch_psd(x)
+
 
 class TestZoh:
     def test_unity_at_dc(self):
@@ -264,6 +321,25 @@ class TestZoh:
         )
         with pytest.raises(ValueError):
             an.compensate_zoh(psd, f_clk=1.0)
+
+    @pytest.mark.parametrize("f_clk", [0.0, -1.0, np.nan, np.inf])
+    def test_magnitude_refuses_bad_clock(self, f_clk):
+        with pytest.raises(ValueError, match="f_clk must be finite and positive"):
+            an.zoh_magnitude(0.1, f_clk)
+
+    @pytest.mark.parametrize("f_clk", [0.0, -1.0, np.nan, np.inf])
+    def test_compensate_refuses_bad_clock(self, f_clk):
+        psd = an.PsdEstimate(
+            frequencies=np.array([0.0, 0.2, 0.4]), power=np.ones(3),
+            segment_length=8, overlap=0.5,
+        )
+        with pytest.raises(ValueError, match="f_clk must be finite and positive"):
+            an.compensate_zoh(psd, f_clk)
+
+    @pytest.mark.parametrize("factor", [2.5, 2.0, 0, -3])
+    def test_hold_upsample_refuses_non_integer_factor(self, factor):
+        with pytest.raises(ValueError, match=f"factor must be an integer >= 1, got {factor}"):
+            an.hold_upsample(np.arange(4.0), factor)
 
     def test_held_output_flattened(self):
         traj = cl.generate_trajectory(30_000, seed=21)

@@ -956,6 +956,14 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps(loaded()))
 """
 
+COLD_START_PSD = COLD_START_LOADED + """
+import numpy as np
+from chaoslink import analysis
+held = analysis.hold_upsample(np.random.default_rng(1).standard_normal(512), 8)
+analysis.compensate_zoh(analysis.welch_psd(held, segment_length=1024, fs=8.0), f_clk=1.0)
+print(json.dumps(loaded()))
+"""
+
 
 class TestColdStart:
     """A fresh process imports each scipy subpackage only where it is called."""
@@ -979,3 +987,8 @@ class TestColdStart:
         # scipy.special: neither scipy.stats nor scipy.optimize is loaded
         (after_ber,) = self.run_fresh(COLD_START_BER, tmp_path)
         assert after_ber == ["special"]
+
+    def test_welch_and_hold_helpers_load_no_subpackage(self, tmp_path):
+        # the Welch estimate runs on numpy.fft: scipy.signal is not loaded
+        (after_psd,) = self.run_fresh(COLD_START_PSD, tmp_path)
+        assert after_psd == []
