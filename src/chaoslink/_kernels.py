@@ -52,8 +52,9 @@ except ImportError:  # numba is the optional `fast` extra
 
 
 # states or samples per call of a chunked kernel (iterate_map,
-# masked_transmit_chain): long enough to amortize the call, short enough that
-# the kernel's per-sample lists stay a small fraction of the output arrays
+# masked_transmit_chain, and receiver_chain in sync's sequential path): long
+# enough to amortize the call, short enough that the kernel's per-sample
+# lists or state buffer stay a small fraction of the output arrays
 CHUNK = 4096
 
 
@@ -170,7 +171,8 @@ def receiver_chain(w, x, y, z, a, b, c, beta, gamma, out):
 
     out[k] holds the receiver state at sample k, i.e. the state formed from
     w[0..k-1]; the update with w[k] happens after recording so transmitter
-    and receiver advance in lockstep.
+    and receiver advance in lockstep. Returns the state after the last
+    sample, from which a call on the samples that follow continues.
     """
     x, y, z = float(x), float(y), float(z)
     a, b, c, beta, gamma = float(a), float(b), float(c), float(beta), float(gamma)
@@ -184,6 +186,7 @@ def receiver_chain(w, x, y, z, a, b, c, beta, gamma, out):
         fy = fold_scalar(c * y + zt, beta)
         fz = fold_scalar(x + y, beta)
         x, y, z = fx, fy, fz
+    return x, y, z
 
 
 @njit(nogil=True)

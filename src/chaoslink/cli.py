@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis
+from . import __version__, _kernels, analysis
 from .codecs import (
     PacketCorruptionError,
     bits_to_packet,
@@ -482,6 +482,7 @@ def cmd_recv_file(settings: Settings) -> int:
     bits = decide_zero(recovered, masked.config)
     packet = bits_to_packet(bits)  # raises PacketCorruptionError on CRC failure
     packet_to_file(packet, out)
+    verdict = stability_check(masked.params)
     report = _write(
         settings,
         "recv_report.json",
@@ -493,7 +494,9 @@ def cmd_recv_file(settings: Settings) -> int:
             "compression_ratio": packet.compression_ratio,
             # the receiver runs with the file header's map and modulation
             "params": asdict(masked.params),
+            "stability": {key: verdict[key] for key in ("bound", "margins")},
             "modulation": {**asdict(masked.config), "bit_rate": masked.config.bit_rate},
+            "backend": "numba" if _kernels.HAVE_NUMBA else "interpreted",
         },
     )
     print(f"wrote {out} and {report}")

@@ -63,9 +63,11 @@ def _fold_unchecked(u, beta):
     Agrees bit for bit with ``_kernels.fold_scalar`` on every finite
     element; callers have validated ``beta`` and the input. Each branch is
     evaluated on the whole array and np.where keeps the one that applies.
-    For beta within about 1e-308 of 0 or 1 a discarded branch can
-    overflow, so callers silence numpy's overflow warning; a kept value
-    always lies in [-1, 1]. Returns a new array.
+    For 0 < beta < 1 the two outer branches are one: where |g| > 1 - beta,
+    ``copysign(1, g) - g`` is fold_scalar's ``1 - g`` or ``-1 - g`` (at
+    g = -1 that is +0.0, as there). For beta within about 1e-308 of 0 or 1
+    a discarded branch can overflow, so callers silence numpy's overflow
+    warning; a kept value always lies in [-1, 1]. Returns a new array.
     """
     g = _wrap(u)
     if beta == 0.0:
@@ -73,8 +75,7 @@ def _fold_unchecked(u, beta):
     if beta == 1.0:
         return np.where(g > 0.0, 1.0 - g, np.where(g < 0.0, -1.0 - g, 0.0))
     hi = 1.0 - beta
-    inner = np.where(g < -hi, (-1.0 - g) / beta, g / (1.0 - beta))
-    return np.where(g > hi, (1.0 - g) / beta, inner)
+    return np.where(np.abs(g) > hi, (np.copysign(1.0, g) - g) / beta, g / hi)
 
 
 def fold_slopes(u, beta):

@@ -19,6 +19,7 @@ from . import __version__
 from .core_map import Trajectory
 from .link import MaskedSeries, ModulationConfig
 from .params import SettlingConfig, SystemParams
+from .sync import stability_check
 
 TRAJECTORY_MAGIC = b"CLTR"
 MASKED_MAGIC = b"CLMS"
@@ -143,6 +144,12 @@ def read_masked_series(path) -> MaskedSeries:
     params, fields, rows = _read_binary(
         path, MASKED_MAGIC, "masked-series", "<dIddqIIQ", 1
     )
+    # a receiver on this map would never lock, so the payload cannot come back
+    verdict = stability_check(params)
+    if not verdict["stable"]:
+        raise ValueError(
+            f"{path}: header map cannot synchronize; margins {verdict['margins']}"
+        )
     # the bit-rate slot is ignored: the rate follows from f_clk and spb
     amplitude, spb, f_clk, _, seed, settle, pilot, _ = fields
     # one NaN or inf sample would leave every later receiver state non-finite

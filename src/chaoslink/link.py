@@ -21,16 +21,17 @@ import numpy as np
 from . import _kernels
 from .core_map import generate_trajectory, random_initial_state, spawn_seeds
 from .params import SystemParams
-from .sync import receiver_run, stability_check
+from .sync import receiver_output, stability_check
 
 # preamble: unmasked settle steps, then one known '1' symbol for polarity
 SETTLE_STEPS = 200
 PILOT_BITS = 1
 
 # samples per stacked receive of a frame batch: the lockstep's fixed step
-# count is shared by the batch, and per sample it cost 747 ns for one 20 201-
-# sample frame, 366 ns for three and 240 ns for twelve (2.4e5 samples), but
-# no less for larger batches, which would only hold more (F, n, 3) states
+# count is shared by the batch, and per sample the receive of w_r cost
+# 296-563 ns for one 20 201-sample frame, 151-189 ns for three and 97-108 ns
+# for twelve (2.4e5 samples); 24 and 48 frames read 77-99 and 67-88 ns, a
+# smaller step for two and four times the samples held
 RECEIVE_BATCH_SAMPLES = 1 << 18
 
 # primitive feedback taps per register degree (x^d + x^t + ... + 1)
@@ -264,11 +265,11 @@ def _receive_batch(sent, noise_sigma: float, recv_params: SystemParams | None) -
     """unmask_receive on each ``(masked series, master seed)`` of ``sent``.
 
     Each series goes through the channel on its own and is dropped there,
-    so the batch holds only the received series and the receiver states.
+    so the batch holds only the received series and the receiver output.
     The received series, which must have equal lengths, then go through one
-    stacked ``receiver_run`` call whose lockstep steps them together with the
-    map ``recv_params`` (None: the series' own, which they share). Returns
-    the recovered data samples of each series, in order.
+    stacked ``receiver_output`` call whose lockstep steps them together with
+    the map ``recv_params`` (None: the series' own, which they share).
+    Returns the recovered data samples of each series, in order.
     """
 
     def channel(masked, seed):
@@ -282,10 +283,9 @@ def _receive_batch(sent, noise_sigma: float, recv_params: SystemParams | None) -
         recv_params = maps[0]
     w_rx = np.stack(received)
     del received
-    states = receiver_run(w_rx, np.stack(inits), recv_params)
-    # received - w_r; the (F, n, 3) states go before the per-frame data is cut
-    recovered = w_rx - (recv_params.gamma * states[..., 0] + states[..., 2])
-    del w_rx, states
+    w_r = receiver_output(w_rx, np.stack(inits), recv_params)
+    recovered = np.subtract(w_rx, w_r, out=w_rx)  # received - w_r
+    del w_rx, w_r
     data = []
     for samples, (amplitude, settle_steps, preamble) in zip(recovered, layouts):
         sign = 1.0

@@ -69,6 +69,23 @@ def receiver_run(w, init, params: SystemParams = DEFAULT_PARAMS) -> np.ndarray:
     _receiver_blocks); the result is bit-identical to the sequential
     kernel, which handles every other frame.
     """
+    return _receive(w, init, params, states=True)
+
+
+def receiver_output(w, init, params: SystemParams = DEFAULT_PARAMS) -> np.ndarray:
+    """The receiver's regenerated output ``w_r = gamma*x + z``, per sample.
+
+    Takes what receiver_run takes and returns an array of ``w``'s shape
+    whose entry k equals ``gamma*x + z`` of receiver_run's row k, bit for
+    bit. It runs the same engine but never holds the (..., 3) states: the
+    lockstep records w_r step by step, and the sequential kernel runs
+    ``_kernels.CHUNK`` samples at a time into one small state buffer.
+    """
+    return _receive(w, init, params, states=False)
+
+
+def _receive(w, init, params: SystemParams, states: bool) -> np.ndarray:
+    """receiver_run (``states``) or receiver_output on a series or stacked frames."""
     w = np.asarray(w, dtype=float)
     if w.ndim not in (1, 2):
         raise ValueError(f"w must be a series or stacked frames, got shape {w.shape}")
@@ -78,7 +95,7 @@ def receiver_run(w, init, params: SystemParams = DEFAULT_PARAMS) -> np.ndarray:
         raise ValueError(
             f"{len(frames)} frames need as many start states, got {len(starts)}"
         )
-    out = np.empty((*frames.shape, 3))
+    out = np.empty(frames.shape + ((3,) if states else ()))
     warm = None if _kernels.HAVE_NUMBA else _warmup_steps(params)
     long_enough = warm is not None and frames.shape[1] >= 2 * _block_length(warm)
     blocked = np.array(
@@ -93,22 +110,39 @@ def receiver_run(w, init, params: SystemParams = DEFAULT_PARAMS) -> np.ndarray:
         part = np.empty((int(blocked.sum()), *out.shape[1:]))
         _receiver_blocks(frames[blocked], starts[blocked], params, warm, part)
         out[blocked] = part
-    return out.reshape(*w.shape, 3)
+    return out.reshape(w.shape + out.shape[2:])
 
 
-def _receiver_chain(w, start, params: SystemParams, out) -> None:
-    _kernels.receiver_chain(
-        w,
-        start[0],
-        start[1],
-        start[2],
-        params.a,
-        params.b,
-        params.c,
-        params.beta,
-        params.gamma,
-        out,
-    )
+def _record(state, gamma: float, out) -> None:
+    """Write the readout of ``state`` (3, ...) into ``out``.
+
+    An ``out`` of the state's shape takes the state itself; one without
+    the component axis takes ``gamma*x + z``, rounded as that expression is.
+    """
+    if out.ndim == state.ndim:
+        out[...] = state
+    else:
+        np.multiply(gamma, state[0], out=out)
+        out += state[2]
+
+
+def _receiver_chain(w, start, params: SystemParams, out):
+    """The sequential kernel on ``w`` from ``start``; returns the state after it.
+
+    Row k of ``out`` takes the readout (see _record) of the state at sample
+    k. The kernel runs ``_kernels.CHUNK`` samples at a time into one small
+    state buffer, each call continuing from the last one's end state, so
+    an output readout holds no states beyond that buffer.
+    """
+    coefficients = (params.a, params.b, params.c, params.beta, params.gamma)
+    buf = np.empty((min(len(w), _kernels.CHUNK), 3))
+    x, y, z = start
+    for lo in range(0, len(w), _kernels.CHUNK):
+        chunk = w[lo : lo + _kernels.CHUNK]
+        rows = buf[: len(chunk)]
+        x, y, z = _kernels.receiver_chain(chunk, x, y, z, *coefficients, rows)
+        _record(rows.T, params.gamma, out[lo : lo + len(chunk)].T)
+    return np.array([x, y, z])
 
 
 def _warmup_steps(params: SystemParams):
@@ -169,52 +203,72 @@ def _lockstep(state, wk, params: SystemParams, u):
 def _receiver_blocks(w, start, params: SystemParams, warm: int, out):
     """Block-parallel receiver_chain on F stacked frames, exact by construction.
 
-    ``w`` is (F, n), ``start`` (F, 3) and ``out`` (F, n, 3). Block j of a
-    frame covers rows [j*block, (j+1)*block), where block comes from
-    _block_length and is at least ``warm``. Block 0 starts from the frame's
-    ``start``. Every later block starts from that state placed ``warm``
-    samples earlier (inside the block before it) and runs over those
-    samples first, which lets it forget the wrong start (see
-    _warmup_steps). The blocks of all frames then step together as numpy
-    vectors and write straight into ``out``, so a sweep of frames pays for
-    one block's steps, not one per frame. A block is kept only if its first
-    row equals, bit for bit, the true end state of the frame's block before
-    it; otherwise the sequential kernel re-runs it from that state. Rows
-    past the last whole block run sequentially too.
+    ``w`` is (F, n), ``start`` (F, 3) and ``out`` (F, n, 3) for states or
+    (F, n) for the output (see _record). Block j of a frame covers rows
+    [j*block, (j+1)*block), where block comes from _block_length and is at
+    least ``warm``. Block 0 starts from the frame's ``start``. Every later
+    block starts from that state placed ``warm`` samples earlier (inside
+    the block before it) and runs over those samples first, which lets it
+    forget the wrong start (see _warmup_steps). The blocks of all frames
+    then step together as numpy vectors, so a sweep of frames pays for one
+    block's steps, not one per frame.
+
+    The steps read a step-major copy of the series, ``series[s, f, j]``
+    being sample s of block j of frame f, so each step reads and writes
+    contiguous rows; the warm-up reads are a view of the same copy, and a
+    partial last block is padded with zeros. Each step's readout goes into
+    a step-major buffer (for the output, the series rows already read),
+    moved into ``out`` once at the end.
+
+    A block is kept only if its first state equals, bit for bit, the true
+    end state of the frame's block before it. All seams are compared at
+    once; the sequential kernel re-runs each block that fails from the
+    true state, then the blocks after it until one matches.
     """
-    n = w.shape[1]
+    frames, n = w.shape
     block = _block_length(warm)
-    lanes = n // block
-    whole = lanes * block
-    rows = out[:, :whole].reshape(-1, lanes, block, 3)
-    series = w[:, :whole].reshape(-1, lanes, block)
-    early = w[:, block - warm : whole - warm].reshape(-1, lanes - 1, block)
+    full, tail = divmod(n, block)
+    lanes = full + (tail > 0)
+    # zeros pad a partial last lane: the receiver is causal, so they change
+    # no readout before n, and no seam follows that lane's end state
+    series = np.zeros((block, frames, lanes))
+    lane_rows = series.transpose(1, 2, 0)  # (F, lanes, block) view
+    lane_rows[:, :full] = w[:, : full * block].reshape(frames, full, block)
+    if tail:
+        lane_rows[:, full, :tail] = w[:, full * block :]
+    early = series[block - warm :, :, :-1]  # lane j's warm-up: lane j-1's last samples
+    states = out.ndim == 3
+    rec = np.empty((block, 3, frames, lanes)) if states else series
     first = start.T[:, :, None]
     state = np.repeat(first, lanes - 1, axis=2)
     with np.errstate(over="ignore"):  # see _fold_unchecked
         u = np.empty(state.shape)
         for s in range(warm):
-            state = _lockstep(state, early[:, :, s], params, u)
-        state = np.concatenate([first, state], axis=2)
+            state = _lockstep(state, early[s], params, u)
+        starts = state = np.concatenate([first, state], axis=2)
         u = np.empty(state.shape)
         for s in range(block):
-            rows[:, :, s, :] = state.transpose(1, 2, 0)
-            state = _lockstep(state, series[:, :, s], params, u)
-    lockstep_starts = rows[:, :, 0, :].copy()
-    for f, frame_out in enumerate(out):
-        true_end = state[:, f, 0]
-        for j in range(1, lanes):
-            if lockstep_starts[f, j].tobytes() == true_end.tobytes():
-                true_end = state[:, f, j]
-                continue
-            begin = j * block
-            # one row past the block is the next block's true start; a block
-            # that ends the series has no such row and needs none
-            stop = min(begin + block + 1, n)
-            _receiver_chain(w[f, begin:stop], true_end, params, frame_out[begin:stop])
-            true_end = frame_out[stop - 1].copy()
-        if whole < n:
-            _receiver_chain(w[f, whole:], true_end, params, frame_out[whole:])
+            stepped = _lockstep(state, series[s], params, u)
+            _record(state, params.gamma, rec[s])  # after series[s] is read
+            state = stepped
+    readouts = rec.transpose((2, 3, 0, 1) if states else (1, 2, 0))  # (F, lanes, block, ...)
+    out[:, : full * block].reshape(readouts[:, :full].shape)[...] = readouts[:, :full]
+    if tail:
+        out[:, full * block :] = readouts[:, full, :tail]
+    ends = state
+    # bitwise, since == equates -0.0 and +0.0
+    broken = (starts[:, :, 1:].view(np.int64) != ends[:, :, :-1].view(np.int64)).any(axis=0)
+    checked = np.zeros(frames, dtype=int)  # blocks below this are re-run or right
+    for f, seam in zip(*np.nonzero(broken)):
+        j = seam + 1
+        if j <= checked[f]:
+            continue
+        true = ends[:, f, j - 1]
+        while j < lanes and starts[:, f, j].tobytes() != true.tobytes():
+            lo = j * block
+            true = _receiver_chain(w[f, lo : lo + block], true, params, out[f, lo : lo + block])
+            j += 1
+        checked[f] = j
 
 
 def response_estimate(w, states, gamma: float) -> np.ndarray:

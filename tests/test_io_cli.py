@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import chaoslink as cl
-from chaoslink import cli, codecs, link
+from chaoslink import _kernels, cli, codecs, link
 from chaoslink.cli import main
 from chaoslink.codecs import (
     compress_audio,
@@ -37,6 +37,7 @@ from chaoslink.io_formats import (
 )
 from chaoslink.link import MaskedSeries, ModulationConfig, mask_transmit, prbs
 from chaoslink.signals import synth_image, synth_speech
+from chaoslink.sync import stability_check
 from test_codecs import hand_packet
 
 
@@ -202,6 +203,24 @@ class TestUntrustedReceive:
         assert code == 2
         assert f"{path}: preamble of {settle + 4} samples" in err
         assert f"exceeds the {n} samples in the file" in err
+
+    def test_header_map_that_cannot_synchronize(self, tmp_path, capsys, monkeypatch):
+        """A header map failing stability_check exits 2 before any receive."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("received a series the receiver cannot lock to")
+
+        monkeypatch.setattr(link, "receiver_output", unreachable)
+        path = masked_file(tmp_path, prbs(20, seed=3))
+        raw = bytearray(path.read_bytes())
+        raw[38:46] = struct.pack("<d", -0.5)  # the header's gamma, last of a, b, c, beta, gamma
+        path.write_bytes(bytes(raw))
+        verdict = stability_check(cl.DEFAULT_PARAMS.replace(gamma=-0.5))
+        assert not verdict["stable"]
+        code, err = recv(tmp_path, path, capsys)
+        assert code == 2
+        assert f"{path}: header map cannot synchronize; margins {verdict['margins']}" in err
+        assert not (tmp_path / "x.wav").exists()
 
     @pytest.mark.parametrize("sample", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_sample_named(self, tmp_path, capsys, sample):
@@ -725,7 +744,7 @@ class TestCli:
             raise AssertionError("reached after the output check")
 
         monkeypatch.setattr(cli, "read_masked_series", unreachable)
-        monkeypatch.setattr(link, "receiver_run", unreachable)
+        monkeypatch.setattr(link, "receiver_output", unreachable)
         for out, out_dir in output_directory_cases(tmp_path, "out.wav"):
             code = main(
                 ["recv-file", "--input", str(masked), "--output", str(out),
@@ -756,6 +775,9 @@ class TestCli:
         assert report["modulation"] == {
             "amplitude": 0.1, "samples_per_bit": 20, "f_clk": 5.0e5, "bit_rate": 2.5e4
         }
+        verdict = stability_check(cl.DEFAULT_PARAMS.replace(gamma=-1.2))
+        assert report["stability"] == {"bound": verdict["bound"], "margins": verdict["margins"]}
+        assert report["backend"] == ("numba" if _kernels.HAVE_NUMBA else "interpreted")
         # the echo holds only the setting the receiver reads: the channel
         assert report["config"] == {"link.noise_sigma": 0.0}
 

@@ -342,30 +342,57 @@ class TestReceiverRunOracle:
 
     @pytest.fixture(autouse=True)
     def interpreted(self, monkeypatch):
-        """Count block-path calls; take the block path under numba too."""
+        """Log block-path and sequential calls; take the block path under numba too."""
         monkeypatch.setattr(sync._kernels, "HAVE_NUMBA", False)
-        self.calls = {"blocks": 0, "chain": 0}
-        self.block_frames = []  # frames stepped by each block-path call
-        self.chain_lengths = []  # samples of each sequential-kernel call
+        self.log = []  # ("blocks", frames stepped) or ("chain", samples run) per call
         blocks, chain_fn = sync._receiver_blocks, sync._receiver_chain
 
         def count_blocks(*args):
-            self.calls["blocks"] += 1
-            self.block_frames.append(len(args[0]))
+            self.log.append(("blocks", len(args[0])))
             return blocks(*args)
 
         def count_chain(*args):
-            self.calls["chain"] += 1
-            self.chain_lengths.append(len(args[0]))
+            self.log.append(("chain", len(args[0])))
             return chain_fn(*args)
 
         monkeypatch.setattr(sync, "_receiver_blocks", count_blocks)
         monkeypatch.setattr(sync, "_receiver_chain", count_chain)
 
+    @property
+    def calls(self):
+        return {kind: sum(k == kind for k, _ in self.log) for kind in ("blocks", "chain")}
+
+    @property
+    def block_frames(self):
+        """Frames stepped by each block-path call."""
+        return [size for kind, size in self.log if kind == "blocks"]
+
+    @property
+    def chain_lengths(self):
+        """Samples of each sequential-kernel call."""
+        return [size for kind, size in self.log if kind == "chain"]
+
+    def both_readouts(self, w, inits, params, refs):
+        """receiver_output, checked against gamma*x + z of the kernel states
+        ``refs`` byte for byte, then receiver_run, whose states are returned.
+        Both must take the same blocks and sequential runs; only
+        receiver_run's calls stay logged."""
+        mark = len(self.log)
+        w_r = sync.receiver_output(w, inits, params)
+        want = np.stack([params.gamma * ref[:, 0] + ref[:, 2] for ref in refs])
+        assert w_r.shape == w.shape
+        assert w_r.tobytes() == want.tobytes()
+        output_path = self.log[mark:]
+        del self.log[mark:]
+        states = sync.receiver_run(w, inits, params)
+        assert self.log[mark:] == output_path
+        return states
+
     def check(self, w, params=P, seed=11):
         init = random_initial_state(seed)
-        got = sync.receiver_run(w, init, params)
-        assert got.tobytes() == chain(w, init, params).tobytes()
+        ref = chain(w, init, params)
+        got = self.both_readouts(w, init, params, [ref])
+        assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("sigma", [0.0, 0.012])
     @pytest.mark.parametrize("n", [5000, 5003])
@@ -422,10 +449,11 @@ class TestReceiverRunOracle:
     def check_frames(self, frames, params=P, seeds=(11, 12, 13)):
         """Each frame of a stacked call equals the kernel on that frame alone."""
         inits = np.stack([random_initial_state(seed) for seed in seeds])
-        got = sync.receiver_run(frames, inits, params)
+        refs = [chain(frame, init, params) for frame, init in zip(frames, inits)]
+        got = self.both_readouts(frames, inits, params, refs)
         assert got.shape == (*frames.shape, 3)
-        for frame, init, states in zip(frames, inits, got):
-            assert states.tobytes() == chain(frame, init, params).tobytes()
+        for states, ref in zip(got, refs):
+            assert states.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n", [5000, 5003])
     def test_equal_length_noisy_frames(self, n):
@@ -459,8 +487,12 @@ class TestReceiverRunOracle:
         init = random_initial_state(11)
         stacked = sync.receiver_run(w[None], init[None], P)
         assert stacked[0].tobytes() == sync.receiver_run(w, init, P).tobytes()
+        w_r = sync.receiver_output(w[None], init[None], P)
+        assert w_r[0].tobytes() == sync.receiver_output(w, init, P).tobytes()
 
     def test_start_states_must_match_frames(self):
         frames = np.stack([drive(500, seed=s) for s in (3, 4)])
         with pytest.raises(ValueError, match="start states"):
             sync.receiver_run(frames, random_initial_state(11)[None], P)
+        with pytest.raises(ValueError, match="start states"):
+            sync.receiver_output(frames, random_initial_state(11)[None], P)

@@ -244,6 +244,28 @@ class TestUnmask:
         assert recovered.size == data.size
         assert np.max(np.abs(recovered + data)) < 1e-9
 
+    def test_receive_peak_memory_per_sample(self):
+        """The receive holds the received series, one step-major copy of it
+        that the lockstep overwrites with w_r, and w_r in sample order.
+
+        The series is test_peak_memory_per_sample's 215 250 samples. Three
+        float64 arrays make 24 B/sample; the data samples cut from the
+        recovered series add 8 after the copy has gone. Holding the
+        (n, 3) receiver states, as the receive once did, reads about 48.
+        """
+        bits = prbs(4300, seed=2)
+        masked = mask_transmit(PARAMS, bits, CFG, seed=1)
+        small = mask_transmit(PARAMS, bits[:10], CFG, seed=1)
+        unmask_receive(small, seed=3, noise_sigma=0.012)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            unmask_receive(masked, seed=3, noise_sigma=0.012)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert masked.w_star.size == 215_250
+        assert peak / masked.w_star.size <= 40
+
 
 class TestIntegrateAndDump:
     def test_constant_input(self):
@@ -593,8 +615,10 @@ class TestEndToEnd:
         """Frames are received a batch at a time, each transmitted series is
         dropped once it has gone through the channel, and each point's
         samples are dropped once decided. So peak memory per frame sample is
-        that of run_link on one frame, about 48 B. Keeping each transmitted
-        series through the receive reads about 56."""
+        that of run_link on one frame, about 26 B (see
+        test_receive_peak_memory_per_sample). Holding the (F, n, 3)
+        receiver states read about 48, and keeping each transmitted series
+        through the receive as well about 56."""
         monkeypatch.setattr(link, "RECEIVE_BATCH_SAMPLES", 1)
         ber_sweep(PARAMS, [0.05], CFG, n_bits=20, seed=1, noise_sigma=0.012)
         tracemalloc.start()
@@ -604,4 +628,4 @@ class TestEndToEnd:
         finally:
             tracemalloc.stop()
         frame_samples = link.SETTLE_STEPS + (link.PILOT_BITS + 1000) * CFG.samples_per_bit
-        assert peak / frame_samples <= 52
+        assert peak / frame_samples <= 40
