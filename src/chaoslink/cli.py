@@ -170,17 +170,17 @@ class Settings:
         return self.args.seed
 
     def echo(self) -> dict:
-        """Version, dotted settings, seed, and the subcommand with its other
-        arguments. ``config`` holds the command's own settings, exactly the
-        ones it reads. ``--config`` is echoed through the settings it set;
-        ``--threads`` changes no result and ``--out-dir`` only where the
-        files go, so neither is echoed."""
+        """Dotted settings, seed, and the subcommand with its other
+        arguments; the report writers stamp the version. ``config`` holds
+        the command's own settings, exactly the ones it reads. ``--config``
+        is echoed through the settings it set; ``--threads`` changes no
+        result and ``--out-dir`` only where the files go, so neither is
+        echoed."""
         skip = {"config", "seed", "out_dir", "threads", "handler"}
         args = {
             k: v for k, v in vars(self.args).items() if "__" not in k and k not in skip
         }
         return {
-            "version": __version__,
             "config": {k: self.values[k] for k in sorted(self.values)},
             "seed": self.args.seed,
             "args": args,
@@ -448,7 +448,7 @@ def cmd_send_file(settings: Settings) -> int:
     out = _output_path(settings)
     _out_dir(settings)
     payload = Path(settings.args.input)
-    _, packet = file_to_packet(
+    packet = file_to_packet(
         payload,
         settings["codec.keep_fraction"],
         selection=settings["codec.selection"],

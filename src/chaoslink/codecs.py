@@ -62,11 +62,10 @@ class PacketCorruptionError(ValueError):
 
 @dataclass(frozen=True)
 class AudioClip:
-    """Mono PCM audio; samples are integers at the stated bit depth."""
+    """Mono 16-bit PCM audio."""
 
     samples: np.ndarray
     sample_rate: int
-    bit_depth: int = 16
 
     def __post_init__(self):
         s = np.asarray(self.samples)
@@ -150,14 +149,12 @@ class CoefficientPacket:
 
 
 def dct_forward(x, axes=None) -> np.ndarray:
-    """Orthonormal type-II DCT; 1-d arrays directly, 2-d over ``axes`` (default both)."""
+    """Orthonormal type-II DCT over ``axes`` (default: every axis)."""
     from scipy import fft as sfft
 
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("empty input")
-    if x.ndim == 1:
-        return sfft.dct(x, type=2, norm="ortho")
     return sfft.dctn(x, type=2, norm="ortho", axes=axes)
 
 
@@ -168,14 +165,15 @@ def dct_inverse(c, axes=None) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.size == 0:
         raise ValueError("empty input")
-    if c.ndim == 1:
-        return sfft.idct(c, type=2, norm="ortho")
     return sfft.idctn(c, type=2, norm="ortho", axes=axes)
 
 
 @lru_cache(maxsize=16)
 def zigzag_order(height: int, width: int) -> np.ndarray:
-    """Anti-diagonal traversal order (flattened indices) for an h x w grid."""
+    """Anti-diagonal traversal order (flattened indices) for an h x w grid.
+
+    Every caller for one size shares the cached array, so it is read-only.
+    """
     order = []
     for s in range(height + width - 1):
         i_lo = max(0, s - width + 1)
@@ -185,7 +183,9 @@ def zigzag_order(height: int, width: int) -> np.ndarray:
             rng = reversed(rng)
         for i in rng:
             order.append(i * width + (s - i))
-    return np.asarray(order, dtype=np.int64)
+    order = np.asarray(order, dtype=np.int64)
+    order.flags.writeable = False
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +214,15 @@ def _frame_shape(kind: str, dim0: int, dim1: int, frame_len: int):
     return (-(-dim0 // frame_len) if frame_len else 0), frame_len
 
 
-def _check_encoding(keep_fraction, value_bits) -> None:
-    """Reject a compressor's keep fraction or value width before any transform."""
+def _check_encoding(keep_fraction, selection, value_bits) -> None:
+    """Reject a compressor's keep fraction, value width or selection rule
+    before any transform."""
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must lie in (0, 1]")
     if not 2 <= value_bits <= 16:
         raise ValueError("value_bits must lie in [2, 16]")
+    if selection not in ("lowfreq", "magnitude"):
+        raise ValueError(f"unknown selection rule {selection!r}")
 
 
 def _encode(coeffs, keep_fraction, selection, value_bits, **header) -> CoefficientPacket:
@@ -280,11 +283,6 @@ def _decode(packet: CoefficientPacket) -> np.ndarray:
 # audio
 
 
-def _to_internal8(clip: AudioClip) -> np.ndarray:
-    shift = max(clip.bit_depth - 8, 0)
-    return np.round(np.asarray(clip.samples, dtype=float) / (1 << shift))
-
-
 def compress_audio(
     clip: AudioClip,
     keep_fraction: float,
@@ -292,17 +290,17 @@ def compress_audio(
     value_bits: int = 8,
     frame_len: int = FRAME_LEN,
 ) -> CoefficientPacket:
-    """Frame-wise DCT compression of (internally 8-bit) audio.
+    """Frame-wise DCT compression of 16-bit audio at an internal 8 bits.
 
     Keeps ``round(keep_fraction * frame_len)`` coefficients per time frame,
     either the low-frequency prefix (default, positions implicit) or the
     largest magnitudes (positions stored). The trailing frame is
     zero-padded.
     """
-    _check_encoding(keep_fraction, value_bits)
+    _check_encoding(keep_fraction, selection, value_bits)
     if frame_len < 1:
         raise ValueError(f"frame_len must be >= 1, got {frame_len}")
-    x = _to_internal8(clip)
+    x = np.round(np.asarray(clip.samples, dtype=float) / 256)
     n = x.size
     if n == 0:
         raise ValueError("empty clip")
@@ -321,17 +319,13 @@ def compress_audio(
     )
 
 
-def decompress_audio(packet: CoefficientPacket, bit_depth: int = 16) -> AudioClip:
-    """Rebuild an AudioClip from a compressed packet."""
+def decompress_audio(packet: CoefficientPacket) -> AudioClip:
+    """Rebuild a 16-bit AudioClip from a compressed packet."""
     if packet.kind != "audio":
         raise ValueError("not an audio packet")
     out = dct_inverse(_decode(packet), axes=(1,)).ravel()
-    shift = max(bit_depth - 8, 0)
-    top = 1 << (bit_depth - 1)
-    samples = np.clip(
-        np.round(out[: packet.dim0]) * (1 << shift), -top, top - 1
-    ).astype(np.int32 if bit_depth > 16 else np.int16)
-    return AudioClip(samples=samples, sample_rate=packet.dim1, bit_depth=bit_depth)
+    samples = np.clip(np.round(out[: packet.dim0]) * 256, -32768, 32767)
+    return AudioClip(samples=samples.astype(np.int16), sample_rate=packet.dim1)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +344,7 @@ def compress_image(
     does not dominate the quantizer scale. Coefficients are read in zigzag
     order and kept as one frame.
     """
-    _check_encoding(keep_fraction, value_bits)
+    _check_encoding(keep_fraction, selection, value_bits)
     if img.pixels.size == 0:
         raise ValueError("empty image")
     frames, size = _frame_shape("image", img.height, img.width, 0)
@@ -522,6 +516,10 @@ def bits_to_packet(bits) -> CoefficientPacket:
         raise PacketCorruptionError(
             "header", 24, f"{n_chunks} chunks, layout needs {needed}"
         )
+    # a NaN or inf float decodes to NaN casts; a finite float32 cannot
+    # overflow the float64 decode, so finiteness is the whole check
+    if not np.isfinite(mean):
+        raise PacketCorruptionError("header", 28, f"mean {mean} is not finite")
     payload_bits = 32 * n_chunks + per_coeff * keep * frames
     payload_bytes_len = (payload_bits + 7) // 8
     total_bytes = 36 + payload_bytes_len + 4
@@ -545,6 +543,14 @@ def bits_to_packet(bits) -> CoefficientPacket:
     payload = _bytes_to_bits(payload_raw)[:payload_bits]
     ends = np.cumsum(counts)
     scales = struct.unpack(f">{n_chunks}f", _bits_to_bytes(payload[layout == _SCALE]))
+    bad = np.flatnonzero(~np.isfinite(scales))
+    if bad.size:
+        # the first bad chunk, at the byte where its scale starts
+        c = int(bad[0])
+        start = 32 * c + per_coeff * int(ends[c] - counts[c])
+        raise PacketCorruptionError(
+            "payload", 36 + start // 8, f"chunk {c} scale {scales[c]} is not finite"
+        )
     indices = None
     if selection == "magnitude":
         # positions restart from -1 in every chunk
@@ -624,18 +630,12 @@ def read_wav(path) -> AudioClip:
     except wave.Error as exc:
         raise ValueError(f"{path}: not a WAV file: {exc}") from exc
     samples = np.frombuffer(raw, dtype="<i2")
-    return AudioClip(samples=samples, sample_rate=rate, bit_depth=16)
+    return AudioClip(samples=samples, sample_rate=rate)
 
 
 def write_wav(path, clip: AudioClip) -> None:
     """Write a mono 16-bit PCM WAV file."""
-    samples = np.asarray(clip.samples)
-    if clip.bit_depth != 16:
-        shift = clip.bit_depth - 16
-        samples = (
-            samples * (1 << -shift) if shift < 0 else samples // (1 << shift)
-        )
-    data = np.clip(samples, -32768, 32767).astype("<i2").tobytes()
+    data = np.clip(clip.samples, -32768, 32767).astype("<i2").tobytes()
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
@@ -694,8 +694,8 @@ def file_to_packet(
     keep_fraction: float,
     selection: str = "lowfreq",
     value_bits: int = 8,
-):
-    """Read a .wav or .pgm payload and compress it; returns (payload, packet)."""
+) -> CoefficientPacket:
+    """Read a .wav or .pgm payload and compress it."""
     suffix = Path(path).suffix.lower()
     if suffix == ".wav":
         payload = read_wav(path)
@@ -705,16 +705,12 @@ def file_to_packet(
         compress = compress_image
     else:
         raise ValueError(f"unsupported payload type {suffix!r} (use .wav or .pgm)")
-    packet = compress(payload, keep_fraction, selection=selection, value_bits=value_bits)
-    return payload, packet
+    return compress(payload, keep_fraction, selection=selection, value_bits=value_bits)
 
 
-def packet_to_file(packet: CoefficientPacket, path=None):
-    """Decompress a packet by its kind; write it as WAV/PGM when ``path`` is given."""
+def packet_to_file(packet: CoefficientPacket, path) -> None:
+    """Decompress a packet by its kind and write it as WAV or PGM."""
     if packet.kind == "audio":
-        payload, write = decompress_audio(packet), write_wav
+        write_wav(path, decompress_audio(packet))
     else:
-        payload, write = decompress_image(packet), write_pgm
-    if path is not None:
-        write(path, payload)
-    return payload
+        write_pgm(path, decompress_image(packet))

@@ -68,21 +68,15 @@ def _read_binary(path, magic: bytes, kind: str, fields: str, row_width: int):
 def write_trajectory_csv(path, traj: Trajectory) -> None:
     """CSV with columns n, x, y, z, w and a JSON metadata comment line."""
     meta = {
-        "version": __version__,
         "params": asdict(traj.params),
         "mode": traj.mode,
         "seed": traj.seed,
         "transient": traj.transient,
     }
-    w = traj.w
-    with open(path, "w", newline="") as fh:
-        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["n", "x", "y", "z", "w"])
-        for k, (state, wk) in enumerate(zip(traj.states, w)):
-            writer.writerow(
-                [k] + [repr(float(v)) for v in (state[0], state[1], state[2], wk)]
-            )
+    rows = np.column_stack([traj.states, traj.w]).tolist()
+    # csv writes each float as its repr, which round-trips the double
+    numbered = ([k, *row] for k, row in enumerate(rows))
+    write_csv(path, ["n", "x", "y", "z", "w"], numbered, meta)
 
 
 def write_trajectory_dump(path, traj: Trajectory) -> None:
@@ -172,13 +166,11 @@ def read_masked_series(path) -> MaskedSeries:
     return masked
 
 
-def write_csv(path, header, rows, metadata: dict | None = None) -> None:
-    """CSV table with an optional leading JSON metadata comment."""
+def write_csv(path, header, rows, metadata: dict) -> None:
+    """CSV table after a JSON metadata comment line stamped with the version."""
+    meta = {"version": __version__, **metadata}
     with open(path, "w", newline="") as fh:
-        if metadata is not None:
-            meta = dict(metadata)
-            meta.setdefault("version", __version__)
-            fh.write("# " + json.dumps(meta, sort_keys=True, default=str) + "\n")
+        fh.write("# " + json.dumps(meta, sort_keys=True, default=str) + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

@@ -33,9 +33,7 @@ def synth_speech(
     x *= envelope
     x += 1e-3 * rng.standard_normal(n)
     x *= 0.6 * 32767 / np.max(np.abs(x))
-    return AudioClip(
-        samples=np.round(x).astype(np.int16), sample_rate=sample_rate, bit_depth=16
-    )
+    return AudioClip(samples=np.round(x).astype(np.int16), sample_rate=sample_rate)
 
 
 def synth_image(height: int = 256, width: int = 256, seed: int = 0) -> GrayImage:

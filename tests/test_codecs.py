@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import struct
 import tracemalloc
 import zlib
@@ -143,6 +144,10 @@ def reference_bits_to_packet(bits):
     scales, indices, values = [], [], []
     for k in sizes:
         (scale,) = struct.unpack("<f", reader.read(32).to_bytes(4, "little"))
+        if not math.isfinite(scale):
+            raise PacketCorruptionError(
+                "payload", 36 + (reader.pos - 32) // 8, f"scale {scale} is not finite"
+            )
         scales.append(scale)
         if magnitude:
             pos = np.empty(k, dtype=np.int64)
@@ -170,7 +175,7 @@ def reference_bits_to_packet(bits):
 
 
 def assert_packets_equal(got, expected):
-    """Equal field by field, with the same dtypes and scale types; NaN scales by bits."""
+    """Equal field by field, with the same dtypes and scale types; floats by bits."""
     for name in ("kind", "dim0", "dim1", "frame_len", "keep_count", "selection", "value_bits"):
         assert getattr(got, name) == getattr(expected, name), name
     as_bits = lambda xs: [(type(x), struct.pack("<d", x)) for x in xs]
@@ -216,7 +221,8 @@ def reference_decode(packet):
 @st.composite
 def packets(draw, value_bits=None, max_delta=(1 << INDEX_BITS) - 1):
     """Well-formed packets: every kind, selection and value width, ragged last
-    chunks, zero and extreme scales, values up to +-qmax, deltas 0..max_delta."""
+    chunks, zero and extreme finite scales and means, values up to +-qmax,
+    deltas 0..max_delta."""
     kind = draw(st.sampled_from(["audio", "image"]))
     selection = draw(st.sampled_from(["lowfreq", "magnitude"]))
     if value_bits is None:
@@ -225,7 +231,8 @@ def packets(draw, value_bits=None, max_delta=(1 << INDEX_BITS) - 1):
     keep = draw(st.integers(1, 3 * QUANT_CHUNK + 1))
     frames = draw(st.integers(1, 3)) if kind == "audio" else 1
     sizes = [min(QUANT_CHUNK, keep - s) for s in range(0, keep, QUANT_CHUNK)] * frames
-    scales = [draw(st.one_of(st.just(0.0), st.floats(width=32))) for _ in sizes]
+    finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    scales = [draw(st.one_of(st.just(0.0), finite)) for _ in sizes]
     values = [
         draw(hnp.arrays(np.int32, k, elements=st.integers(-qmax, qmax))) for k in sizes
     ]
@@ -248,7 +255,7 @@ def packets(draw, value_bits=None, max_delta=(1 << INDEX_BITS) - 1):
     return CoefficientPacket(
         kind=kind, dim0=dim0, dim1=dim1, frame_len=frame_len, keep_count=keep,
         selection=selection, value_bits=value_bits,
-        mean=draw(st.floats(width=32)) if kind == "image" else 0.0,
+        mean=draw(finite) if kind == "image" else 0.0,
         scales=tuple(scales), indices=indices, values=tuple(values),
     )
 
@@ -303,6 +310,14 @@ class TestDct:
             per_row = np.stack([transform(row) for row in x])
             assert transform(x, axes=(1,)).tobytes() == per_row.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1000, 4097])
+    def test_1d_is_scipy_dct(self, n):
+        from scipy import fft as sfft
+
+        x = np.random.default_rng(n).normal(scale=100.0, size=n)
+        assert dct_forward(x).tobytes() == sfft.dct(x, norm="ortho").tobytes()
+        assert dct_inverse(x).tobytes() == sfft.idct(x, norm="ortho").tobytes()
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             dct_forward(np.array([]))
@@ -318,6 +333,13 @@ class TestZigzag:
     def test_rectangular_is_permutation(self):
         order = zigzag_order(5, 3)
         assert sorted(order) == list(range(15))
+
+    def test_cached_order_is_read_only(self):
+        # every codec call for one size shares this array
+        order = zigzag_order(8, 8)
+        with pytest.raises(ValueError, match="read-only"):
+            order[0] = 1
+        assert zigzag_order(8, 8)[0] == 0
 
 
 class TestAudioCodec:
@@ -368,9 +390,7 @@ class TestAudioCodec:
             compress_audio(clip, 0.5, frame_len=frame_len)
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("value_bits", [0, 1, 17, 40])
-@pytest.mark.parametrize(
+each_compressor = pytest.mark.parametrize(
     "compress, payload",
     [
         (compress_audio, synth_speech(duration=0.05, seed=1)),
@@ -378,10 +398,25 @@ class TestAudioCodec:
     ],
     ids=["audio", "image"],
 )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value_bits", [0, 1, 17, 40])
+@each_compressor
 def test_value_bits_checked_before_quantizing(compress, payload, value_bits):
     """An out-of-range width is named before any cast or shift could warn or fail."""
     with pytest.raises(ValueError, match=r"^value_bits must lie in \[2, 16\]$"):
         compress(payload, 0.5, value_bits=value_bits)
+
+
+@each_compressor
+def test_selection_checked_before_transform(compress, payload, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("transformed before the selection was checked")
+
+    monkeypatch.setattr(codecs, "dct_forward", unreachable)
+    with pytest.raises(ValueError, match=r"^unknown selection rule 'foo'$"):
+        compress(payload, 0.5, selection="foo")
 
 
 class TestImageCodec:
@@ -570,6 +605,44 @@ class TestPacketHeaderChecks:
         with pytest.raises(PacketCorruptionError) as info:
             bits_to_packet(with_header(self.audio_bits(), **changes))
         assert info.value.offset == 5
+
+    @pytest.mark.parametrize("mean", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("kind", ["audio", "image"])
+    def test_non_finite_mean(self, kind, mean):
+        if kind == "audio":
+            bits = self.audio_bits()
+        else:
+            bits = packet_to_bits(compress_image(synth_image(8, 8, seed=1), 0.5))
+        with pytest.raises(PacketCorruptionError, match="mean .* is not finite") as info:
+            bits_to_packet(with_header(bits, mean=mean))
+        assert (info.value.section, info.value.offset) == ("header", 28)
+
+    @pytest.mark.parametrize("scale", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "selection, chunk, offset",
+        # 70 values at 5 bits in chunks of 64 and 6: chunk 1's scale starts at
+        # bit 32 + 64*5, or 32 + 64*(16 + 5) with 16-bit position deltas
+        [
+            ("lowfreq", 0, 36),
+            ("lowfreq", 1, 36 + (32 + 64 * 5) // 8),
+            ("magnitude", 1, 36 + (32 + 64 * 21) // 8),
+        ],
+        ids=["first_chunk", "second_chunk", "second_chunk_magnitude"],
+    )
+    def test_non_finite_scale(self, selection, chunk, offset, scale):
+        scales = [1.0, 1.0]
+        scales[chunk] = scale
+        packet = CoefficientPacket(
+            kind="image", dim0=16, dim1=8, frame_len=0, keep_count=70,
+            selection=selection, value_bits=5, mean=0.0, scales=tuple(scales),
+            indices=(np.arange(64), np.arange(6)) if selection == "magnitude" else None,
+            values=(np.zeros(64, dtype=np.int32), np.zeros(6, dtype=np.int32)),
+        )
+        bits = packet_to_bits(packet)
+        for parse in (bits_to_packet, reference_bits_to_packet):
+            with pytest.raises(PacketCorruptionError, match="is not finite") as info:
+                parse(bits)
+            assert (info.value.section, info.value.offset) == ("payload", offset)
 
 
 u32_values = st.one_of(

@@ -70,10 +70,12 @@ class TestTrajectoryFiles:
         assert meta["seed"] == 3
         assert meta["params"]["beta"] == 0.5
         assert lines[1] == "n,x,y,z,w"
-        first = lines[2].split(",")
         # repr round-trips doubles exactly
-        assert float(first[1]) == traj.states[0, 0]
-        assert float(first[4]) == traj.w[0]
+        expected = [
+            ",".join([str(k), *(repr(float(v)) for v in (*state, w))])
+            for k, (state, w) in enumerate(zip(traj.states, traj.w))
+        ]
+        assert lines[2:] == expected
 
     @pytest.mark.parametrize("cut", [50, -8], ids=["short_header", "truncated_body"])
     def test_dump_length_checked(self, tmp_path, cut):
@@ -222,6 +224,20 @@ class TestUntrustedReceive:
         assert f"{path}: header map cannot synchronize; margins {verdict['margins']}" in err
         assert not (tmp_path / "x.wav").exists()
 
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["scale", "mean"])
+    def test_non_finite_packet_float_is_runtime_failure(self, tmp_path, capsys, field, value):
+        """A CRC-valid packet with a NaN or inf scale or mean decodes nothing."""
+        packet = hand_packet("image", dim0=8, frame_len=0, keep=1)
+        if field == "scale":
+            packet = dataclasses.replace(packet, scales=(value,))
+        else:
+            packet = dataclasses.replace(packet, mean=value)
+        code, err = recv(tmp_path, masked_file(tmp_path, packet_to_bits(packet)), capsys)
+        assert code == 3
+        assert f"{field} {value} is not finite" in err
+        assert not (tmp_path / "x.wav").exists()
+
     @pytest.mark.parametrize("sample", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_sample_named(self, tmp_path, capsys, sample):
         path = masked_file(tmp_path, prbs(20, seed=3))
@@ -320,6 +336,21 @@ class TestUntrustedSend:
         )
         assert code == 2
         assert capsys.readouterr().err == "error: value_bits must lie in [2, 16]\n"
+        assert not (tmp_path / "x.masked").exists()
+
+    def test_selection_checked_before_transform(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("transformed before the selection was checked")
+
+        monkeypatch.setattr(codecs, "dct_forward", unreachable)
+        path = tmp_path / "image.pgm"
+        write_pgm(path, synth_image(8, 8, seed=1))
+        code = main(
+            ["send-file", "--input", str(path), "--output", str(tmp_path / "x.masked"),
+             "--seed", "2", "--codec-selection", "foo", "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: unknown selection rule 'foo'\n"
         assert not (tmp_path / "x.masked").exists()
 
     def test_pgm_with_short_pixel_data(self, tmp_path, capsys):
