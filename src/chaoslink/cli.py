@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -51,7 +52,7 @@ from .link import (
     unmask_receive,
 )
 from .params import SettlingConfig, SystemParams
-from .sync import SYNC_MIN_SAMPLES, fit_deviation_model, stability_check, sync_sweep
+from .sync import fit_deviation_model, stability_check, sync_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -209,9 +210,15 @@ def _write(settings, name: str, content) -> Path:
 
     A trajectory goes to its CSV or binary dump by the name's suffix. A
     ``(header, rows)`` table goes to a CSV and a dict to a JSON report; both
-    carry ``settings.echo()``, the CSV as its comment line.
+    carry ``settings.echo()``, the CSV as its comment line. The first write
+    of a run creates ``--out-dir``, so a run that fails before it leaves none.
     """
-    path = _out_dir(settings) / name
+    out_dir = Path(settings.args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create output directory: {exc}", EXIT_IO)
+    path = out_dir / name
     if isinstance(content, Trajectory):
         if path.suffix == ".csv":
             write_trajectory_csv(path, content)
@@ -225,14 +232,17 @@ def _write(settings, name: str, content) -> Path:
     return path
 
 
-def _out_dir(settings) -> Path:
-    """``--out-dir``, created if it does not exist yet."""
-    out_dir = Path(settings.args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot create output directory: {exc}", EXIT_IO)
-    return out_dir
+def _check_out_dir(settings) -> None:
+    """Exit 4 unless ``--out-dir``, or its nearest existing ancestor, is a
+    directory this process can write to; ``_write`` creates it."""
+    ancestor = out_dir = Path(settings.args.out_dir)
+    while not ancestor.exists() and ancestor != ancestor.parent:
+        ancestor = ancestor.parent
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise CliError(
+            f"cannot create output directory {out_dir}: {ancestor} is not a writable directory",
+            EXIT_IO,
+        )
 
 
 def _output_path(settings) -> Path:
@@ -249,15 +259,10 @@ def cmd_map(settings: Settings) -> int:
     settling = None
     if settings.args.t_n is not None:
         settling = SettlingConfig(t_n=settings.args.t_n)
-    # generate_trajectory's own checks, made before --out-dir is created
-    n, transient = settings["run.n"], settings["run.transient"]
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if transient < 0:
-        raise ValueError(f"transient must be >= 0, got {transient}")
-    _out_dir(settings)
+    _check_out_dir(settings)
     traj = generate_trajectory(
-        n, params=params, seed=seed, settling=settling, transient=transient
+        settings["run.n"], params=params, seed=seed, settling=settling,
+        transient=settings["run.transient"],
     )
     csv_path = _write(settings, "trajectory.csv", traj)
     dump_path = _write(settings, "trajectory.bin", traj)
@@ -274,14 +279,9 @@ def cmd_lyapunov(settings: Settings) -> int:
     else:
         seed = settings.seed()
         n = settings["run.n"]
-        # the estimators' own minimums, checked before --out-dir is created
-        if method in ("qr", "settling-sweep") and n < analysis.QR_MIN_STEPS:
-            raise ValueError("trajectory too short for spectrum estimation")
-        if method in ("er", "wolf", "beta-sweep") and n < analysis.NEIGHBOR_MIN_POINTS:
-            raise ValueError(f"need at least {analysis.NEIGHBOR_MIN_POINTS} points, got {n}")
     if method == "settling-sweep":
         grid = _parse_grid(settings.args.t_n_grid)
-    _out_dir(settings)
+    _check_out_dir(settings)
 
     if method in ("qr", "er", "wolf"):
         traj = generate_trajectory(n, params=params, seed=seed)
@@ -328,10 +328,6 @@ def cmd_lyapunov(settings: Settings) -> int:
 def cmd_sync(settings: Settings) -> int:
     params = settings.params()
     seed = settings.seed()
-    n = settings["run.n"]
-    # run_sync's own check, made before --out-dir is created
-    if n < SYNC_MIN_SAMPLES:
-        raise ValueError(f"need at least {SYNC_MIN_SAMPLES} samples after the settle window")
     sigmas = _parse_grid(settings.args.sigmas)
     gammas = [params.gamma]
     if settings.args.mode == "grid":
@@ -342,8 +338,8 @@ def cmd_sync(settings: Settings) -> int:
             "sigma mode needs at least 3 --sigmas with at least 2 distinct values",
             EXIT_VALIDATION,
         )
-    _out_dir(settings)
-    points = sync_sweep(params, gammas, sigmas, n=n, seed=seed)
+    _check_out_dir(settings)
+    points = sync_sweep(params, gammas, sigmas, n=settings["run.n"], seed=seed)
     if settings.args.mode == "grid":
         rows = [[p["gamma"], p["sigma"], *p["run"].rms_error] for p in points]
         header = ["gamma", "sigma", "rms_x", "rms_y", "rms_z"]
@@ -373,7 +369,7 @@ def cmd_ber(settings: Settings) -> int:
     recv_params = settings.recv_params()
     if mode == "sweep":
         amplitudes = _parse_grid(settings.args.amplitudes)
-    _out_dir(settings)
+    _check_out_dir(settings)
 
     if mode == "sweep":
         results = ber_sweep(
@@ -446,7 +442,7 @@ def cmd_send_file(settings: Settings) -> int:
     seed = settings.seed()
     cfg = settings.modulation()
     out = _output_path(settings)
-    _out_dir(settings)
+    _check_out_dir(settings)
     payload = Path(settings.args.input)
     packet = file_to_packet(
         payload,
@@ -476,7 +472,7 @@ def cmd_send_file(settings: Settings) -> int:
 def cmd_recv_file(settings: Settings) -> int:
     seed = settings.seed()
     out = _output_path(settings)
-    _out_dir(settings)
+    _check_out_dir(settings)
     masked = read_masked_series(settings.args.input)
     recovered = unmask_receive(masked, seed, settings["link.noise_sigma"])
     bits = decide_zero(recovered, masked.config)

@@ -46,6 +46,8 @@ INDEX_BITS = 16
 # decoded samples a packet may declare (audio frames x frame_len, image
 # height x width): 128 MiB per float64 buffer of the decoder
 MAX_PAYLOAD_SAMPLES = 1 << 24
+# a 16-bit mono WAV stores its byte rate, 2 x sample rate, as a u32
+MAX_SAMPLE_RATE = 2**31 - 1
 
 
 class PacketCorruptionError(ValueError):
@@ -71,8 +73,10 @@ class AudioClip:
         s = np.asarray(self.samples)
         if s.ndim != 1:
             raise ValueError("samples must be 1-d (mono)")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not 1 <= self.sample_rate <= MAX_SAMPLE_RATE:
+            raise ValueError(
+                f"sample_rate must lie in [1, {MAX_SAMPLE_RATE}], got {self.sample_rate}"
+            )
         if not np.all(np.isfinite(np.asarray(s, dtype=float))):
             raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", s)
@@ -502,6 +506,10 @@ def bits_to_packet(bits) -> CoefficientPacket:
     kind = "audio" if kind == 0 else "image"
     if kind == "audio" and dim0 == 0:
         raise PacketCorruptionError("header", 8, "audio packet declares no samples")
+    if kind == "audio" and not 1 <= dim1 <= MAX_SAMPLE_RATE:
+        raise PacketCorruptionError(
+            "header", 12, f"sample rate {dim1} outside [1, {MAX_SAMPLE_RATE}]"
+        )
     # magnitude positions index one frame: an audio frame or the whole image
     frames, limit = _frame_shape(kind, dim0, dim1, frame_len)
     if not 1 <= keep <= limit:
@@ -624,11 +632,14 @@ def read_wav(path) -> AudioClip:
             if fh.getsampwidth() != 2:
                 raise ValueError("only 16-bit PCM WAV input is supported")
             rate = fh.getframerate()
+            expected = 2 * fh.getnframes()
             raw = fh.readframes(fh.getnframes())
     except EOFError as exc:
         raise ValueError(f"{path}: not a WAV file: ends inside its header") from exc
     except wave.Error as exc:
         raise ValueError(f"{path}: not a WAV file: {exc}") from exc
+    if len(raw) != expected:
+        raise ValueError(f"{path}: expected {expected} sample bytes, got {len(raw)}")
     samples = np.frombuffer(raw, dtype="<i2")
     return AudioClip(samples=samples, sample_rate=rate)
 

@@ -551,6 +551,19 @@ class TestPacketHeaderChecks:
             bits_to_packet(packet_to_bits(packet))
         assert (info.value.section, info.value.offset) == ("header", 8)
 
+    @pytest.mark.parametrize("rate", [0, 2**32 - 1])
+    def test_audio_sample_rate_out_of_range(self, rate):
+        # AudioClip refuses such a rate, so no sender makes this packet
+        bits = packet_to_bits(hand_packet("audio", dim0=16, frame_len=16, keep=1))
+        with pytest.raises(PacketCorruptionError, match=f"sample rate {rate} outside") as info:
+            bits_to_packet(with_header(bits, dim1=rate))
+        assert (info.value.section, info.value.offset) == ("header", 12)
+
+    def test_audio_sample_rate_at_the_cap_parses(self):
+        bits = packet_to_bits(hand_packet("audio", dim0=16, frame_len=16, keep=1))
+        rate = codecs.MAX_SAMPLE_RATE
+        assert bits_to_packet(with_header(bits, dim1=rate)).dim1 == rate
+
     def test_audio_frame_len_zero(self):
         # no frame length: the keep_count check refuses it, before any frame count is used
         packet = hand_packet("audio", dim0=16, frame_len=0, keep=1)
@@ -875,6 +888,15 @@ class TestFileFormats:
             read_pgm(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("cut", [100, 1], ids=["even", "odd"])
+    def test_wav_truncated_data_rejected(self, tmp_path, cut):
+        path = tmp_path / "clip.wav"
+        write_wav(path, AudioClip(samples=np.arange(160, dtype=np.int16), sample_rate=8000))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match=f"expected 320 sample bytes, got {320 - cut}$") as info:
+            read_wav(path)
+        assert str(path) in str(info.value)
+
     def test_non_wav_rejected_with_path(self, tmp_path):
         path = tmp_path / "clip.wav"
         path.write_bytes(b"hello")
@@ -894,6 +916,10 @@ class TestPayloadTypes:
             AudioClip(samples=np.zeros((2, 2)), sample_rate=8000)
         with pytest.raises(ValueError):
             AudioClip(samples=np.zeros(4), sample_rate=0)
+        # a 16-bit mono WAV stores 2 x rate as a u32 byte rate
+        with pytest.raises(ValueError, match=rf"must lie in \[1, {2**31 - 1}\], got {2**31}$"):
+            AudioClip(samples=np.zeros(4), sample_rate=2**31)
+        assert AudioClip(samples=np.zeros(4), sample_rate=2**31 - 1).sample_rate == 2**31 - 1
 
     def test_gray_image_validation(self):
         with pytest.raises(ValueError):

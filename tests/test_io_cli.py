@@ -238,6 +238,17 @@ class TestUntrustedReceive:
         assert f"{field} {value} is not finite" in err
         assert not (tmp_path / "x.wav").exists()
 
+    @pytest.mark.parametrize("rate", [0, 2**32 - 1])
+    def test_sample_rate_out_of_range_is_runtime_failure(self, tmp_path, capsys, rate):
+        """A CRC-valid audio packet whose sample rate no WAV holds writes nothing."""
+        packet = hand_packet("audio", dim0=16, frame_len=16, keep=1)
+        packet = dataclasses.replace(packet, dim1=rate)
+        code, err = recv(tmp_path, masked_file(tmp_path, packet_to_bits(packet)), capsys)
+        assert code == 3
+        assert f"sample rate {rate} outside [1, {codecs.MAX_SAMPLE_RATE}]" in err
+        assert not (tmp_path / "x.wav").exists()
+        assert not (tmp_path / "recv_report.json").exists()
+
     @pytest.mark.parametrize("sample", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_sample_named(self, tmp_path, capsys, sample):
         path = masked_file(tmp_path, prbs(20, seed=3))
@@ -352,6 +363,18 @@ class TestUntrustedSend:
         assert code == 2
         assert capsys.readouterr().err == "error: unknown selection rule 'foo'\n"
         assert not (tmp_path / "x.masked").exists()
+
+    def test_wav_sample_rate_out_of_range(self, tmp_path, capsys):
+        path = tmp_path / "fast.wav"
+        write_wav(path, synth_speech(duration=0.05, seed=3))
+        raw = bytearray(path.read_bytes())
+        raw[24:28] = struct.pack("<I", 2**31)  # the fmt chunk's sample rate
+        path.write_bytes(bytes(raw))
+        code, err = self.send(tmp_path, path, capsys)
+        assert code == 2
+        assert f"sample_rate must lie in [1, {2**31 - 1}], got {2**31}" in err
+        assert not (tmp_path / "x.masked").exists()
+        assert not (tmp_path / "send_report.json").exists()
 
     def test_pgm_with_short_pixel_data(self, tmp_path, capsys):
         path = tmp_path / "short.pgm"
@@ -755,7 +778,23 @@ class TestCli:
         monkeypatch.setattr(cli, stage, unreachable)
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory\n")
-        assert main(argv + ["--seed", "1", "--out-dir", str(blocker / "out")]) == 4
+        for out_dir in (blocker / "out", blocker):
+            assert main(argv + ["--seed", "1", "--out-dir", str(out_dir)]) == 4
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write to any directory")
+    def test_out_dir_under_a_read_only_directory(self, tmp_path, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached after the output check")
+
+        monkeypatch.setattr(cli, "generate_trajectory", unreachable)
+        locked = tmp_path / "locked"
+        locked.mkdir(mode=0o555)
+        try:
+            code = main(["map", "--seed", "1", "--out-dir", str(locked / "a" / "out")])
+        finally:
+            locked.chmod(0o755)
+        assert code == 4
+        assert not any(locked.iterdir())
 
     def test_defaults_are_the_library_defaults(self):
         settings = cli.Settings(cli.build_parser().parse_args(["ber"]))
@@ -953,6 +992,36 @@ class TestCli:
         assert main(argv + ["--seed", "1", "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {exc.value}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ber", "--mode", "sweep", "--amplitudes", "0.1,0.05"],
+             "amplitudes must be finite, positive and ascending"),
+            (["ber", "--mode", "sweep", "--link-noise-sigma=-1"],
+             "sigma must be finite and >= 0, got -1.0"),
+            (["ber", "--mode", "histogram", "--bits", "1"],
+             "both symbol classes must be present"),
+            (["sync", "--sigmas=-0.1,0,0.01"], "sigma must be finite and >= 0, got -0.1"),
+            (["lyapunov", "--method", "settling-sweep", "--t-n-grid=-1,2"],
+             "t_n values must be positive, got -1.0"),
+            (["recv-file", "--link-noise-sigma=-1"], "sigma must be finite and >= 0, got -1.0"),
+        ],
+        ids=["descending-amplitudes", "ber-noise", "one-bit-histogram", "sync-sigma",
+             "t-n-grid", "recv-noise"],
+    )
+    def test_library_refusal_leaves_no_out_dir(self, tmp_path, capsys, argv, message):
+        """A setting only the library checks exits 2 with the library's
+        message; ``--out-dir`` appears with the first output file, so a run
+        refused before that leaves none behind."""
+        if argv[0] == "recv-file":
+            masked = masked_file(tmp_path, prbs(20, seed=3))
+            argv = argv + ["--input", str(masked), "--output", str(tmp_path / "x.wav")]
+        out = tmp_path / "out"
+        assert main(argv + ["--seed", "1", "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "x.wav").exists()
 
     def test_readme_commands_parse(self):
         """Every ``chaoslink`` line in README's code blocks names only
