@@ -48,6 +48,12 @@ CD_MIN_WINDOW = 6
 QR_MIN_STEPS = 10
 NEIGHBOR_MIN_POINTS = 2000
 
+# le_wolf and le_eckmann_ruelle query and prepare neighbours this many
+# consecutive rows at a time, so one window's arrays stay near 1-2 MB at
+# the default candidate and neighbour counts, whatever the series length
+WOLF_WINDOW_ROWS = 2048
+ER_WINDOW_ROWS = 256
+
 # compensate_zoh drops bins within this fraction of f_clk of a hold null
 ZOH_GUARD_FRACTION = 0.05
 
@@ -168,6 +174,13 @@ def le_qr(traj: Trajectory) -> LeSpectrum:
     )
 
 
+def _require_count(value, name: str) -> int:
+    """Return ``value`` as an int, raising ValueError unless it is an integer >= 1."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _require_finite(states: np.ndarray) -> None:
     """Raise ValueError naming the first row that holds a NaN or inf."""
     bad = ~np.isfinite(states).all(axis=1)
@@ -182,6 +195,33 @@ def _as_series(series) -> np.ndarray:
         raise ValueError(f"series must have shape (n, 3), got {arr.shape}")
     _require_finite(arr)
     return arr
+
+
+def _neighborhoods(states: np.ndarray, n_reference: int, n_neighbors: int):
+    """Yield (dx, dy, sum of dy**2) for reference points 0 .. n_reference - 1.
+
+    dx holds the displacements of a point's first ``n_neighbors`` neighbors
+    other than the point itself and its successor, dy those of their
+    successors from the point's successor. The neighbors come from one tree
+    over all points but the last, queried and prepared ``ER_WINDOW_ROWS``
+    reference points at a time.
+    """
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(states[:-1])
+    for lo in range(0, n_reference, ER_WINDOW_ROWS):
+        hi = min(lo + ER_WINDOW_ROWS, n_reference)
+        # +2 candidates so the point itself and its successor can be dropped.
+        # A row drops at most those two, so each keeps its first n_neighbors
+        # survivors.
+        _, neighbors = tree.query(states[lo:hi], k=n_neighbors + 2)
+        rows = np.arange(lo, hi)[:, None]
+        survivor = (neighbors != rows) & (neighbors != rows + 1)
+        first = survivor & (np.cumsum(survivor, axis=1) <= n_neighbors)
+        keep = neighbors[first].reshape(-1, n_neighbors)
+        all_dx = states[keep] - states[rows]
+        all_dy = states[keep + 1] - states[rows + 1]
+        yield from zip(all_dx, all_dy, np.sum(all_dy**2, axis=(1, 2)))
 
 
 def le_eckmann_ruelle(
@@ -202,8 +242,6 @@ def le_eckmann_ruelle(
     meta["low_confidence"] is set when the local dynamics do not look
     deterministic (e.g. white noise input).
     """
-    from scipy.spatial import cKDTree
-
     states = _as_series(series)
     n = states.shape[0]
     if n < min_points:
@@ -222,18 +260,6 @@ def le_eckmann_ruelle(
     if n_neighbors < 4:
         # a local fit needs at least four neighbors, so no row could be used
         raise DegenerateTrajectoryError("no usable reference points for local fits")
-    # +2 candidates so the point itself and its successor can be dropped. A
-    # row drops at most those two, so each keeps its first n_neighbors
-    # survivors, and the neighborhoods of all reference points are prepared
-    # at once.
-    _, neighbors = cKDTree(states[:-1]).query(states[:n_reference], k=n_neighbors + 2)
-    rows = np.arange(len(neighbors))[:, None]
-    survivor = (neighbors != rows) & (neighbors != rows + 1)
-    first = survivor & (np.cumsum(survivor, axis=1) <= n_neighbors)
-    keep = neighbors[first].reshape(-1, n_neighbors)
-    all_dx = states[keep] - states[rows]
-    all_dy = states[keep + 1] - states[rows + 1]
-    all_target = np.sum(all_dy**2, axis=(1, 2))
     q = np.eye(3)
     sums = np.zeros(3)
     used = 0
@@ -241,15 +267,13 @@ def le_eckmann_ruelle(
     target_power = 0.0
     # one least-squares fit and one QR step per point, in order: the tests pin
     # these LAPACK results bit for bit
-    for i in range(n_reference):
-        dx = all_dx[i]
-        dy = all_dy[i]
+    for dx, dy, target in _neighborhoods(states, n_reference, n_neighbors):
         jac, _, rank, _ = np.linalg.lstsq(dx, dy, rcond=None)
         if rank < 3:
             continue
         pred = dx @ jac
         resid_power += np.sum((dy - pred) ** 2)
-        target_power += all_target[i]
+        target_power += target
         q, r = np.linalg.qr(jac.T @ q)
         diag = r.diagonal()
         if np.any(diag == 0.0):
@@ -295,9 +319,23 @@ def le_wolf(
     log growth, then replaces the neighbor with the candidate best aligned
     with the current displacement direction (separation kept above
     ``min_separation``). Euclidean metric in the native (x, y, z) space.
+
+    Raises ValueError unless ``n_candidates`` is an integer >= 1,
+    ``theiler >= 0``, ``max_separation`` is finite and positive and
+    ``0 <= min_separation < max_separation``.
     """
     from scipy.spatial import cKDTree
 
+    n_candidates = _require_count(n_candidates, "n_candidates")
+    if not theiler >= 0:
+        raise ValueError(f"theiler must be >= 0, got {theiler}")
+    if not (math.isfinite(max_separation) and max_separation > 0):
+        raise ValueError(f"max_separation must be finite and positive, got {max_separation}")
+    if not 0 <= min_separation < max_separation:
+        raise ValueError(
+            f"min_separation must lie in [0, max_separation), got {min_separation} "
+            f"with max_separation {max_separation}"
+        )
     states = _as_series(series)
     n = states.shape[0]
     if n < min_points:
@@ -308,25 +346,28 @@ def le_wolf(
         outside = (idx > i + theiler) | (idx < i - theiler)
         return (idx < n - 1) & outside & (dists >= min_separation)
 
-    # One batched query, bounded one ulp above max_separation because scipy's
-    # bound is strict: row i holds the candidates for fiducial point i within
-    # max_separation in ascending distance, padded with distance inf and
-    # index n. It asks for one candidate more than it keeps, to see ties.
     tree = cKDTree(states)
-    cand_dists, cand_idx = tree.query(
-        states, k=n_candidates + 1, distance_upper_bound=np.nextafter(max_separation, np.inf)
-    )
-    # The search orders equal distances as it meets them, and the bounded
-    # search meets them in another order than the unbounded one. Rows with a
-    # tie inside the bound take the unbounded order, as rows past it do.
-    tied = np.any(
-        (cand_dists[:, 1:] == cand_dists[:, :-1]) & np.isfinite(cand_dists[:, 1:]), axis=1
-    )
-    cand_dists = cand_dists[:, :-1]
-    cand_idx = cand_idx[:, :-1]
-    near = admissible(np.arange(n)[:, None], cand_dists, cand_idx) & (
-        cand_dists <= max_separation
-    )
+    bound = np.nextafter(max_separation, np.inf)
+
+    def query_window(lo):
+        # One batched query for rows lo .. lo + WOLF_WINDOW_ROWS - 1, bounded
+        # one ulp above max_separation because scipy's bound is strict: row r
+        # holds the candidates for fiducial point lo + r within max_separation
+        # in ascending distance, padded with distance inf and index n. It asks
+        # for one candidate more than it keeps, to see ties.
+        hi = min(lo + WOLF_WINDOW_ROWS, n)
+        dists, idx = tree.query(states[lo:hi], k=n_candidates + 1, distance_upper_bound=bound)
+        # The search orders equal distances as it meets them, and the bounded
+        # search meets them in another order than the unbounded one. Rows with
+        # a tie inside the bound take the unbounded order, as rows past it do.
+        tied = np.any((dists[:, 1:] == dists[:, :-1]) & np.isfinite(dists[:, 1:]), axis=1)
+        dists = dists[:, :-1]
+        idx = idx[:, :-1]
+        near = admissible(np.arange(lo, hi)[:, None], dists, idx) & (dists <= max_separation)
+        return lo, hi, dists, idx, tied, near
+
+    # the fiducial index only grows, so one window of rows is kept at a time
+    window = query_window(0)
 
     def separation(i, j):
         # np.linalg.norm of a 1-d array is sqrt(v.dot(v)); same value, less overhead
@@ -334,8 +375,13 @@ def le_wolf(
         return math.sqrt(v.dot(v))
 
     def replacement(i, direction):
-        d, j, keep = cand_dists[i], cand_idx[i], near[i]
-        if tied[i] or not keep.any():
+        nonlocal window
+        if i >= window[1]:
+            window = query_window(i)
+        lo, _, dists, idx, tied, near = window
+        r = i - lo
+        d, j, keep = dists[r], idx[r], near[r]
+        if tied[r] or not keep.any():
             # one unbounded query for this point: a tied row needs its order,
             # and the fallback (the nearest admissible neighbor regardless of
             # angle) may lie past the bound
@@ -431,8 +477,10 @@ def correlation_dimension(
     stays so that the results do not change.
 
     Raises NoScalingRegionError when no window is linear enough, and
-    ValueError on a non-finite series or a non-finite or non-positive radius.
+    ValueError on a non-finite series, a non-finite or non-positive radius,
+    or a ``max_points`` that is not an integer >= 1.
     """
+    max_points = _require_count(max_points, "max_points")
     states = np.asarray(series, dtype=float)
     if states.ndim == 1:
         states = states[:, None]
@@ -495,13 +543,6 @@ def correlation_dimension(
         fit_window=window,
         r_squared=float(r2),
     )
-
-
-def _require_count(value, name: str) -> int:
-    """Return ``value`` as an int, raising ValueError unless it is an integer >= 1."""
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
 
 
 def _require_clock(f_clk) -> None:

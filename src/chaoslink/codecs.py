@@ -176,18 +176,19 @@ def dct_inverse(c, axes=None) -> np.ndarray:
 def zigzag_order(height: int, width: int) -> np.ndarray:
     """Anti-diagonal traversal order (flattened indices) for an h x w grid.
 
-    Every caller for one size shares the cached array, so it is read-only.
+    Anti-diagonal s holds the cells (i, s - i); even diagonals run up (i
+    falling), odd ones down. Each is written as one numpy slice. Every
+    caller for one size shares the cached array, so it is read-only.
     """
-    order = []
+    order = np.empty(height * width, dtype=np.int64)
+    pos = 0
     for s in range(height + width - 1):
-        i_lo = max(0, s - width + 1)
-        i_hi = min(s, height - 1)
-        rng = range(i_lo, i_hi + 1)
+        rows = np.arange(max(0, s - width + 1), min(s, height - 1) + 1)
         if s % 2 == 0:
-            rng = reversed(rng)
-        for i in rng:
-            order.append(i * width + (s - i))
-    order = np.asarray(order, dtype=np.int64)
+            rows = rows[::-1]
+        # flat index i * width + (s - i)
+        order[pos : pos + rows.size] = rows * (width - 1) + s
+        pos += rows.size
     order.flags.writeable = False
     return order
 

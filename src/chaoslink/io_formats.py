@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core_map import Trajectory
+from .core_map import Trajectory, drive_output
 from .link import MaskedSeries, ModulationConfig
 from .params import SettlingConfig, SystemParams
 from .sync import stability_check
@@ -24,6 +24,9 @@ from .sync import stability_check
 TRAJECTORY_MAGIC = b"CLTR"
 MASKED_MAGIC = b"CLMS"
 FORMAT_VERSION = 1
+
+# write_trajectory_csv converts this many rows to Python floats at a time
+CSV_CHUNK_ROWS = 4096
 
 _PARAMS_FIELDS = ("a", "b", "c", "beta", "gamma")
 
@@ -73,10 +76,17 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
         "seed": traj.seed,
         "transient": traj.transient,
     }
-    rows = np.column_stack([traj.states, traj.w]).tolist()
-    # csv writes each float as its repr, which round-trips the double
-    numbered = ([k, *row] for k, row in enumerate(rows))
-    write_csv(path, ["n", "x", "y", "z", "w"], numbered, meta)
+    states, gamma = traj.states, traj.params.gamma
+
+    def numbered():
+        # one chunk of rows as Python floats at a time, however long the run;
+        # csv writes each float as its repr, which round-trips the double
+        for lo in range(0, states.shape[0], CSV_CHUNK_ROWS):
+            block = states[lo : lo + CSV_CHUNK_ROWS]
+            rows = np.column_stack([block, drive_output(block, gamma)]).tolist()
+            yield from ([k, *row] for k, row in enumerate(rows, lo))
+
+    write_csv(path, ["n", "x", "y", "z", "w"], numbered(), meta)
 
 
 def write_trajectory_dump(path, traj: Trajectory) -> None:

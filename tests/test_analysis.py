@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -170,6 +171,49 @@ class TestWolf:
         wolf = an.le_wolf(np.array(points), min_points=500)
         assert wolf.exponents[0] < -0.01
 
+    BAD_ARGUMENTS = [
+        ("n_candidates", 0, "n_candidates must be an integer >= 1, got 0"),
+        ("n_candidates", -3, "n_candidates must be an integer >= 1, got -3"),
+        ("n_candidates", 50.0, "n_candidates must be an integer >= 1, got 50.0"),
+        ("theiler", -1, "theiler must be >= 0, got -1"),
+        ("theiler", np.nan, "theiler must be >= 0, got nan"),
+        ("max_separation", np.nan, "max_separation must be finite and positive, got nan"),
+        ("max_separation", np.inf, "max_separation must be finite and positive, got inf"),
+        ("max_separation", -1.0, "max_separation must be finite and positive, got -1.0"),
+        ("max_separation", 0.0, "max_separation must be finite and positive, got 0.0"),
+        ("min_separation", -1e-6, r"min_separation must lie in \[0, max_separation\), got -1e-06"),
+        ("min_separation", 0.1, r"min_separation must lie in \[0, max_separation\), got 0.1"),
+        ("min_separation", np.nan, r"min_separation must lie in \[0, max_separation\), got nan"),
+    ]
+
+    @pytest.mark.parametrize(
+        "setting, value, message",
+        BAD_ARGUMENTS,
+        ids=[f"{setting}={value}" for setting, value, _ in BAD_ARGUMENTS],
+    )
+    def test_refuses_bad_arguments(self, setting, value, message, beta0_traj):
+        with pytest.raises(ValueError, match=message):
+            an.le_wolf(beta0_traj.states[:3000], **{setting: value})
+
+    def test_peak_memory_does_not_grow(self, beta0_traj):
+        """Neighbour tables are held one window of rows at a time.
+
+        Whole-series candidate tables take about 1 KB per point, so 20 000
+        more points would add some 20 MB. The only per-point array left is
+        the tree's index array, 8 B per point; the bound allows twice that.
+        """
+        an.le_wolf(beta0_traj.states[:3000])  # warm caches outside the trace
+        peaks = []
+        for n in (10_000, 30_000):
+            tracemalloc.start()
+            try:
+                an.le_wolf(beta0_traj.states[:n])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] <= 20_000 * 16
+
 
 class TestCorrelationDimension:
     def test_line_segment(self):
@@ -193,6 +237,12 @@ class TestCorrelationDimension:
     def test_constant_series_named(self):
         with pytest.raises(ValueError, match="no spread"):
             an.correlation_dimension(np.ones((200, 3)))
+
+    @pytest.mark.parametrize("max_points", [0, -1000, 8000.0])
+    def test_refuses_bad_max_points(self, max_points):
+        message = f"max_points must be an integer >= 1, got {max_points!r}"
+        with pytest.raises(ValueError, match=message):
+            an.correlation_dimension(line_segment(500), max_points=max_points)
 
 
 class TestWelch:
@@ -692,6 +742,12 @@ class TestWolfOracle:
         ref = reference_le_wolf(states, max_separation=max_separation, theiler=2)
         assert_same_spectrum(wolf, ref)
 
+    def test_small_windows(self, monkeypatch, oracle_trajectories):
+        # the table is queried again at many fiducial rows, none aligned
+        states = oracle_trajectories[0.5].states
+        monkeypatch.setattr(an, "WOLF_WINDOW_ROWS", 7)
+        assert_same_spectrum(an.le_wolf(states), reference_le_wolf(states))
+
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     def test_rows_past_the_bound_fall_back(self, monkeypatch, oracle_trajectories, beta):
         # at this max_separation most visited rows, but not all, hold no
@@ -718,6 +774,14 @@ class TestEckmannRuelleOracle:
     @pytest.mark.parametrize("beta", ORACLE_BETAS)
     def test_matches_loop_reference(self, oracle_trajectories, beta):
         states = oracle_trajectories[beta].states
+        er = an.le_eckmann_ruelle(states, n_reference=800)
+        ref = reference_le_eckmann_ruelle(states, 800, er.meta["n_neighbors"])
+        assert_same_spectrum(er, ref)
+
+    def test_small_windows(self, monkeypatch, oracle_trajectories):
+        # 800 reference points in windows of 7: a short last window
+        states = oracle_trajectories[0.5].states
+        monkeypatch.setattr(an, "ER_WINDOW_ROWS", 7)
         er = an.le_eckmann_ruelle(states, n_reference=800)
         ref = reference_le_eckmann_ruelle(states, 800, er.meta["n_neighbors"])
         assert_same_spectrum(er, ref)

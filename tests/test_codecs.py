@@ -323,7 +323,28 @@ class TestDct:
             dct_forward(np.array([]))
 
 
+def reference_zigzag_order(height, width):
+    """The cell-by-cell loop zigzag_order replaced: one Python int per cell."""
+    order = []
+    for s in range(height + width - 1):
+        rows = range(max(0, s - width + 1), min(s, height - 1) + 1)
+        if s % 2 == 0:
+            rows = reversed(rows)
+        for i in rows:
+            order.append(i * width + (s - i))
+    return np.asarray(order, dtype=np.int64)
+
+
 class TestZigzag:
+    @pytest.mark.parametrize(
+        "height, width",
+        [(1, 1), (1, 9), (9, 1), (2, 7), (7, 2), (5, 3), (3, 5), (8, 8), (31, 64), (640, 640)],
+    )
+    def test_matches_loop_reference(self, height, width):
+        order = zigzag_order(height, width)
+        assert order.dtype == np.int64
+        assert np.array_equal(order, reference_zigzag_order(height, width))
+
     def test_square_prefix(self):
         order = zigzag_order(3, 3)
         # first entries walk the top-left anti-diagonals

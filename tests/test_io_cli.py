@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import chaoslink as cl
-from chaoslink import _kernels, cli, codecs, link
+from chaoslink import _kernels, cli, codecs, io_formats, link
 from chaoslink.cli import main
 from chaoslink.codecs import (
     compress_audio,
@@ -76,6 +77,41 @@ class TestTrajectoryFiles:
             for k, (state, w) in enumerate(zip(traj.states, traj.w))
         ]
         assert lines[2:] == expected
+
+    def test_csv_matches_whole_table_writer(self, tmp_path):
+        # 2.5 chunks: full chunks and a short last one, numbered across chunks
+        traj = cl.generate_trajectory(
+            io_formats.CSV_CHUNK_ROWS * 5 // 2, seed=4, settling=cl.SettlingConfig(t_n=2.5)
+        )
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, traj)
+        meta = {"params": dataclasses.asdict(traj.params), "mode": traj.mode,
+                "seed": traj.seed, "transient": traj.transient}
+        rows = np.column_stack([traj.states, traj.w]).tolist()
+        whole = tmp_path / "whole.csv"
+        io_formats.write_csv(
+            whole, ["n", "x", "y", "z", "w"], ([k, *row] for k, row in enumerate(rows)), meta
+        )
+        assert path.read_bytes() == whole.read_bytes()
+
+    def test_csv_peak_memory_does_not_grow(self, tmp_path):
+        """The writer holds one chunk of rows as Python floats.
+
+        A whole-trajectory ``tolist()`` takes about 214 B per row, so 20 000
+        more rows would add some 4.3 MB; the chunked writer's peak is the
+        same at both lengths, within 64 KB of allocator slack.
+        """
+        peaks = []
+        for n in (10_000, 30_000):
+            traj = cl.generate_trajectory(n, seed=2)
+            tracemalloc.start()
+            try:
+                write_trajectory_csv(tmp_path / f"traj{n}.csv", traj)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] <= 64 * 1024
 
     @pytest.mark.parametrize("cut", [50, -8], ids=["short_header", "truncated_body"])
     def test_dump_length_checked(self, tmp_path, cut):
