@@ -250,7 +250,7 @@ def le_eckmann_ruelle(
         n_neighbors = max(20, min(40, int(0.02 * n)))
     # the tree holds n - 1 points and each query drops two of its k results
     n_neighbors = min(n_neighbors, n - 3)
-    n_reference = min(n_reference, n - 1)
+    n_reference = min(_require_count(n_reference, "n_reference"), n - 1)
     if n_reference < 500:
         warnings.warn(
             f"only {n_reference} reference points available; estimates may be noisy",
@@ -599,7 +599,8 @@ def welch_psd(
     window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(seg) / seg)
     if seg == 1:
         window[0] = 1.0  # scipy's one-point Hann window, so the scale is not 0
-    spectra = np.fft.rfft(segments * window, axis=1)
+    segments *= window
+    spectra = np.fft.rfft(segments, axis=1)
     power = np.mean(spectra.real**2 + spectra.imag**2, axis=0)
     power /= fs * np.sum(window**2)
     power[1 : (seg + 1) // 2] *= 2

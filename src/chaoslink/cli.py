@@ -40,7 +40,6 @@ from .io_formats import (
 )
 from .link import (
     ModulationConfig,
-    UnstableCouplingError,
     ber_measure,
     ber_predict,
     ber_sweep,
@@ -635,7 +634,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (UnstableCouplingError, DegenerateTrajectoryError, PacketCorruptionError, analysis.NoScalingRegionError) as exc:
+    except (DegenerateTrajectoryError, PacketCorruptionError, analysis.NoScalingRegionError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except ValueError as exc:

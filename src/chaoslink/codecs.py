@@ -115,9 +115,9 @@ class CoefficientPacket:
     selection: str  # "lowfreq" | "magnitude"
     value_bits: int
     mean: float  # image pixel mean removed before the DCT; 0 for audio
-    scales: tuple  # one float per frame/chunk
-    indices: tuple | None  # per frame: ascending positions (magnitude mode)
-    values: tuple  # per frame: quantized ints
+    scales: tuple  # per chunk, frame by frame: one float
+    indices: tuple | None  # per chunk, frame by frame: ascending positions (magnitude mode)
+    values: tuple  # per chunk, frame by frame: quantized ints
 
     def __post_init__(self):
         if self.kind not in ("audio", "image"):

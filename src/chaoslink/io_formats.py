@@ -19,7 +19,6 @@ from . import __version__
 from .core_map import Trajectory, drive_output
 from .link import MaskedSeries, ModulationConfig
 from .params import SettlingConfig, SystemParams
-from .sync import stability_check
 
 TRAJECTORY_MAGIC = b"CLTR"
 MASKED_MAGIC = b"CLMS"
@@ -145,35 +144,24 @@ def write_masked_series(path, masked: MaskedSeries) -> None:
 
 
 def read_masked_series(path) -> MaskedSeries:
+    """The MaskedSeries a masked-series file holds; a ValueError the series
+    or its settings raise is re-raised with its type, naming ``path``."""
     params, fields, rows = _read_binary(
         path, MASKED_MAGIC, "masked-series", "<dIddqIIQ", 1
     )
-    # a receiver on this map would never lock, so the payload cannot come back
-    verdict = stability_check(params)
-    if not verdict["stable"]:
-        raise ValueError(
-            f"{path}: header map cannot synchronize; margins {verdict['margins']}"
-        )
     # the bit-rate slot is ignored: the rate follows from f_clk and spb
     amplitude, spb, f_clk, _, seed, settle, pilot, _ = fields
-    # one NaN or inf sample would leave every later receiver state non-finite
-    bad = np.flatnonzero(~np.isfinite(rows[:, 0]))
-    if bad.size:
-        raise ValueError(f"{path}: sample {bad[0]} is not finite ({rows[bad[0], 0]})")
-    masked = MaskedSeries(
-        w_star=rows[:, 0].copy(),
-        config=ModulationConfig(amplitude=amplitude, samples_per_bit=spb, f_clk=f_clk),
-        params=params,
-        seed=int(seed),
-        settle_steps=int(settle),
-        pilot_bits=int(pilot),
-    )
-    if masked.preamble_samples > rows.shape[0]:
-        raise ValueError(
-            f"{path}: preamble of {masked.preamble_samples} samples (settle {settle} "
-            f"+ pilot {pilot} x {spb}) exceeds the {rows.shape[0]} samples in the file"
+    try:
+        return MaskedSeries(
+            w_star=rows[:, 0].copy(),
+            config=ModulationConfig(amplitude=amplitude, samples_per_bit=spb, f_clk=f_clk),
+            params=params,
+            seed=int(seed),
+            settle_steps=int(settle),
+            pilot_bits=int(pilot),
         )
-    return masked
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def write_csv(path, header, rows, metadata: dict) -> None:

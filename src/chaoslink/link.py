@@ -48,6 +48,17 @@ class UnstableCouplingError(ValueError):
     """The configured coupling cannot synchronize, so masking would not recover."""
 
 
+def _require_lock(params: SystemParams) -> None:
+    """Raise UnstableCouplingError, with the margins, unless ``params`` passes
+    stability_check, the condition under which the substituting receiver
+    is sure to lock; the link's only gate on the map."""
+    verdict = stability_check(params)
+    if not verdict["stable"]:
+        raise UnstableCouplingError(
+            f"coupling cannot synchronize; margins {verdict['margins']}"
+        )
+
+
 @dataclass(frozen=True)
 class ModulationConfig:
     """NRZ modulation parameters.
@@ -86,6 +97,10 @@ class MaskedSeries:
     These are exactly the fields of a masked-series file: only w* leaves
     the transmitter, and the receiver rebuilds everything else from it and
     the link's settings.
+
+    Every instance can be received: its map passes stability_check
+    (UnstableCouplingError otherwise), every sample is finite, and the
+    preamble fits in the series. Each broken rule raises a ValueError.
     """
 
     w_star: np.ndarray
@@ -96,7 +111,20 @@ class MaskedSeries:
     pilot_bits: int = PILOT_BITS
 
     def __post_init__(self):
-        object.__setattr__(self, "w_star", np.asarray(self.w_star, dtype=float))
+        w_star = np.asarray(self.w_star, dtype=float)
+        object.__setattr__(self, "w_star", w_star)
+        _require_lock(self.params)
+        # one NaN or inf sample would leave every later receiver state non-finite
+        finite = np.isfinite(w_star)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"sample {bad} is not finite ({w_star[bad]})")
+        if self.preamble_samples > w_star.size:
+            raise ValueError(
+                f"preamble of {self.preamble_samples} samples (settle {self.settle_steps} "
+                f"+ pilot {self.pilot_bits} x {self.config.samples_per_bit}) exceeds "
+                f"the {w_star.size} samples in the series"
+            )
 
     @property
     def preamble_samples(self) -> int:
@@ -193,11 +221,7 @@ def mask_transmit(
     pilot symbol precedes the data for receiver convergence and polarity
     resolution. Unstable coupling is rejected up front.
     """
-    verdict = stability_check(params)
-    if not verdict["stable"]:
-        raise UnstableCouplingError(
-            f"coupling cannot synchronize; margins {verdict['margins']}"
-        )
+    _require_lock(params)
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 1 or bits.size == 0:
         raise ValueError("bits must be a non-empty 1-d sequence")

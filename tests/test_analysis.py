@@ -114,6 +114,13 @@ class TestEckmannRuelle:
         with pytest.raises(DegenerateTrajectoryError, match="no usable reference points"):
             an.le_eckmann_ruelle(doubled, n_neighbors=3)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_reference", [0, -5, 10.5])
+    def test_refuses_bad_n_reference(self, n_reference, beta0_traj):
+        message = f"n_reference must be an integer >= 1, got {n_reference!r}"
+        with pytest.raises(ValueError, match=message):
+            an.le_eckmann_ruelle(beta0_traj.states[:3000], n_reference=n_reference)
+
     @pytest.mark.parametrize(
         "n, n_neighbors, repeat",
         [(21, None, 1), (400, 398, 1), (400, 398, 2)],

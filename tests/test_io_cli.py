@@ -164,6 +164,13 @@ class TestMaskedSeriesFile:
         assert back.w_star.tobytes() == masked.w_star.tobytes()
 
 
+# the refusal of a map whose receiver cannot lock, as every command prints it
+UNLOCKABLE = (
+    "coupling cannot synchronize; margins "
+    f"{stability_check(cl.DEFAULT_PARAMS.replace(gamma=-0.5))['margins']}"
+)
+
+
 def masked_file(tmp_path, bits):
     """Write a short-symbol masked series carrying ``bits``."""
     cfg = ModulationConfig(samples_per_bit=4)
@@ -240,7 +247,7 @@ class TestUntrustedReceive:
         code, err = recv(tmp_path, path, capsys)
         assert code == 2
         assert f"{path}: preamble of {settle + 4} samples" in err
-        assert f"exceeds the {n} samples in the file" in err
+        assert f"exceeds the {n} samples in the series" in err
 
     def test_header_map_that_cannot_synchronize(self, tmp_path, capsys, monkeypatch):
         """A header map failing stability_check exits 2 before any receive."""
@@ -257,7 +264,7 @@ class TestUntrustedReceive:
         assert not verdict["stable"]
         code, err = recv(tmp_path, path, capsys)
         assert code == 2
-        assert f"{path}: header map cannot synchronize; margins {verdict['margins']}" in err
+        assert f"{path}: coupling cannot synchronize; margins {verdict['margins']}" in err
         assert not (tmp_path / "x.wav").exists()
 
     @pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
@@ -1042,9 +1049,11 @@ class TestCli:
             (["lyapunov", "--method", "settling-sweep", "--t-n-grid=-1,2"],
              "t_n values must be positive, got -1.0"),
             (["recv-file", "--link-noise-sigma=-1"], "sigma must be finite and >= 0, got -1.0"),
+            (["ber", "--mode", "sweep", "--map-gamma", "-0.5"], UNLOCKABLE),
+            (["send-file", "--map-gamma", "-0.5"], UNLOCKABLE),
         ],
         ids=["descending-amplitudes", "ber-noise", "one-bit-histogram", "sync-sigma",
-             "t-n-grid", "recv-noise"],
+             "t-n-grid", "recv-noise", "ber-unlockable-map", "send-unlockable-map"],
     )
     def test_library_refusal_leaves_no_out_dir(self, tmp_path, capsys, argv, message):
         """A setting only the library checks exits 2 with the library's
@@ -1053,11 +1062,16 @@ class TestCli:
         if argv[0] == "recv-file":
             masked = masked_file(tmp_path, prbs(20, seed=3))
             argv = argv + ["--input", str(masked), "--output", str(tmp_path / "x.wav")]
+        if argv[0] == "send-file":
+            payload = tmp_path / "speech.wav"
+            write_wav(payload, synth_speech(duration=0.05, seed=3))
+            argv = argv + ["--input", str(payload), "--output", str(tmp_path / "x.masked")]
         out = tmp_path / "out"
         assert main(argv + ["--seed", "1", "--out-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "x.wav").exists()
+        assert not (tmp_path / "x.masked").exists()
 
     def test_readme_commands_parse(self):
         """Every ``chaoslink`` line in README's code blocks names only

@@ -19,6 +19,7 @@ from chaoslink.link import (
     ber_predict,
     ber_sweep,
     channel_awgn,
+    decide_zero,
     fit_symbol_gaussians,
     integrate_and_dump,
     mask_transmit,
@@ -265,6 +266,56 @@ class TestUnmask:
             tracemalloc.stop()
         assert masked.w_star.size == 215_250
         assert peak / masked.w_star.size <= 40
+
+
+class TestMaskedSeries:
+    """A MaskedSeries that exists can be received: the three rules below are
+    checked where the series is built, by the transmitter or a file reader,
+    and so before any receive."""
+
+    MASKED = mask_transmit(PARAMS, prbs(64, seed=3), CFG, seed=1)
+
+    def test_unlockable_map_refused_with_margins(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("received a series the receiver cannot lock to")
+
+        monkeypatch.setattr(link, "receiver_output", unreachable)
+        unstable = PARAMS.replace(gamma=-0.5)
+        margins = cl.sync.stability_check(unstable)["margins"]
+        with pytest.raises(UnstableCouplingError) as exc:
+            unmask_receive(dataclasses.replace(self.MASKED, params=unstable), seed=1)
+        assert str(exc.value) == f"coupling cannot synchronize; margins {margins}"
+
+    @pytest.mark.parametrize("sample", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_named(self, sample):
+        w_star = self.MASKED.w_star.copy()
+        w_star[[500, 900]] = sample
+        with pytest.raises(ValueError, match=rf"^sample 500 is not finite \({sample}\)$"):
+            dataclasses.replace(self.MASKED, w_star=w_star)
+
+    @pytest.mark.filterwarnings("error")
+    def test_preamble_must_fit_the_series(self):
+        with pytest.raises(ValueError, match="preamble of 300 samples .* exceeds the 150"):
+            dataclasses.replace(self.MASKED, w_star=self.MASKED.w_star[:150], settle_steps=250)
+        # a series that is all preamble is whole, and carries no data
+        exact = dataclasses.replace(self.MASKED, w_star=self.MASKED.w_star[:300], settle_steps=250)
+        assert exact.preamble_samples == exact.w_star.size
+
+
+class TestDecideZero:
+    def test_zero_mean_symbol_decides_zero(self):
+        n = CFG.samples_per_bit
+        recovered = np.concatenate([np.zeros(n), np.full(n, 1e-300), np.full(n, -0.1)])
+        assert decide_zero(recovered, CFG).tolist() == [0, 1, 0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_trailing_partial_symbol_dropped_without_warning(self):
+        recovered = nrz_waveform([1, 0, 1], CFG.amplitude, CFG.samples_per_bit)
+        assert decide_zero(recovered[:-1], CFG).tolist() == [1, 0]
+
+    def test_result_is_uint8(self):
+        decisions = decide_zero(np.full(2 * CFG.samples_per_bit, 0.1), CFG)
+        assert decisions.dtype == np.uint8
 
 
 class TestIntegrateAndDump:
