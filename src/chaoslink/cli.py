@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation error, 3 runtime/convergence failure,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -57,6 +58,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 EXIT_IO = 4
+
+# both binary headers store the seed as an i64
+SEED_MAX = 2**63 - 1
 
 # the map and modulation entries are the library's own field defaults
 DEFAULTS = {
@@ -165,9 +169,12 @@ class Settings:
         )
 
     def seed(self) -> int:
-        if self.args.seed is None:
+        seed = self.args.seed
+        if seed is None:
             raise CliError("--seed is required for stochastic commands", EXIT_VALIDATION)
-        return self.args.seed
+        if not 0 <= seed <= SEED_MAX:
+            raise CliError(f"--seed must lie in [0, {SEED_MAX}], got {seed}", EXIT_VALIDATION)
+        return seed
 
     def echo(self) -> dict:
         """Dotted settings, seed, and the subcommand with its other
@@ -245,10 +252,14 @@ def _check_out_dir(settings) -> None:
 
 
 def _output_path(settings) -> Path:
-    """``--output``, checked before any work: its directory must exist."""
+    """``--output``, checked before any work: its directory must exist, and
+    it must not be a directory itself."""
     out = Path(settings.args.output)
     if not out.parent.is_dir():
         raise CliError(f"output directory {out.parent} does not exist", EXIT_IO)
+    if out.is_dir():
+        # the error writing it would raise at the end of the run
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
     return out
 
 

@@ -629,9 +629,9 @@ def read_wav(path) -> AudioClip:
     try:
         with wave.open(str(path), "rb") as fh:
             if fh.getnchannels() != 1:
-                raise ValueError("only mono WAV input is supported")
+                raise ValueError(f"{path}: only mono WAV input is supported")
             if fh.getsampwidth() != 2:
-                raise ValueError("only 16-bit PCM WAV input is supported")
+                raise ValueError(f"{path}: only 16-bit PCM WAV input is supported")
             rate = fh.getframerate()
             expected = 2 * fh.getnframes()
             raw = fh.readframes(fh.getnframes())
@@ -641,14 +641,17 @@ def read_wav(path) -> AudioClip:
         raise ValueError(f"{path}: not a WAV file: {exc}") from exc
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} sample bytes, got {len(raw)}")
-    samples = np.frombuffer(raw, dtype="<i2")
-    return AudioClip(samples=samples, sample_rate=rate)
+    try:
+        return AudioClip(samples=np.frombuffer(raw, dtype="<i2"), sample_rate=rate)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_wav(path, clip: AudioClip) -> None:
     """Write a mono 16-bit PCM WAV file."""
     data = np.clip(clip.samples, -32768, 32767).astype("<i2").tobytes()
-    with wave.open(str(path), "wb") as fh:
+    # opened here, so a path that cannot be written leaves no half-built writer
+    with open(path, "wb") as raw, wave.open(raw, "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(clip.sample_rate)
@@ -674,12 +677,12 @@ def read_pgm(path) -> GrayImage:
             pos += 1
         fields.append(raw[start:pos])
     if fields[0] != b"P5":
-        raise ValueError("only binary (P5) PGM files are supported")
+        raise ValueError(f"{path}: only binary (P5) PGM files are supported")
     if not all(field.isdigit() for field in fields[1:]):
         raise ValueError(f"{path}: PGM width, height and maxval must be decimal integers")
     width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if maxval != 255:
-        raise ValueError("only maxval 255 PGM files are supported")
+        raise ValueError(f"{path}: only maxval 255 PGM files are supported")
     pos += 1  # the single whitespace after maxval
     expected = width * height
     if len(raw) - pos < expected:

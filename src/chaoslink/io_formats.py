@@ -1,14 +1,18 @@
 """File formats: trajectory dumps, masked-series files, CSV/JSON reports.
 
-Binary layouts are little-endian throughout. Every artifact embeds the map
-parameters, the seed, and the package version so any output can be
-regenerated from its own header.
+Both binary formats are one layout, written by ``_write_binary`` and read by
+``_read_binary``: magic, u16 version, the map's five doubles, the format's
+fields (the last is the row count), then little-endian double rows. Writes
+stream the rows' own buffer; reads check the size before reading the body.
+Every artifact embeds the map, the seed and the package version, so any
+output can be regenerated from its own header.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -23,48 +27,57 @@ from .params import SettlingConfig, SystemParams
 TRAJECTORY_MAGIC = b"CLTR"
 MASKED_MAGIC = b"CLMS"
 FORMAT_VERSION = 1
+# t_n (NaN when ideal), seed (-1 when none), transient, rows
+TRAJECTORY_FIELDS = "dqqQ"
+# amplitude, samples_per_bit, f_clk, bit rate, seed, settle_steps, pilot_bits, samples
+MASKED_FIELDS = "dIddqIIQ"
 
 # write_trajectory_csv converts this many rows to Python floats at a time
 CSV_CHUNK_ROWS = 4096
 
 _PARAMS_FIELDS = ("a", "b", "c", "beta", "gamma")
+_PREFIX = "<4sH5d"  # magic, version, params
 
 
-def _params_bytes(params: SystemParams) -> bytes:
-    return struct.pack("<5d", *(getattr(params, f) for f in _PARAMS_FIELDS))
+def _write_binary(path, magic: bytes, fields: str, params: SystemParams, values, rows) -> None:
+    """Header (``values``, then the row count) and (n, width) ``rows``; the
+    header is packed first, so a value it cannot hold leaves no file."""
+    rows = np.ascontiguousarray(rows, dtype="<f8")  # copies only non-contiguous or big-endian rows
+    header = struct.pack(
+        _PREFIX + fields, magic, FORMAT_VERSION,
+        *(getattr(params, f) for f in _PARAMS_FIELDS), *values, rows.shape[0],
+    )
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(rows)
 
 
-def _params_from(raw: bytes) -> SystemParams:
-    return SystemParams(**dict(zip(_PARAMS_FIELDS, struct.unpack("<5d", raw))))
-
-
-def _read_binary(path, magic: bytes, kind: str, fields: str, row_width: int):
-    """Validate and split a magic/version/params/fields + float64-rows file.
-
-    The last header field is the row count ``n``; the body must hold exactly
-    ``n`` rows of ``row_width`` little-endian doubles. Returns (params,
-    header fields, rows as an (n, row_width) array).
-    """
-    raw = Path(path).read_bytes()
-    if raw[:4] != magic:
-        raise ValueError(f"{path}: not a {kind} file")
-    header = 46 + struct.calcsize(fields)
-    if len(raw) < header:
-        raise ValueError(
-            f"{path}: truncated header: expected {header} bytes, got {len(raw)}"
-        )
-    (version,) = struct.unpack("<H", raw[4:6])
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
-    values = struct.unpack(fields, raw[46:header])
-    n = values[-1]
-    expected = header + 8 * row_width * n
-    if len(raw) != expected:
-        raise ValueError(
-            f"{path}: expected {expected} bytes for {n} rows, got {len(raw)}"
-        )
-    rows = np.frombuffer(raw, dtype="<f8", offset=header).reshape(n, row_width)
-    return _params_from(raw[6:46]), values, rows
+def _read_binary(path, magic: bytes, kind: str, fields: str, width: int, build):
+    """``build(params, fields, rows)`` from a ``_write_binary`` file, whose
+    body is read once its size fits ``width`` doubles per header row. Any
+    ValueError, here or in ``build``, is re-raised with its type, naming
+    ``path``."""
+    layout = struct.Struct(_PREFIX + fields)
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(layout.size)
+            if head[:4] != magic:
+                raise ValueError(f"not a {kind} file")
+            if len(head) < layout.size:
+                raise ValueError(f"truncated header: expected {layout.size} bytes, got {len(head)}")
+            _, version, *values = layout.unpack(head)
+            if version != FORMAT_VERSION:
+                raise ValueError(f"unsupported format version {version}")
+            n = values[-1]
+            expected = layout.size + 8 * width * n
+            size = os.fstat(fh.fileno()).st_size
+            if size != expected:
+                raise ValueError(f"expected {expected} bytes for {n} rows, got {size}")
+            rows = np.fromfile(fh, dtype="<f8", count=width * n).reshape(n, width)
+        params = SystemParams(**dict(zip(_PARAMS_FIELDS, values[:5])))
+        return build(params, values[5:], rows)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
@@ -92,26 +105,25 @@ def write_trajectory_dump(path, traj: Trajectory) -> None:
     """Compact binary dump: header (params, mode, seed) + (x, y, z, w) rows."""
     t_n = traj.settling.t_n if traj.settling is not None else float("nan")
     seed = -1 if traj.seed is None else int(traj.seed)
-    header = (
-        TRAJECTORY_MAGIC
-        + struct.pack("<H", FORMAT_VERSION)
-        + _params_bytes(traj.params)
-        + struct.pack("<dqqQ", t_n, seed, traj.transient, len(traj))
+    rows = np.column_stack([traj.states, traj.w])
+    _write_binary(
+        path, TRAJECTORY_MAGIC, TRAJECTORY_FIELDS, traj.params, (t_n, seed, traj.transient), rows
     )
-    rows = np.column_stack([traj.states, traj.w]).astype("<f8")
-    Path(path).write_bytes(header + rows.tobytes())
 
 
 def read_trajectory_dump(path) -> Trajectory:
-    params, (t_n, seed, transient, _), rows = _read_binary(
-        path, TRAJECTORY_MAGIC, "trajectory dump", "<dqqQ", 4
-    )
-    return Trajectory(
-        states=rows[:, :3].copy(),
-        params=params,
-        settling=None if np.isnan(t_n) else SettlingConfig(t_n=t_n),
-        seed=None if seed < 0 else int(seed),
-        transient=int(transient),
+    def trajectory(params, fields, rows):
+        t_n, seed, transient, _ = fields
+        return Trajectory(
+            states=rows[:, :3].copy(),
+            params=params,
+            settling=None if np.isnan(t_n) else SettlingConfig(t_n=t_n),
+            seed=None if seed < 0 else seed,
+            transient=transient,
+        )
+
+    return _read_binary(
+        path, TRAJECTORY_MAGIC, "trajectory dump", TRAJECTORY_FIELDS, 4, trajectory
     )
 
 
@@ -124,44 +136,29 @@ def write_masked_series(path, masked: MaskedSeries) -> None:
     the channel would deliver.
     """
     cfg = masked.config
-    header = (
-        MASKED_MAGIC
-        + struct.pack("<H", FORMAT_VERSION)
-        + _params_bytes(masked.params)
-        + struct.pack(
-            "<dIddqIIQ",
-            cfg.amplitude,
-            cfg.samples_per_bit,
-            cfg.f_clk,
-            cfg.bit_rate,
-            int(masked.seed),
-            masked.settle_steps,
-            masked.pilot_bits,
-            masked.w_star.size,
-        )
+    values = (
+        cfg.amplitude, cfg.samples_per_bit, cfg.f_clk, cfg.bit_rate,
+        int(masked.seed), masked.settle_steps, masked.pilot_bits,
     )
-    Path(path).write_bytes(header + masked.w_star.astype("<f8").tobytes())
+    _write_binary(path, MASKED_MAGIC, MASKED_FIELDS, masked.params, values, masked.w_star[:, None])
 
 
 def read_masked_series(path) -> MaskedSeries:
-    """The MaskedSeries a masked-series file holds; a ValueError the series
-    or its settings raise is re-raised with its type, naming ``path``."""
-    params, fields, rows = _read_binary(
-        path, MASKED_MAGIC, "masked-series", "<dIddqIIQ", 1
-    )
-    # the bit-rate slot is ignored: the rate follows from f_clk and spb
-    amplitude, spb, f_clk, _, seed, settle, pilot, _ = fields
-    try:
+    """The MaskedSeries a masked-series file holds."""
+
+    def series(params, fields, rows):
+        # the bit-rate slot is ignored: the rate follows from f_clk and spb
+        amplitude, spb, f_clk, _, seed, settle, pilot, _ = fields
         return MaskedSeries(
-            w_star=rows[:, 0].copy(),
+            w_star=rows[:, 0],
             config=ModulationConfig(amplitude=amplitude, samples_per_bit=spb, f_clk=f_clk),
             params=params,
-            seed=int(seed),
-            settle_steps=int(settle),
-            pilot_bits=int(pilot),
+            seed=seed,
+            settle_steps=settle,
+            pilot_bits=pilot,
         )
-    except ValueError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+
+    return _read_binary(path, MASKED_MAGIC, "masked-series", MASKED_FIELDS, 1, series)
 
 
 def write_csv(path, header, rows, metadata: dict) -> None:

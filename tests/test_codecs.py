@@ -918,6 +918,12 @@ class TestFileFormats:
             read_wav(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    def test_wav_to_a_directory_leaves_no_half_built_writer(self, tmp_path):
+        clip = AudioClip(samples=np.zeros(16, dtype=np.int16), sample_rate=8000)
+        with pytest.raises(IsADirectoryError):
+            write_wav(tmp_path, clip)
+
     def test_non_wav_rejected_with_path(self, tmp_path):
         path = tmp_path / "clip.wav"
         path.write_bytes(b"hello")

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import os
 import shlex
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +164,120 @@ class TestMaskedSeriesFile:
         assert back.config == cfg
         assert back.config.bit_rate == 25_000.0
         assert back.w_star.tobytes() == masked.w_star.tobytes()
+
+
+def short_series(n):
+    """A default-map MaskedSeries of ``n`` samples with no preamble."""
+    w_star = np.random.default_rng(1).standard_normal(n)
+    return MaskedSeries(
+        w_star=w_star, config=ModulationConfig(), params=cl.DEFAULT_PARAMS, seed=1,
+        settle_steps=0, pilot_bits=0,
+    )
+
+
+def traced_peak(fn, *args):
+    """Peak bytes tracemalloc sees while ``fn(*args)`` runs; what it raised, if anything."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        raised = None
+    except ValueError as exc:
+        raised = exc
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    return peak, raised
+
+
+class TestBinaryLayout:
+    """Both binary formats: magic, u16 version, the map's a, b, c, beta and
+    gamma, the format's fields (the last is the row count), then the rows."""
+
+    def test_masked_series_layout(self, tmp_path):
+        cfg = ModulationConfig(amplitude=0.05, samples_per_bit=20)
+        masked = mask_transmit(cl.DEFAULT_PARAMS, prbs(10, seed=3), cfg, seed=9)
+        path = tmp_path / "series.bin"
+        write_masked_series(path, masked)
+        raw = path.read_bytes()
+        p = masked.params
+        assert raw[:4] == b"CLMS"
+        assert struct.unpack("<H", raw[4:6]) == (1,)
+        assert struct.unpack("<5d", raw[6:46]) == (p.a, p.b, p.c, p.beta, p.gamma)
+        assert struct.unpack("<dIddqIIQ", raw[46:98]) == (
+            0.05, 20, 0.5e6, 25_000.0, 9, masked.settle_steps, masked.pilot_bits,
+            masked.w_star.size,
+        )
+        assert raw[98:] == masked.w_star.tobytes()
+
+    @pytest.mark.parametrize("settled", [True, False], ids=["non_ideal", "ideal"])
+    def test_trajectory_dump_layout(self, tmp_path, settled):
+        traj = cl.generate_trajectory(
+            50, seed=7, transient=100, settling=cl.SettlingConfig(t_n=2.5) if settled else None
+        )
+        if not settled:
+            traj = dataclasses.replace(traj, seed=None)
+        path = tmp_path / "traj.bin"
+        write_trajectory_dump(path, traj)
+        raw = path.read_bytes()
+        p = traj.params
+        assert raw[:4] == b"CLTR"
+        assert struct.unpack("<H", raw[4:6]) == (1,)
+        assert struct.unpack("<5d", raw[6:46]) == (p.a, p.b, p.c, p.beta, p.gamma)
+        t_n, seed, transient, n = struct.unpack("<dqqQ", raw[46:78])
+        assert (t_n == 2.5) if settled else np.isnan(t_n)
+        assert (seed, transient, n) == (7 if settled else -1, 100, 50)
+        assert raw[78:] == np.column_stack([traj.states, traj.w]).tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, offset, value, message",
+        [
+            ("masked", 38, float("nan"), "gamma must be finite, got nan"),
+            ("dump", 30, float("nan"), "beta must be finite, got nan"),
+            ("dump", 46, float("inf"), "t_n must be positive and finite, got inf"),
+            ("dump", 46, -1.0, "t_n must be positive and finite, got -1.0"),
+        ],
+        ids=["masked_gamma_nan", "dump_beta_nan", "dump_t_n_inf", "dump_t_n_negative"],
+    )
+    def test_header_value_refused_naming_the_file_once(
+        self, tmp_path, kind, offset, value, message
+    ):
+        path = tmp_path / f"{kind}.bin"
+        if kind == "masked":
+            write_masked_series(path, short_series(10))
+            read = read_masked_series
+        else:
+            traj = cl.generate_trajectory(10, seed=1, settling=cl.SettlingConfig(t_n=2.5))
+            write_trajectory_dump(path, traj)
+            read = read_trajectory_dump
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_body_not_read_before_its_size_checks_out(self, tmp_path):
+        """A 64 MiB file whose valid header declares 10 samples is refused
+        from its header and its size alone, without reading the body."""
+        path = tmp_path / "big.bin"
+        write_masked_series(path, short_series(10))
+        with open(path, "r+b") as fh:
+            fh.truncate(64 * 2**20)  # sparse past the header and its 10 samples
+        peak, raised = traced_peak(read_masked_series, path)
+        assert str(raised) == f"{path}: expected 178 bytes for 10 rows, got {64 * 2**20}"
+        assert peak < 2**20
+
+    def test_peak_memory_per_sample(self, tmp_path):
+        """The writer streams the samples' own buffer; the reader holds one
+        array of them (8 B) and the finite check's mask (1 B)."""
+        n = 10**6
+        masked = short_series(n)
+        path = tmp_path / "series.bin"
+        write_peak, raised = traced_peak(write_masked_series, path, masked)
+        assert raised is None and write_peak <= n
+        read_peak, raised = traced_peak(read_masked_series, path)
+        assert raised is None and read_peak <= 10 * n
+        assert read_masked_series(path).w_star.tobytes() == masked.w_star.tobytes()
 
 
 # the refusal of a map whose receiver cannot lock, as every command prints it
@@ -338,6 +454,33 @@ class TestUntrustedMaskedFile:
         assert np.all(np.isfinite(series.w_star))
 
 
+    @given(masked_file_bytes())
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_every_refusal_names_the_file_once(self, tmp_path, raw):
+        path = tmp_path / "masked.bin"
+        path.write_bytes(raw)
+        try:
+            read_masked_series(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            assert str(exc).count(str(path)) == 1
+
+
+def wav_bytes(channels=1, width=2):
+    """A short WAV file of silence at 8 kHz, with the given layout."""
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as fh:
+        fh.setnchannels(channels)
+        fh.setsampwidth(width)
+        fh.setframerate(8000)
+        fh.writeframes(bytes(channels * width * 64))
+    return buf.getvalue()
+
+
 class TestUntrustedSend:
     """send-file on a malformed payload file: exit 2 naming the file, no traceback."""
 
@@ -418,6 +561,27 @@ class TestUntrustedSend:
         assert f"sample_rate must lie in [1, {2**31 - 1}], got {2**31}" in err
         assert not (tmp_path / "x.masked").exists()
         assert not (tmp_path / "send_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "name, raw, message",
+        [
+            ("stereo.wav", wav_bytes(channels=2), "only mono WAV input is supported"),
+            ("8bit.wav", wav_bytes(width=1), "only 16-bit PCM WAV input is supported"),
+            # the fmt chunk's sample rate, which wave cannot write as 0
+            ("rate0.wav", wav_bytes()[:24] + bytes(4) + wav_bytes()[28:],
+             "sample_rate must lie in [1, 2147483647], got 0"),
+            ("ascii.pgm", b"P2\n2 2\n255\n0 0 0 0\n", "only binary (P5) PGM files are supported"),
+            ("deep.pgm", b"P5\n2 2\n65535\n" + bytes(8), "only maxval 255 PGM files are supported"),
+        ],
+        ids=["stereo_wav", "8bit_wav", "rate0_wav", "p2_pgm", "maxval_65535_pgm"],
+    )
+    def test_unsupported_payload_names_the_file(self, tmp_path, capsys, name, raw, message):
+        path = tmp_path / name
+        path.write_bytes(raw)
+        code, err = self.send(tmp_path, path, capsys)
+        assert code == 2
+        assert err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "x.masked").exists()
 
     def test_pgm_with_short_pixel_data(self, tmp_path, capsys):
         path = tmp_path / "short.pgm"
@@ -866,6 +1030,63 @@ class TestCli:
             assert code == 4
             assert not out.exists()
         assert not (tmp_path / "absent").exists()
+        assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize("seed", [2**63, -1], ids=["above_i64", "negative"])
+    @pytest.mark.parametrize("command", ["map", "send-file"])
+    def test_seed_outside_the_header_range_exits_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, seed
+    ):
+        """Both binary headers store the seed as an i64, so a seed outside
+        [0, 2**63 - 1] is refused before anything is computed or written."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached after the seed check")
+
+        for stage in ("generate_trajectory", "file_to_packet", "mask_transmit"):
+            monkeypatch.setattr(cli, stage, unreachable)
+        argv = [command]
+        if command == "send-file":
+            payload = tmp_path / "speech.wav"
+            write_wav(payload, synth_speech(duration=0.05, seed=3))
+            argv += ["--input", str(payload), "--output", str(tmp_path / "x.masked")]
+        out = tmp_path / "out"
+        code = main(argv + ["--run-n", "10"] * (command == "map")
+                    + ["--seed", str(seed), "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --seed must lie in [0, {2**63 - 1}], got {seed}\n"
+        )
+        assert not out.exists()
+        assert not (tmp_path / "x.masked").exists()
+
+    @pytest.mark.parametrize("command", ["send-file", "recv-file"])
+    def test_output_that_is_a_directory_exits_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached after the output check")
+
+        if command == "send-file":
+            source = tmp_path / "speech.wav"
+            write_wav(source, synth_speech(duration=0.05, seed=3))
+            stages = [(cli, "file_to_packet"), (cli, "mask_transmit")]
+        else:
+            source = masked_file(tmp_path, prbs(20, seed=3))
+            stages = [(cli, "read_masked_series"), (link, "receiver_output")]
+        for module, stage in stages:
+            monkeypatch.setattr(module, stage, unreachable)
+        out = tmp_path / "taken"
+        out.mkdir()
+        code = main(
+            [command, "--input", str(source), "--output", str(out),
+             "--seed", "1", "--out-dir", str(tmp_path / "reports")]
+        )
+        err = capsys.readouterr().err.splitlines()
+        assert code == 4
+        assert len(err) == 1
+        assert err[0].startswith("i/o error: ") and str(out) in err[0]
+        assert not any(out.iterdir())
         assert not (tmp_path / "reports").exists()
 
     def test_recv_report_names_the_header_settings(self, tmp_path):
