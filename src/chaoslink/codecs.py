@@ -154,22 +154,26 @@ class CoefficientPacket:
 
 def dct_forward(x, axes=None) -> np.ndarray:
     """Orthonormal type-II DCT over ``axes`` (default: every axis)."""
+    return _dct(x, axes, inverse=False)
+
+
+def dct_inverse(c, axes=None) -> np.ndarray:
+    """Inverse of dct_forward (orthonormal type-III)."""
+    return _dct(c, axes, inverse=True)
+
+
+def _dct(x, axes, inverse: bool, overwrite: bool = False) -> np.ndarray:
+    """dct_forward, or dct_inverse when ``inverse``. With ``overwrite`` the
+    transform may write into ``x`` and returns a view of its buffer, which
+    the image codec uses on the float64 buffer it owns; values are the same
+    either way."""
     from scipy import fft as sfft
 
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("empty input")
-    return sfft.dctn(x, type=2, norm="ortho", axes=axes)
-
-
-def dct_inverse(c, axes=None) -> np.ndarray:
-    """Inverse of dct_forward (orthonormal type-III)."""
-    from scipy import fft as sfft
-
-    c = np.asarray(c, dtype=float)
-    if c.size == 0:
-        raise ValueError("empty input")
-    return sfft.idctn(c, type=2, norm="ortho", axes=axes)
+    transform = sfft.idctn if inverse else sfft.dctn
+    return transform(x, type=2, norm="ortho", axes=axes, overwrite_x=overwrite)
 
 
 @lru_cache(maxsize=16)
@@ -268,8 +272,13 @@ def _encode(coeffs, keep_fraction, selection, value_bits, **header) -> Coefficie
     )
 
 
-def _decode(packet: CoefficientPacket) -> np.ndarray:
-    """Dequantize and scatter every chunk into the (frames, size) coefficient array."""
+def _decode(packet: CoefficientPacket, order=None) -> np.ndarray:
+    """Dequantize and scatter every chunk into the (frames, size) coefficient array.
+
+    ``order`` maps each frame position to the slot it fills, as the image's
+    zigzag order maps onto its raster grid; by default position k fills
+    slot k.
+    """
     frames, size = _frame_shape(packet.kind, packet.dim0, packet.dim1, packet.frame_len)
     keep = packet.keep_count
     qmax = (1 << (packet.value_bits - 1)) - 1
@@ -279,6 +288,8 @@ def _decode(packet: CoefficientPacket) -> np.ndarray:
         pos = np.tile(np.arange(keep), (frames, 1))
     else:
         pos = _concat(packet.indices).reshape(frames, keep)
+    if order is not None:
+        pos = order[pos]
     coeffs = np.zeros((frames, size))
     np.put_along_axis(coeffs, pos, kept.reshape(frames, keep), axis=1)
     return coeffs
@@ -358,10 +369,14 @@ def compress_image(
             f"{img.height}x{img.width} image exceeds the "
             f"{MAX_PAYLOAD_SAMPLES}-sample payload limit"
         )
+    # one float buffer: centred, then transformed, in place, and dropped
+    # once reordered, before the encoder allocates
     pixels = img.pixels.astype(float)
     mean = float(np.float32(pixels.mean()))
-    zz = zigzag_order(img.height, img.width)
-    coeffs = dct_forward(pixels - mean).reshape(frames, size)[:, zz]
+    pixels -= mean
+    spectrum = _dct(pixels, None, inverse=False, overwrite=True)
+    coeffs = spectrum.reshape(frames, size)[:, zigzag_order(img.height, img.width)]
+    del pixels, spectrum
     return _encode(
         coeffs, keep_fraction, selection, value_bits,
         kind="image", dim0=img.height, dim1=img.width, frame_len=0, mean=mean,
@@ -373,10 +388,14 @@ def decompress_image(packet: CoefficientPacket) -> GrayImage:
     if packet.kind != "image":
         raise ValueError("not an image packet")
     h, w = packet.dim0, packet.dim1
-    grid = np.zeros(h * w)
-    grid[zigzag_order(h, w)] = _decode(packet)[0]
-    pixels = dct_inverse(grid.reshape(h, w)) + packet.mean
-    return GrayImage(pixels=np.clip(np.round(pixels), 0, 255))
+    # one float buffer: coefficients scattered to raster order, transformed,
+    # shifted, rounded and clipped in place
+    grid = _decode(packet, zigzag_order(h, w)).reshape(h, w)
+    pixels = _dct(grid, None, inverse=True, overwrite=True)
+    pixels += packet.mean
+    np.round(pixels, out=pixels)
+    np.clip(pixels, 0, 255, out=pixels)
+    return GrayImage(pixels=pixels)
 
 
 # ---------------------------------------------------------------------------

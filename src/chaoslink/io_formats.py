@@ -37,16 +37,25 @@ CSV_CHUNK_ROWS = 4096
 
 _PARAMS_FIELDS = ("a", "b", "c", "beta", "gamma")
 _PREFIX = "<4sH5d"  # magic, version, params
+_FIELD_TYPES = {"d": "f64", "I": "u32", "q": "i64", "Q": "u64"}
 
 
 def _write_binary(path, magic: bytes, fields: str, params: SystemParams, values, rows) -> None:
-    """Header (``values``, then the row count) and (n, width) ``rows``; the
-    header is packed first, so a value it cannot hold leaves no file."""
+    """Header (``values``, then the row count) and (n, width) ``rows``. The
+    header is packed first, one field at a time (a little-endian layout has
+    no padding), so a value its field cannot hold raises a ValueError naming
+    ``path`` and the value, and leaves no file."""
     rows = np.ascontiguousarray(rows, dtype="<f8")  # copies only non-contiguous or big-endian rows
     header = struct.pack(
-        _PREFIX + fields, magic, FORMAT_VERSION,
-        *(getattr(params, f) for f in _PARAMS_FIELDS), *values, rows.shape[0],
+        _PREFIX, magic, FORMAT_VERSION, *(getattr(params, f) for f in _PARAMS_FIELDS)
     )
+    for code, value in zip(fields, (*values, rows.shape[0])):
+        try:
+            header += struct.pack("<" + code, value)
+        except struct.error as exc:
+            raise ValueError(
+                f"{path}: header value {value!r} does not fit its {_FIELD_TYPES[code]} field"
+            ) from exc
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(rows)

@@ -100,7 +100,8 @@ class MaskedSeries:
 
     Every instance can be received: its map passes stability_check
     (UnstableCouplingError otherwise), every sample is finite, and the
-    preamble fits in the series. Each broken rule raises a ValueError.
+    preamble, of non-negative settle and pilot lengths, fits in the series.
+    Each broken rule raises a ValueError.
     """
 
     w_star: np.ndarray
@@ -119,6 +120,9 @@ class MaskedSeries:
         if not finite.all():
             bad = int(np.argmin(finite))
             raise ValueError(f"sample {bad} is not finite ({w_star[bad]})")
+        for name in ("settle_steps", "pilot_bits"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.preamble_samples > w_star.size:
             raise ValueError(
                 f"preamble of {self.preamble_samples} samples (settle {self.settle_steps} "
@@ -221,25 +225,34 @@ def mask_transmit(
     pilot symbol precedes the data for receiver convergence and polarity
     resolution. Unstable coupling is rejected up front.
     """
+    if settle_steps < 0:
+        raise ValueError(f"settle_steps must be >= 0, got {settle_steps}")
     _require_lock(params)
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 1 or bits.size == 0:
         raise ValueError("bits must be a non-empty 1-d sequence")
-    # settle_steps zeros, then the NRZ waveform of the known '1' pilot and the
-    # data, in one expression so that no array but info outlives it
+    # info: settle_steps zeros, then the NRZ waveform of the known '1' pilot
+    # and the data, built one kernel chunk at a time from the symbols it covers
+    spb = cfg.samples_per_bit
     symbols = np.concatenate([np.ones(PILOT_BITS, dtype=np.uint8), bits])
-    info = np.concatenate(
-        [np.zeros(settle_steps), nrz_waveform(symbols, cfg.amplitude, cfg.samples_per_bit)]
-    )
     x, y, z = generate_trajectory(1, params=params, seed=seed).states[0]
     coefficients = (params.a, params.b, params.c, params.beta, params.gamma)
-    w_star = np.empty(info.size)
-    for lo in range(0, info.size, _kernels.CHUNK):
-        hi = lo + _kernels.CHUNK
+    n = settle_steps + symbols.size * spb
+    w_star = np.empty(n)
+    for lo in range(0, n, _kernels.CHUNK):
+        hi = min(lo + _kernels.CHUNK, n)
+        info = np.zeros(hi - lo)
+        first = max(lo, settle_steps)  # the chunk's first sample after the settle window
+        if first < hi:
+            s0, skip = divmod(first - settle_steps, spb)
+            s1 = -(-(hi - settle_steps) // spb)
+            info[first - lo :] = nrz_waveform(symbols[s0:s1], cfg.amplitude, spb)[
+                skip : skip + hi - first
+            ]
         w_star[lo:hi], x, y, z = _kernels.masked_transmit_chain(
-            info[lo:hi].tolist(), x, y, z, *coefficients
+            info.tolist(), x, y, z, *coefficients
         )
-    w_star += info
+        w_star[lo:hi] += info
     return MaskedSeries(
         w_star=w_star,
         config=cfg,
@@ -251,12 +264,17 @@ def mask_transmit(
 
 
 def channel_awgn(series, sigma: float, seed: int) -> np.ndarray:
-    """Add white Gaussian noise of standard deviation ``sigma`` per sample."""
+    """Add white Gaussian noise of standard deviation ``sigma`` per sample.
+
+    At ``sigma`` 0 the channel is the identity and returns ``series`` itself
+    when it is already a float64 array, not a copy: callers read the result
+    and must not write it.
+    """
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     series = np.asarray(series, dtype=float)
     if sigma == 0:
-        return series.copy()
+        return series
     rng = np.random.default_rng(seed)
     return series + rng.normal(0.0, sigma, size=series.shape)
 
@@ -288,11 +306,13 @@ def unmask_receive(
 def _receive_batch(sent, noise_sigma: float, recv_params: SystemParams | None) -> list:
     """unmask_receive on each ``(masked series, master seed)`` of ``sent``.
 
-    Each series goes through the channel on its own and is dropped there,
-    so the batch holds only the received series and the receiver output.
-    The received series, which must have equal lengths, then go through one
-    stacked ``receiver_output`` call whose lockstep steps them together with
-    the map ``recv_params`` (None: the series' own, which they share).
+    Each series goes through the channel on its own and is dropped there; a
+    noiseless channel passes the series itself, uncopied and only read. The
+    received series, which must have equal lengths, then go through one
+    stacked ``receiver_output`` call (a lone series is not stacked) whose
+    lockstep steps them together with the map ``recv_params`` (None: the
+    series' own, which they share), and the recovered samples overwrite its
+    output. So the batch holds the received series and the receiver output.
     Returns the recovered data samples of each series, in order.
     """
 
@@ -305,19 +325,18 @@ def _receive_batch(sent, noise_sigma: float, recv_params: SystemParams | None) -
     received, inits, maps, layouts = zip(*(channel(*frame) for frame in sent))
     if recv_params is None:
         recv_params = maps[0]
-    w_rx = np.stack(received)
+    w_rx = received[0][None] if len(received) == 1 else np.stack(received)
     del received
     w_r = receiver_output(w_rx, np.stack(inits), recv_params)
-    recovered = np.subtract(w_rx, w_r, out=w_rx)  # received - w_r
-    del w_rx, w_r
+    recovered = np.subtract(w_rx, w_r, out=w_r)  # received - w_r
+    del w_rx
     data = []
     for samples, (amplitude, settle_steps, preamble) in zip(recovered, layouts):
-        sign = 1.0
+        flip = False
         if preamble > settle_steps:
             pilot_mean = samples[settle_steps:preamble].mean()
-            if abs(pilot_mean) > 0.25 * amplitude:
-                sign = float(np.sign(pilot_mean))
-        data.append(sign * samples[preamble:])
+            flip = pilot_mean < -0.25 * amplitude
+        data.append(-samples[preamble:] if flip else samples[preamble:])
     return data
 
 

@@ -322,6 +322,15 @@ class TestDct:
         with pytest.raises(ValueError):
             dct_forward(np.array([]))
 
+    @pytest.mark.parametrize("shape, axes", [((64,), None), ((31, 17), None), ((5, 24), (1,))])
+    def test_input_left_unchanged(self, shape, axes):
+        # the image codec transforms its own buffer in place; callers' arrays are never written
+        x = np.random.default_rng(2).normal(size=shape)
+        before = x.tobytes()
+        for transform in (dct_forward, dct_inverse):
+            transform(x, axes=axes)
+            assert x.tobytes() == before
+
 
 def reference_zigzag_order(height, width):
     """The cell-by-cell loop zigzag_order replaced: one Python int per cell."""
@@ -440,7 +449,70 @@ def test_selection_checked_before_transform(compress, payload, monkeypatch):
         compress(payload, 0.5, selection="foo")
 
 
+def reference_compress_image(img, keep_fraction, selection):
+    """The copy-based compress_image the in-place one replaced."""
+    pixels = img.pixels.astype(float)
+    mean = float(np.float32(pixels.mean()))
+    zz = zigzag_order(img.height, img.width)
+    coeffs = dct_forward(pixels - mean).reshape(1, -1)[:, zz]
+    return codecs._encode(
+        coeffs, keep_fraction, selection, 8,
+        kind="image", dim0=img.height, dim1=img.width, frame_len=0, mean=mean,
+    )
+
+
+def reference_decompress_image(packet):
+    """The copy-based decompress_image the in-place one replaced."""
+    h, w = packet.dim0, packet.dim1
+    grid = np.zeros(h * w)
+    grid[zigzag_order(h, w)] = codecs._decode(packet)[0]
+    pixels = dct_inverse(grid.reshape(h, w)) + packet.mean
+    return GrayImage(pixels=np.clip(np.round(pixels), 0, 255))
+
+
+def packet_bytes(packet):
+    """Every field of a packet, its arrays as bytes."""
+    arrays = dict(scales=packet.scales, values=packet.values, indices=packet.indices or ())
+    fields = {k: v for k, v in dataclasses.asdict(packet).items() if k not in arrays}
+    return fields, {k: [np.asarray(a).tobytes() for a in v] for k, v in arrays.items()}
+
+
 class TestImageCodec:
+    @pytest.mark.parametrize("selection", ["lowfreq", "magnitude"])
+    @pytest.mark.parametrize("shape", [(640, 640), (511, 257), (64, 63), (32, 32), (1, 9)])
+    def test_in_place_codec_matches_copying_reference(self, shape, selection):
+        img = synth_image(*shape, seed=4) if min(shape) > 1 else GrayImage(
+            np.random.default_rng(4).integers(0, 256, shape)
+        )
+        packet = compress_image(img, 0.165, selection=selection)
+        assert packet_bytes(packet) == packet_bytes(
+            reference_compress_image(img, 0.165, selection)
+        )
+        rebuilt = decompress_image(packet).pixels
+        assert rebuilt.tobytes() == reference_decompress_image(packet).pixels.tobytes()
+
+    def test_peak_memory_per_pixel(self):
+        """Compress holds one float buffer, transformed in place, and its
+        zigzag reordering: 16 B/pixel (the copying codec, 24). Decompress
+        scatters into one raster buffer and transforms, shifts, rounds and
+        clips it in place: 8 B/pixel plus the 1-byte image (the copying
+        codec, 32)."""
+        img = synth_image(640, 640, seed=1)
+        packet = compress_image(img, 0.165)
+        decompress_image(packet)  # warm caches outside the trace
+        runs = {
+            "compress": (lambda: compress_image(img, 0.165), 17),
+            "decompress": (lambda: decompress_image(packet), 20),
+        }
+        for name, (run, bound) in runs.items():
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak / img.pixels.size <= bound, name
+
     def test_pixel_count_capped(self, monkeypatch):
         monkeypatch.setattr(codecs, "MAX_PAYLOAD_SAMPLES", 64)
         compress_image(synth_image(8, 8, seed=1), 0.5)

@@ -256,6 +256,22 @@ class TestBinaryLayout:
             read(path)
         assert str(info.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize(
+        "kind, seed", [("masked", 2**63), ("masked", -(2**63) - 1), ("dump", 2**63)]
+    )
+    def test_value_the_header_cannot_hold_refused_naming_the_file(self, tmp_path, kind, seed):
+        """The seed field is an i64; a wider seed is a ValueError naming the
+        file and the value, and no file is left."""
+        path = tmp_path / f"{kind}.bin"
+        if kind == "masked":
+            write, item = write_masked_series, dataclasses.replace(short_series(10), seed=seed)
+        else:
+            write, item = write_trajectory_dump, cl.generate_trajectory(10, seed=seed)
+        with pytest.raises(ValueError) as info:
+            write(path, item)
+        assert str(info.value) == f"{path}: header value {seed} does not fit its i64 field"
+        assert not path.exists()
+
     def test_body_not_read_before_its_size_checks_out(self, tmp_path):
         """A 64 MiB file whose valid header declares 10 samples is refused
         from its header and its size alone, without reading the body."""
@@ -285,6 +301,53 @@ UNLOCKABLE = (
     "coupling cannot synchronize; margins "
     f"{stability_check(cl.DEFAULT_PARAMS.replace(gamma=-0.5))['margins']}"
 )
+
+
+class TestFileLinkPeakMemory:
+    """send-file holds w_star and one transmit chunk (8 B/sample). recv-file
+    at sigma 0 holds the file's series, the lockstep's step-major copy and
+    w_r, into which the recovered samples are written (24 B/sample). The
+    payload is a 0.25 s speech clip, about 209 000 samples."""
+
+    @pytest.fixture
+    def link_files(self, tmp_path):
+        def send(name):
+            return main(
+                ["send-file", "--input", str(tmp_path / f"{name}.wav"),
+                 "--output", str(tmp_path / f"{name}.masked"), "--seed", "1",
+                 "--out-dir", str(tmp_path)]
+            )
+
+        def recv(name):
+            return main(
+                ["recv-file", "--input", str(tmp_path / f"{name}.masked"),
+                 "--output", str(tmp_path / f"{name}.out.wav"), "--seed", "2",
+                 "--out-dir", str(tmp_path)]
+            )
+
+        write_wav(tmp_path / "warm.wav", synth_speech(duration=0.05, seed=1))
+        write_wav(tmp_path / "speech.wav", synth_speech(duration=0.25, seed=1))
+        assert send("warm") == 0 and recv("warm") == 0  # warm caches outside the trace
+        return send, recv, tmp_path / "speech.masked"
+
+    @staticmethod
+    def traced(run):
+        tracemalloc.start()
+        try:
+            assert run("speech") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_send_and_noiseless_receive_per_sample(self, link_files):
+        send, recv, masked = link_files
+        send_peak = self.traced(send)
+        n = read_masked_series(masked).w_star.size
+        assert 200_000 < n < 230_000
+        recv_peak = self.traced(recv)
+        assert send_peak / n <= 10
+        assert recv_peak / n <= 26
 
 
 def masked_file(tmp_path, bits):

@@ -85,17 +85,23 @@ class TestPrbs:
         assert prbs(8, seed=state).size == 8
 
 
+def whole_waveform_transmit(bits, cfg, seed, settle=link.SETTLE_STEPS):
+    """The transmitter before chunked waveforms: the whole info series (settle
+    zeros, the '1' pilot and the data as NRZ), one kernel pass, one add."""
+    waveform = nrz_waveform(np.concatenate([[1], bits]), cfg.amplitude, cfg.samples_per_bit)
+    info = np.concatenate([np.zeros(settle), waveform])
+    x, y, z = cl.generate_trajectory(1, params=PARAMS, seed=seed).states[0]
+    coefficients = (PARAMS.a, PARAMS.b, PARAMS.c, PARAMS.beta, PARAMS.gamma)
+    w_clean, *_ = _kernels.masked_transmit_chain(info.tolist(), x, y, z, *coefficients)
+    return np.array(w_clean) + info
+
+
 class TestMaskTransmit:
     def test_additive_identity_bit_exact(self):
         """w* is the kernel's unmixed output plus the NRZ waveform, bit for bit."""
         bits = prbs(500, seed=77)
         masked = mask_transmit(PARAMS, bits, CFG, seed=3)
-        waveform = nrz_waveform(np.concatenate([[1], bits]), CFG.amplitude, CFG.samples_per_bit)
-        info = np.concatenate([np.zeros(link.SETTLE_STEPS), waveform])
-        x, y, z = cl.generate_trajectory(1, params=PARAMS, seed=3).states[0]
-        coefficients = (PARAMS.a, PARAMS.b, PARAMS.c, PARAMS.beta, PARAMS.gamma)
-        w_clean, *_ = _kernels.masked_transmit_chain(info.tolist(), x, y, z, *coefficients)
-        assert masked.w_star.tobytes() == (np.array(w_clean) + info).tobytes()
+        assert masked.w_star.tobytes() == whole_waveform_transmit(bits, CFG, 3).tobytes()
 
     def test_vanishing_amplitude_equals_free_run(self):
         bits = prbs(100, seed=77)
@@ -114,12 +120,39 @@ class TestMaskTransmit:
         masked = mask_transmit(PARAMS, bits, CFG, seed=1)
         assert masked.w_star.size == masked.preamble_samples + 64 * CFG.samples_per_bit
 
-    def test_peak_memory_per_sample(self):
-        """The chunked transmitter holds info and w_star plus one chunk.
+    @pytest.mark.parametrize("chunk", [None, 37])
+    @pytest.mark.parametrize("settle", [0, 4, 200, 5000])
+    @pytest.mark.parametrize("spb", [1, 3, 7, 50])
+    def test_matches_whole_waveform_transmitter(self, monkeypatch, chunk, settle, spb):
+        """Each chunk's waveform is built from the symbols that cover it; the
+        series equals the whole-waveform transmitter's byte for byte.
 
-        4300 bits at N = 50 is the size of a 0.25 s speech payload. Two
-        float64 arrays make 16 B/sample, and a third array 24; per-sample
-        lists kept for the whole series would make about 105.
+        Symbols straddle chunk edges at N = 3, 7 and 50 (and at every N for
+        the 37-sample chunk), and settle 5000 spans the first 4096-sample
+        chunk.
+        """
+        if chunk is not None:
+            monkeypatch.setattr(_kernels, "CHUNK", chunk)
+        cfg = ModulationConfig(amplitude=0.07, samples_per_bit=spb)
+        bits = prbs(3 * 4096 // spb + 5, seed=spb + settle)
+        masked = mask_transmit(PARAMS, bits, cfg, seed=3, settle_steps=settle)
+        expected = whole_waveform_transmit(bits, cfg, 3, settle)
+        assert masked.w_star.tobytes() == expected.tobytes()
+
+    def test_negative_settle_refused_before_any_work(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("transmitted with a negative settle window")
+
+        monkeypatch.setattr(link, "generate_trajectory", unreachable)
+        with pytest.raises(ValueError, match=r"^settle_steps must be >= 0, got -3$"):
+            mask_transmit(PARAMS, prbs(20, seed=1), CFG, seed=1, settle_steps=-3)
+
+    def test_peak_memory_per_sample(self):
+        """The transmitter holds w_star plus one chunk's waveform and lists.
+
+        4300 bits at N = 50 is the size of a 0.25 s speech payload. One
+        float64 array makes 8 B/sample; a whole-series waveform beside it,
+        as the transmitter once built, makes 16, and reads about 17.
         """
         bits = prbs(4300, seed=2)
         mask_transmit(PARAMS, bits[:10], CFG, seed=1)  # warm caches outside the trace
@@ -130,7 +163,7 @@ class TestMaskTransmit:
         finally:
             tracemalloc.stop()
         assert masked.w_star.size == 215_250
-        assert peak / masked.w_star.size <= 20
+        assert peak / masked.w_star.size <= 10
 
     def test_masked_spectrum_stays_noise_like(self):
         # no spectral line near the bit rate: the data-band peak stays close
@@ -148,6 +181,8 @@ class TestChannel:
     def test_zero_sigma_identity(self):
         x = np.linspace(-1, 1, 100)
         assert np.array_equal(channel_awgn(x, 0.0, seed=1), x)
+        # a float64 series passes through without a copy
+        assert channel_awgn(x, 0.0, seed=1) is x
 
     def test_added_variance(self):
         x = np.zeros(100_000)
@@ -245,27 +280,46 @@ class TestUnmask:
         assert recovered.size == data.size
         assert np.max(np.abs(recovered + data)) < 1e-9
 
-    def test_receive_peak_memory_per_sample(self):
-        """The receive holds the received series, one step-major copy of it
-        that the lockstep overwrites with w_r, and w_r in sample order.
-
-        The series is test_peak_memory_per_sample's 215 250 samples. Three
-        float64 arrays make 24 B/sample; the data samples cut from the
-        recovered series add 8 after the copy has gone. Holding the
-        (n, 3) receiver states, as the receive once did, reads about 48.
-        """
+    @staticmethod
+    def receive_peak_per_sample(sigma):
+        """Traced peak of unmask_receive per sample of the 215 250-sample series."""
         bits = prbs(4300, seed=2)
         masked = mask_transmit(PARAMS, bits, CFG, seed=1)
         small = mask_transmit(PARAMS, bits[:10], CFG, seed=1)
-        unmask_receive(small, seed=3, noise_sigma=0.012)  # warm caches outside the trace
+        unmask_receive(small, seed=3, noise_sigma=sigma)  # warm caches outside the trace
         tracemalloc.start()
         try:
-            unmask_receive(masked, seed=3, noise_sigma=0.012)
+            unmask_receive(masked, seed=3, noise_sigma=sigma)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert masked.w_star.size == 215_250
-        assert peak / masked.w_star.size <= 40
+        return peak / masked.w_star.size
+
+    def test_receive_peak_memory_per_sample(self):
+        """The receive holds the received series, one step-major copy of it
+        that the lockstep overwrites with w_r, and w_r in sample order, into
+        which the recovered samples are written.
+
+        The series is test_peak_memory_per_sample's 215 250 samples. Three
+        float64 arrays make 24 B/sample. Holding the (n, 3) receiver
+        states, as the receive once did, reads about 48.
+        """
+        assert self.receive_peak_per_sample(0.012) <= 40
+
+    def test_noiseless_receive_peak_memory_per_sample(self):
+        """A noiseless channel passes the series itself, which the caller
+        already holds, and a lone frame is not stacked: two float64 arrays
+        make 16 B/sample. A copy of the series, as the receive once made,
+        reads about 25."""
+        assert self.receive_peak_per_sample(0.0) <= 20
+
+    def test_noiseless_receive_leaves_the_series_unchanged(self):
+        masked = mask_transmit(PARAMS, prbs(300, seed=2), CFG, seed=1)
+        before = masked.w_star.tobytes()
+        recovered = unmask_receive(masked, seed=3)
+        assert masked.w_star.tobytes() == before
+        assert not np.shares_memory(recovered, masked.w_star)
 
 
 class TestMaskedSeries:
@@ -300,6 +354,14 @@ class TestMaskedSeries:
         # a series that is all preamble is whole, and carries no data
         exact = dataclasses.replace(self.MASKED, w_star=self.MASKED.w_star[:300], settle_steps=250)
         assert exact.preamble_samples == exact.w_star.size
+
+    @pytest.mark.parametrize("field, value", [("settle_steps", -3), ("pilot_bits", -1)])
+    def test_negative_preamble_lengths_refused(self, field, value):
+        """A negative length would shift the data window: settle -3 once
+        received 1203 samples for 1000 data samples, pilot -1 1100."""
+        masked = mask_transmit(PARAMS, prbs(20, seed=3), CFG, seed=1)
+        with pytest.raises(ValueError, match=rf"^{field} must be >= 0, got {value}$"):
+            dataclasses.replace(masked, **{field: value})
 
 
 class TestDecideZero:
