@@ -32,24 +32,23 @@ from .codecs import (
 )
 from .core_map import DegenerateTrajectoryError, Trajectory, generate_trajectory
 from .io_formats import (
-    read_masked_series,
+    _open_masked_series,
+    _write_masked,
     write_csv,
     write_json_report,
-    write_masked_series,
     write_trajectory_csv,
     write_trajectory_dump,
 )
 from .link import (
     ModulationConfig,
+    _receive_bits,
+    _transmit,
     ber_measure,
     ber_predict,
     ber_sweep,
-    decide_zero,
-    mask_transmit,
     prbs,
     prbs_seed,
     run_link,
-    unmask_receive,
 )
 from .params import SettlingConfig, SystemParams
 from .sync import fit_deviation_model, stability_check, sync_sweep
@@ -461,9 +460,10 @@ def cmd_send_file(settings: Settings) -> int:
         value_bits=settings["codec.value_bits"],
     )
     bits = packet_to_bits(packet)
-    # the file header records this seed, so the transmitter uses it as given
-    masked = mask_transmit(params, bits, cfg, seed=seed)
-    write_masked_series(out, masked)
+    # the file header records this seed, so the transmitter uses it as given;
+    # each chunk is written as the transmitter emits it
+    header, chunks = _transmit(params, bits, cfg, seed)
+    _write_masked(out, header, chunks)
     report = _write(
         settings,
         "send_report.json",
@@ -471,11 +471,11 @@ def cmd_send_file(settings: Settings) -> int:
             "payload": str(payload),
             "masked_series": str(out),
             "payload_bits": int(bits.size),
-            "samples": int(masked.w_star.size),
+            "samples": header.size,
             "compression_ratio": packet.compression_ratio,
         },
     )
-    print(f"wrote {out} ({masked.w_star.size} samples) and {report}")
+    print(f"wrote {out} ({header.size} samples) and {report}")
     return EXIT_OK
 
 
@@ -483,12 +483,12 @@ def cmd_recv_file(settings: Settings) -> int:
     seed = settings.seed()
     out = _output_path(settings)
     _check_out_dir(settings)
-    masked = read_masked_series(settings.args.input)
-    recovered = unmask_receive(masked, seed, settings["link.noise_sigma"])
-    bits = decide_zero(recovered, masked.config)
+    # the file is received slice by slice, and only the decided bits are kept
+    with _open_masked_series(settings.args.input) as (header, read):
+        bits = _receive_bits(header, read, seed, settings["link.noise_sigma"])
     packet = bits_to_packet(bits)  # raises PacketCorruptionError on CRC failure
     packet_to_file(packet, out)
-    verdict = stability_check(masked.params)
+    verdict = stability_check(header.params)
     report = _write(
         settings,
         "recv_report.json",
@@ -499,9 +499,9 @@ def cmd_recv_file(settings: Settings) -> int:
             "payload_bits": int(bits.size),
             "compression_ratio": packet.compression_ratio,
             # the receiver runs with the file header's map and modulation
-            "params": asdict(masked.params),
+            "params": asdict(header.params),
             "stability": {key: verdict[key] for key in ("bound", "margins")},
-            "modulation": {**asdict(masked.config), "bit_rate": masked.config.bit_rate},
+            "modulation": {**asdict(header.config), "bit_rate": header.config.bit_rate},
             "backend": "numba" if _kernels.HAVE_NUMBA else "interpreted",
         },
     )

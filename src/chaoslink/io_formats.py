@@ -1,11 +1,16 @@
 """File formats: trajectory dumps, masked-series files, CSV/JSON reports.
 
-Both binary formats are one layout, written by ``_write_binary`` and read by
-``_read_binary``: magic, u16 version, the map's five doubles, the format's
-fields (the last is the row count), then little-endian double rows. Writes
-stream the rows' own buffer; reads check the size before reading the body.
-Every artifact embeds the map, the seed and the package version, so any
-output can be regenerated from its own header.
+Both binary formats are one layout, written by ``_write_binary`` and read
+through ``_open_binary``: magic, u16 version, the map's five doubles, the
+format's fields (the last is the row count), then little-endian double
+rows. Writes take the rows as chunks and stream each one's own buffer, so
+send-file writes the transmitter's chunks as they come; a write that fails
+part way removes its file. Reads check the size before reading the body.
+The file link reads a masked series slice by slice (``_open_masked_series``),
+checking each slice's samples are finite, so a receive holds no
+whole-series array; ``read_masked_series`` reads it whole through the same
+reader. Every artifact embeds the map, the seed and the package version, so
+any output can be regenerated from its own header.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import csv
 import json
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -21,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .core_map import Trajectory, drive_output
-from .link import MaskedSeries, ModulationConfig
+from .link import MaskedSeries, ModulationConfig, _Header, _require_finite
 from .params import SettlingConfig, SystemParams
 
 TRAJECTORY_MAGIC = b"CLTR"
@@ -40,16 +46,18 @@ _PREFIX = "<4sH5d"  # magic, version, params
 _FIELD_TYPES = {"d": "f64", "I": "u32", "q": "i64", "Q": "u64"}
 
 
-def _write_binary(path, magic: bytes, fields: str, params: SystemParams, values, rows) -> None:
-    """Header (``values``, then the row count) and (n, width) ``rows``. The
+def _write_binary(path, magic: bytes, fields: str, params: SystemParams, values, n: int, chunks):
+    """Header (``values``, then the row count ``n``) and the rows, each
+    (rows, width) or (rows,) array of ``chunks`` written as it comes. The
     header is packed first, one field at a time (a little-endian layout has
     no padding), so a value its field cannot hold raises a ValueError naming
-    ``path`` and the value, and leaves no file."""
-    rows = np.ascontiguousarray(rows, dtype="<f8")  # copies only non-contiguous or big-endian rows
+    ``path`` and the value, and leaves no file. So does anything raised
+    while the rows are written, from ``chunks`` or the disk, and a row
+    total other than ``n``: the file is removed."""
     header = struct.pack(
         _PREFIX, magic, FORMAT_VERSION, *(getattr(params, f) for f in _PARAMS_FIELDS)
     )
-    for code, value in zip(fields, (*values, rows.shape[0])):
+    for code, value in zip(fields, (*values, n)):
         try:
             header += struct.pack("<" + code, value)
         except struct.error as exc:
@@ -57,18 +65,39 @@ def _write_binary(path, magic: bytes, fields: str, params: SystemParams, values,
                 f"{path}: header value {value!r} does not fit its {_FIELD_TYPES[code]} field"
             ) from exc
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(rows)
+        try:
+            fh.write(header)
+            rows = 0
+            for chunk in chunks:
+                # copies only non-contiguous or big-endian rows
+                chunk = np.ascontiguousarray(chunk, dtype="<f8")
+                fh.write(chunk)
+                rows += chunk.shape[0]
+            if rows != n:
+                raise ValueError(f"{path}: {rows} rows written, the header declares {n}")
+        except BaseException:
+            os.unlink(path)
+            raise
 
 
-def _read_binary(path, magic: bytes, kind: str, fields: str, width: int, build):
-    """``build(params, fields, rows)`` from a ``_write_binary`` file, whose
-    body is read once its size fits ``width`` doubles per header row. Any
-    ValueError, here or in ``build``, is re-raised with its type, naming
-    ``path``."""
-    layout = struct.Struct(_PREFIX + fields)
+@contextmanager
+def _naming(path):
+    """Re-raise any ValueError with its type, naming ``path``."""
     try:
-        with open(path, "rb") as fh:
+        yield
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def _open_binary(path, magic: bytes, kind: str, fields: str, width: int):
+    """Open a ``_write_binary`` file and check its header: yields ``(params,
+    fields, fh)``, ``fh`` at the body, once the file's size fits ``width``
+    doubles per header row. A header fault raises a ValueError, with its
+    type, naming ``path``."""
+    layout = struct.Struct(_PREFIX + fields)
+    with open(path, "rb") as fh:
+        with _naming(path):
             head = fh.read(layout.size)
             if head[:4] != magic:
                 raise ValueError(f"not a {kind} file")
@@ -82,11 +111,8 @@ def _read_binary(path, magic: bytes, kind: str, fields: str, width: int, build):
             size = os.fstat(fh.fileno()).st_size
             if size != expected:
                 raise ValueError(f"expected {expected} bytes for {n} rows, got {size}")
-            rows = np.fromfile(fh, dtype="<f8", count=width * n).reshape(n, width)
-        params = SystemParams(**dict(zip(_PARAMS_FIELDS, values[:5])))
-        return build(params, values[5:], rows)
-    except ValueError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+            params = SystemParams(**dict(zip(_PARAMS_FIELDS, values[:5])))
+        yield params, values[5:], fh
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
@@ -116,13 +142,17 @@ def write_trajectory_dump(path, traj: Trajectory) -> None:
     seed = -1 if traj.seed is None else int(traj.seed)
     rows = np.column_stack([traj.states, traj.w])
     _write_binary(
-        path, TRAJECTORY_MAGIC, TRAJECTORY_FIELDS, traj.params, (t_n, seed, traj.transient), rows
+        path, TRAJECTORY_MAGIC, TRAJECTORY_FIELDS, traj.params, (t_n, seed, traj.transient),
+        len(rows), [rows],
     )
 
 
 def read_trajectory_dump(path) -> Trajectory:
-    def trajectory(params, fields, rows):
-        t_n, seed, transient, _ = fields
+    kind = "trajectory dump"
+    with _open_binary(path, TRAJECTORY_MAGIC, kind, TRAJECTORY_FIELDS, 4) as (params, fields, fh):
+        t_n, seed, transient, n = fields
+        rows = np.fromfile(fh, dtype="<f8", count=4 * n).reshape(n, 4)
+    with _naming(path):
         return Trajectory(
             states=rows[:, :3].copy(),
             params=params,
@@ -130,10 +160,6 @@ def read_trajectory_dump(path) -> Trajectory:
             seed=None if seed < 0 else seed,
             transient=transient,
         )
-
-    return _read_binary(
-        path, TRAJECTORY_MAGIC, "trajectory dump", TRAJECTORY_FIELDS, 4, trajectory
-    )
 
 
 def write_masked_series(path, masked: MaskedSeries) -> None:
@@ -144,30 +170,58 @@ def write_masked_series(path, masked: MaskedSeries) -> None:
     transmitter. So a separately invoked receiver process gets exactly what
     the channel would deliver.
     """
-    cfg = masked.config
+    _write_masked(path, masked._header(), [masked.w_star])
+
+
+def _write_masked(path, header: _Header, chunks) -> None:
+    """The masked-series file of ``header``'s settings and the samples
+    ``chunks`` yields, written as they come (see _write_binary)."""
+    cfg = header.config
     values = (
         cfg.amplitude, cfg.samples_per_bit, cfg.f_clk, cfg.bit_rate,
-        int(masked.seed), masked.settle_steps, masked.pilot_bits,
+        int(header.seed), header.settle_steps, header.pilot_bits,
     )
-    _write_binary(path, MASKED_MAGIC, MASKED_FIELDS, masked.params, values, masked.w_star[:, None])
+    _write_binary(path, MASKED_MAGIC, MASKED_FIELDS, header.params, values, header.size, chunks)
+
+
+@contextmanager
+def _open_masked_series(path):
+    """A masked-series file, open for a slice-by-slice receive.
+
+    Yields ``(header, read)``: the file's _Header, built once the header
+    and the file's size check out (so its lock, length and preamble rules
+    hold), and ``read(lo, hi)``, which returns samples [lo, hi) as a new
+    array after checking they are finite. Every fault raises a ValueError
+    naming ``path``; a non-finite sample is named by its index in the
+    series. The bit-rate slot is ignored: the rate follows from f_clk and
+    samples_per_bit.
+    """
+    with _open_binary(path, MASKED_MAGIC, "masked-series", MASKED_FIELDS, 1) as opened:
+        params, (amplitude, spb, f_clk, _, seed, settle, pilot, n), fh = opened
+        body = fh.tell()
+        with _naming(path):
+            config = ModulationConfig(amplitude=amplitude, samples_per_bit=spb, f_clk=f_clk)
+            header = _Header(config, params, seed, settle, pilot, n)
+
+        def read(lo, hi):
+            fh.seek(body + 8 * lo)
+            samples = np.fromfile(fh, dtype="<f8", count=hi - lo)
+            with _naming(path):
+                if samples.size != hi - lo:
+                    raise ValueError(f"file ended at sample {lo + samples.size} of {n}")
+                _require_finite(samples, lo)
+            return samples
+
+        yield header, read
 
 
 def read_masked_series(path) -> MaskedSeries:
     """The MaskedSeries a masked-series file holds."""
-
-    def series(params, fields, rows):
-        # the bit-rate slot is ignored: the rate follows from f_clk and spb
-        amplitude, spb, f_clk, _, seed, settle, pilot, _ = fields
-        return MaskedSeries(
-            w_star=rows[:, 0],
-            config=ModulationConfig(amplitude=amplitude, samples_per_bit=spb, f_clk=f_clk),
-            params=params,
-            seed=seed,
-            settle_steps=settle,
-            pilot_bits=pilot,
-        )
-
-    return _read_binary(path, MASKED_MAGIC, "masked-series", MASKED_FIELDS, 1, series)
+    with _open_masked_series(path) as (header, read):
+        w_star = read(0, header.size)
+    return MaskedSeries(
+        w_star, header.config, header.params, header.seed, header.settle_steps, header.pilot_bits
+    )
 
 
 def write_csv(path, header, rows, metadata: dict) -> None:

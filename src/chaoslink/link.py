@@ -6,6 +6,17 @@ rides inside the synchronization signal it perturbs the receiver like channel
 noise; the integrate-and-dump filter averages each symbol's samples before
 thresholding, which recovers most of the signal-to-noise cost.
 
+One transmitter loop and one receive engine serve every caller. The
+transmitter (``_transmit``) emits its series one kernel chunk at a time:
+``mask_transmit`` collects the chunks, and send-file writes each as it
+comes. The receive (``_receive_slices``) works on owned slices of at most
+``RECEIVE_BATCH_SAMPLES`` samples, several equal short frames stacked or
+consecutive runs of one long series, each starting from the exact receiver
+state the last one ended in; ``unmask_receive``, ``run_link``,
+``ber_sweep`` and recv-file run it, and recv-file decides each slice's
+symbols as they come. So neither file command holds an array of the
+whole series, and every result equals a whole-series receive bit for bit.
+
 scipy subpackages are imported inside the functions that call them, so
 importing the package (and starting the CLI) loads none of them.
 """
@@ -21,18 +32,22 @@ import numpy as np
 from . import _kernels
 from .core_map import generate_trajectory, random_initial_state, spawn_seeds
 from .params import SystemParams
-from .sync import receiver_output, stability_check
+from .sync import _recover, stability_check
 
 # preamble: unmasked settle steps, then one known '1' symbol for polarity
 SETTLE_STEPS = 200
 PILOT_BITS = 1
 
-# samples per stacked receive of a frame batch: the lockstep's fixed step
-# count is shared by the batch, and per sample the receive of w_r cost
-# 296-563 ns for one 20 201-sample frame, 151-189 ns for three and 97-108 ns
-# for twelve (2.4e5 samples); 24 and 48 frames read 77-99 and 67-88 ns, a
-# smaller step for two and four times the samples held
-RECEIVE_BATCH_SAMPLES = 1 << 18
+# the receive's slice budget: a slice holds stacked frames or consecutive
+# samples of one longer series, at most this many, in two float64 arrays
+# (16 MB). The lockstep's fixed step count is shared by the slice: per
+# sample the receive of w_r cost 296-563 ns for one 20 201-sample frame,
+# 151-189 ns for three and 97-108 ns for twelve (2.4e5 samples), and a
+# 2e6-sample series received in slices of 2**18, 2**19, 2**20 and 2**21
+# samples read 88-130, 83-103, 78-84 and 81-103 ns against 79-81 whole.
+# At 2**20 the lockstep's per-step temporaries (6944 lanes of the default
+# map's 151-sample blocks, 56 KB) stay below glibc's 128 KB mmap threshold.
+RECEIVE_BATCH_SAMPLES = 1 << 20
 
 # primitive feedback taps per register degree (x^d + x^t + ... + 1)
 LFSR_TAPS = {
@@ -57,6 +72,16 @@ def _require_lock(params: SystemParams) -> None:
         raise UnstableCouplingError(
             f"coupling cannot synchronize; margins {verdict['margins']}"
         )
+
+
+def _require_finite(samples, first: int = 0) -> None:
+    """Raise ValueError naming the first non-finite entry of ``samples``,
+    which are samples ``first``, ``first + 1``, ... of a series: one NaN
+    or inf sample would leave every later receiver state non-finite."""
+    finite = np.isfinite(samples)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"sample {first + bad} is not finite ({samples[bad]})")
 
 
 @dataclass(frozen=True)
@@ -90,6 +115,45 @@ class ModulationConfig:
         return self.f_clk / self.samples_per_bit
 
 
+def _preamble_samples(series) -> int:
+    """Settle window plus pilot symbols of a MaskedSeries or _Header."""
+    return series.settle_steps + series.pilot_bits * series.config.samples_per_bit
+
+
+@dataclass(frozen=True)
+class _Header:
+    """Everything of a masked series but its samples: its settings and its
+    length ``size``, as a masked-series file's header holds them.
+
+    Building one checks each MaskedSeries rule that needs no sample: the
+    map passes stability_check (UnstableCouplingError otherwise), and the
+    preamble, of non-negative settle and pilot lengths, fits in ``size``
+    samples. The streamed file link carries one beside its samples, whose
+    finiteness the reader checks slice by slice.
+    """
+
+    config: ModulationConfig
+    params: SystemParams
+    seed: int
+    settle_steps: int
+    pilot_bits: int
+    size: int
+
+    def __post_init__(self):
+        _require_lock(self.params)
+        for name in ("settle_steps", "pilot_bits"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.preamble_samples > self.size:
+            raise ValueError(
+                f"preamble of {self.preamble_samples} samples (settle {self.settle_steps} "
+                f"+ pilot {self.pilot_bits} x {self.config.samples_per_bit}) exceeds "
+                f"the {self.size} samples in the series"
+            )
+
+    preamble_samples = property(_preamble_samples)
+
+
 @dataclass(frozen=True)
 class MaskedSeries:
     """Transmitted masked scalar plus the metadata needed to demodulate it.
@@ -99,8 +163,8 @@ class MaskedSeries:
     the link's settings.
 
     Every instance can be received: its map passes stability_check
-    (UnstableCouplingError otherwise), every sample is finite, and the
-    preamble, of non-negative settle and pilot lengths, fits in the series.
+    (UnstableCouplingError otherwise), the preamble, of non-negative settle
+    and pilot lengths, fits in the series, and every sample is finite.
     Each broken rule raises a ValueError.
     """
 
@@ -114,25 +178,16 @@ class MaskedSeries:
     def __post_init__(self):
         w_star = np.asarray(self.w_star, dtype=float)
         object.__setattr__(self, "w_star", w_star)
-        _require_lock(self.params)
-        # one NaN or inf sample would leave every later receiver state non-finite
-        finite = np.isfinite(w_star)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise ValueError(f"sample {bad} is not finite ({w_star[bad]})")
-        for name in ("settle_steps", "pilot_bits"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.preamble_samples > w_star.size:
-            raise ValueError(
-                f"preamble of {self.preamble_samples} samples (settle {self.settle_steps} "
-                f"+ pilot {self.pilot_bits} x {self.config.samples_per_bit}) exceeds "
-                f"the {w_star.size} samples in the series"
-            )
+        self._header()
+        _require_finite(w_star)
 
-    @property
-    def preamble_samples(self) -> int:
-        return self.settle_steps + self.pilot_bits * self.config.samples_per_bit
+    preamble_samples = property(_preamble_samples)
+
+    def _header(self) -> _Header:
+        return _Header(
+            self.config, self.params, self.seed, self.settle_steps, self.pilot_bits,
+            self.w_star.size,
+        )
 
 
 @dataclass(frozen=True)
@@ -223,36 +278,15 @@ def mask_transmit(
 
     A preamble of ``settle_steps`` unmasked samples plus one known '1'
     pilot symbol precedes the data for receiver convergence and polarity
-    resolution. Unstable coupling is rejected up front.
+    resolution. Unstable coupling is rejected up front. The series is the
+    chunks of _transmit, collected.
     """
-    if settle_steps < 0:
-        raise ValueError(f"settle_steps must be >= 0, got {settle_steps}")
-    _require_lock(params)
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.ndim != 1 or bits.size == 0:
-        raise ValueError("bits must be a non-empty 1-d sequence")
-    # info: settle_steps zeros, then the NRZ waveform of the known '1' pilot
-    # and the data, built one kernel chunk at a time from the symbols it covers
-    spb = cfg.samples_per_bit
-    symbols = np.concatenate([np.ones(PILOT_BITS, dtype=np.uint8), bits])
-    x, y, z = generate_trajectory(1, params=params, seed=seed).states[0]
-    coefficients = (params.a, params.b, params.c, params.beta, params.gamma)
-    n = settle_steps + symbols.size * spb
-    w_star = np.empty(n)
-    for lo in range(0, n, _kernels.CHUNK):
-        hi = min(lo + _kernels.CHUNK, n)
-        info = np.zeros(hi - lo)
-        first = max(lo, settle_steps)  # the chunk's first sample after the settle window
-        if first < hi:
-            s0, skip = divmod(first - settle_steps, spb)
-            s1 = -(-(hi - settle_steps) // spb)
-            info[first - lo :] = nrz_waveform(symbols[s0:s1], cfg.amplitude, spb)[
-                skip : skip + hi - first
-            ]
-        w_star[lo:hi], x, y, z = _kernels.masked_transmit_chain(
-            info.tolist(), x, y, z, *coefficients
-        )
-        w_star[lo:hi] += info
+    header, chunks = _transmit(params, bits, cfg, seed, settle_steps)
+    w_star = np.empty(header.size)
+    lo = 0
+    for chunk in chunks:
+        w_star[lo : lo + chunk.size] = chunk
+        lo += chunk.size
     return MaskedSeries(
         w_star=w_star,
         config=cfg,
@@ -263,12 +297,64 @@ def mask_transmit(
     )
 
 
+def _transmit(
+    params: SystemParams,
+    bits,
+    cfg: ModulationConfig,
+    seed: int,
+    settle_steps: int = SETTLE_STEPS,
+):
+    """mask_transmit's checks, then its series one kernel chunk at a time.
+
+    Returns ``(header, chunks)``: the _Header of the series it will emit
+    and an iterator over its samples, ``_kernels.CHUNK`` at a time, which
+    send-file writes as they come. Each chunk's information signal
+    (settle_steps zeros, then the NRZ waveform of the known '1' pilot and
+    the data) is built from the symbols that cover it.
+    """
+    if settle_steps < 0:
+        raise ValueError(f"settle_steps must be >= 0, got {settle_steps}")
+    _require_lock(params)
+    bits = np.asarray(bits, dtype=np.uint8)
+    if bits.ndim != 1 or bits.size == 0:
+        raise ValueError("bits must be a non-empty 1-d sequence")
+    spb = cfg.samples_per_bit
+    symbols = np.concatenate([np.ones(PILOT_BITS, dtype=np.uint8), bits])
+    n = settle_steps + symbols.size * spb
+    header = _Header(cfg, params, seed, settle_steps, PILOT_BITS, n)
+    start = generate_trajectory(1, params=params, seed=seed).states[0]
+    coefficients = (params.a, params.b, params.c, params.beta, params.gamma)
+
+    def chunks():
+        x, y, z = start
+        for lo in range(0, n, _kernels.CHUNK):
+            hi = min(lo + _kernels.CHUNK, n)
+            info = np.zeros(hi - lo)
+            first = max(lo, settle_steps)  # the chunk's first sample after the settle window
+            if first < hi:
+                s0, skip = divmod(first - settle_steps, spb)
+                s1 = -(-(hi - settle_steps) // spb)
+                info[first - lo :] = nrz_waveform(symbols[s0:s1], cfg.amplitude, spb)[
+                    skip : skip + hi - first
+                ]
+            ws, x, y, z = _kernels.masked_transmit_chain(info.tolist(), x, y, z, *coefficients)
+            # fromiter converts the floats without np.array's type discovery
+            w_star = np.fromiter(ws, float, hi - lo)
+            del ws  # the kernel's list, before the next chunk's are built
+            w_star += info
+            yield w_star
+
+    return header, chunks()
+
+
 def channel_awgn(series, sigma: float, seed: int) -> np.ndarray:
     """Add white Gaussian noise of standard deviation ``sigma`` per sample.
 
     At ``sigma`` 0 the channel is the identity and returns ``series`` itself
     when it is already a float64 array, not a copy: callers read the result
-    and must not write it.
+    and must not write it. ``seed`` may be a ``numpy.random.Generator``,
+    which is drawn from as it stands, so a series sent slice by slice
+    through one Generator gets the noise of one draw over the whole.
     """
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
@@ -297,47 +383,156 @@ def unmask_receive(
     synchronized. The mean over the known '1' pilot symbols fixes any
     residual polarity mismatch at run time (skipped when the pilot level is
     too small to trust, e.g. amplitude 0). Preamble samples are stripped;
-    the returned array covers exactly the data symbols.
+    the returned array covers exactly the data symbols. A series longer
+    than RECEIVE_BATCH_SAMPLES is received in slices (see
+    _receive_slices), with the same result.
     """
-    (recovered,) = _receive_batch([(masked, seed)], noise_sigma, recv_params)
+    ((_, recovered),) = _gather([_source(masked, seed)], noise_sigma, recv_params)
     return recovered
 
 
-def _receive_batch(sent, noise_sigma: float, recv_params: SystemParams | None) -> list:
-    """unmask_receive on each ``(masked series, master seed)`` of ``sent``.
+def _source(masked: MaskedSeries, seed: int):
+    """``(header, read, seed)`` of ``masked`` for _receive_slices."""
+    return masked._header(), lambda lo, hi: masked.w_star[lo:hi], seed
 
-    Each series goes through the channel on its own and is dropped there; a
-    noiseless channel passes the series itself, uncopied and only read. The
-    received series, which must have equal lengths, then go through one
-    stacked ``receiver_output`` call (a lone series is not stacked) whose
-    lockstep steps them together with the map ``recv_params`` (None: the
-    series' own, which they share), and the recovered samples overwrite its
-    output. So the batch holds the received series and the receiver output.
-    Returns the recovered data samples of each series, in order.
+
+def _slices(sizes):
+    """Plan the receive of series of ``sizes`` samples, in order.
+
+    Yields slices of at most RECEIVE_BATCH_SAMPLES samples, each a list of
+    ``(k, lo, hi)``: samples [lo, hi) of series k. A series of at most the
+    budget goes whole, stacked with the equal-length series after it while
+    the stack fits (at least one); a longer one goes alone, in consecutive
+    runs of the budget.
     """
+    budget = RECEIVE_BATCH_SAMPLES
+    k = 0
+    while k < len(sizes):
+        n = sizes[k]
+        if n > budget:
+            for lo in range(0, n, budget):
+                yield [(k, lo, min(lo + budget, n))]
+            k += 1
+            continue
+        end = k + 1
+        while end < len(sizes) and sizes[end] == n and (end - k + 1) * n <= budget:
+            end += 1
+        yield [(j, 0, n) for j in range(k, end)]
+        k = end
 
-    def channel(masked, seed):
+
+def _receive_slices(sources, noise_sigma: float, recv_params: SystemParams | None):
+    """The link's receive engine: unmask_receive on each series, one slice at a time.
+
+    ``sources`` yields ``(header, read, seed)`` per series: its _Header;
+    ``read(lo, hi)``, which returns samples [lo, hi) as a view or as an
+    array of its own; and the master seed, split as unmask_receive splits
+    it. The series are received in the slices _slices plans, and each
+    ``read`` is dropped after its series' last slice. Each series has one
+    noise Generator, which channel_awgn draws from slice by slice, and each
+    slice starts from the exact receiver state the one before it of the
+    same series ended in, so the result equals a whole-series receive bit
+    for bit. sync._recover writes ``received - w_r`` over the slice's
+    received buffer (stacked frames, or a lone run copied only if the
+    channel passed a view), so a slice holds that buffer and the lockstep's
+    step-major copy. The pilot's samples are gathered as they pass, and
+    their mean, taken over the contiguous window, fixes the polarity
+    before the first data sample is yielded.
+
+    Yields ``(k, data, left)`` per slice of series k: its recovered data
+    samples in that slice (preamble stripped, sign fixed; a view into the
+    slice's buffer) and how many of its data samples later slices hold.
+    The map is ``recv_params``, by default the first series'.
+    """
+    # lists the engine owns, so a reader it drops frees its series
+    headers, readers, seeds = map(list, zip(*sources))
+    states, noise = [], []
+    for seed in seeds:
         _, ch_seed, rx_seed = spawn_seeds(seed, 3)
-        received = channel_awgn(masked.w_star, noise_sigma, seed=ch_seed)
-        layout = (masked.config.amplitude, masked.settle_steps, masked.preamble_samples)
-        return received, random_initial_state(rx_seed), masked.params, layout
-
-    received, inits, maps, layouts = zip(*(channel(*frame) for frame in sent))
+        states.append(random_initial_state(rx_seed))
+        noise.append(np.random.default_rng(ch_seed))
     if recv_params is None:
-        recv_params = maps[0]
-    w_rx = received[0][None] if len(received) == 1 else np.stack(received)
-    del received
-    w_r = receiver_output(w_rx, np.stack(inits), recv_params)
-    recovered = np.subtract(w_rx, w_r, out=w_r)  # received - w_r
-    del w_rx
-    data = []
-    for samples, (amplitude, settle_steps, preamble) in zip(recovered, layouts):
-        flip = False
-        if preamble > settle_steps:
-            pilot_mean = samples[settle_steps:preamble].mean()
-            flip = pilot_mean < -0.25 * amplitude
-        data.append(-samples[preamble:] if flip else samples[preamble:])
-    return data
+        recv_params = headers[0].params
+    pilots = [np.empty(h.preamble_samples - h.settle_steps) for h in headers]
+    flips = [False] * len(headers)
+    for piece in _slices([h.size for h in headers]):
+        received = []
+        for k, lo, hi in piece:
+            received.append(channel_awgn(readers[k](lo, hi), noise_sigma, noise[k]))
+            if hi == headers[k].size:
+                readers[k] = None
+        if len(received) > 1:
+            w = np.stack(received)
+        else:
+            (w,) = received
+            w = (w if w.base is None else w.copy())[None]  # a noiseless channel passes views
+        del received
+        ends = _recover(w, np.stack([states[k] for k, _, _ in piece]), recv_params)
+        for samples, end, (k, lo, hi) in zip(w, ends, piece):
+            states[k] = end
+            h = headers[k]
+            settle, preamble = h.settle_steps, h.preamble_samples
+            first, last = max(lo, settle), min(hi, preamble)
+            if first < last:
+                pilots[k][first - settle : last - settle] = samples[first - lo : last - lo]
+                if last == preamble:
+                    flips[k] = pilots[k].mean() < -0.25 * h.config.amplitude
+            data = samples[max(preamble - lo, 0) :]
+            if flips[k]:
+                np.negative(data, out=data)
+            yield k, data, h.size - max(hi, preamble)
+
+
+def _gather(sources, noise_sigma: float, recv_params: SystemParams | None):
+    """_receive_slices on ``sources``, yielding ``(k, data)`` once per
+    series: the data of a one-slice series is its piece itself, and a
+    longer one's pieces are copied into one array as they come."""
+    out = None
+    for k, data, left in _receive_slices(sources, noise_sigma, recv_params):
+        if out is None:
+            if not left:
+                yield k, data
+                continue
+            out, filled = np.empty(data.size + left), 0
+        out[filled : filled + data.size] = data
+        filled += data.size
+        if not left:
+            yield k, out
+            out = None
+
+
+def _receive_bits(header: _Header, read, seed: int, noise_sigma: float) -> np.ndarray:
+    """decide_zero(unmask_receive(...)) on the series ``header`` and
+    ``read`` describe (see _receive_slices), received slice by slice.
+
+    Each slice's whole symbols are integrated and dumped as it comes, and a
+    symbol cut by a slice's end is carried into the next, so only the bits
+    are kept: one byte per symbol. Raises ValueError, before any receive,
+    when the data holds no whole symbol.
+    """
+    cfg = header.config
+    spb = cfg.samples_per_bit
+    bits = np.empty((header.size - header.preamble_samples) // spb, dtype=np.uint8)
+    if bits.size == 0:
+        raise ValueError("fewer samples than one symbol")
+    carry, held, done = np.empty(spb), 0, 0
+    for _, data, _ in _receive_slices([(header, read, seed)], noise_sigma, None):
+        if held:
+            take = min(spb - held, data.size)
+            carry[held : held + take] = data[:take]
+            held += take
+            data = data[take:]
+            if held < spb:
+                continue
+            bits[done] = decide_zero(carry, cfg)[0]
+            done += 1
+        whole = data.size // spb * spb
+        if whole:
+            bits[done : done + whole // spb] = decide_zero(data[:whole], cfg)
+            done += whole // spb
+        held = data.size - whole
+        carry[:held] = data[whole:]
+    return bits
 
 
 def integrate_and_dump(samples, cfg: ModulationConfig) -> np.ndarray:
@@ -442,7 +637,7 @@ def ber_measure(sent, recovered) -> BerResult:
     Beta(e + 1, n - e) for e errors in n bits, taken with the inverse
     regularized incomplete beta function. Zero-error runs report interval
     (0, upper) where the upper bound is the exact one-sided 97.5% binomial
-    limit (about 3.7/n).
+    limit (about 3.7/n). Empty sequences raise ValueError.
     """
     from scipy import special
 
@@ -453,6 +648,8 @@ def ber_measure(sent, recovered) -> BerResult:
             f"length mismatch: sent {sent.shape} vs recovered {recovered.shape}"
         )
     n = sent.size
+    if n == 0:
+        raise ValueError("no bits to measure: sent and recovered are empty")
     errors = int(np.count_nonzero(sent != recovered))
     point = errors / n
     lo = 0.0 if errors == 0 else float(special.betaincinv(errors, n - errors + 1, 0.025))
@@ -479,18 +676,19 @@ def _transmit_receive_frames(
     receiver runs the map ``recv_params``, by default ``params``; another
     map models component tolerances or a wrong key. Each frame is masked on
     its own, on up to ``max_workers`` threads. The frames, which must have
-    equal lengths, are received in batches of at most
-    RECEIVE_BATCH_SAMPLES samples (at least one frame), each by one
-    _receive_batch call. Yields ``(frame, recovered data samples)`` in
+    equal lengths, are transmitted in batches of one receive slice (see
+    _slices), each then received by _receive_slices, which drops each
+    frame's series once read. Yields ``(frame, recovered data samples)`` in
     frame order, one batch at a time, so a caller that drops each as it
     comes holds one batch.
     """
     def send(frame):
         bits, cfg, seed = frame
-        return mask_transmit(params, bits, cfg, seed=spawn_seeds(seed, 3)[0]), seed
+        return _source(mask_transmit(params, bits, cfg, seed=spawn_seeds(seed, 3)[0]), seed)
 
     def link_pass(batch, run):
-        return zip(batch, _receive_batch(run(send, batch), noise_sigma, recv_params))
+        for k, data in _gather(run(send, batch), noise_sigma, recv_params):
+            yield batch[k], data
 
     if not frames:
         return

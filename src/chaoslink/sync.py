@@ -5,6 +5,16 @@ rebuilds its missing third coordinate by synchronous substitution,
 ``z_est = w - gamma*x_r``, and iterates the same fold dynamics on the
 substituted state. Stability of the error dynamics is governed by the
 eigenvalues of the coupled matrix scaled by the worst-case fold slope.
+
+One engine (``_run``) receives a series or stacked frames, block-parallel
+in time and bit-identical to the sequential kernel, and returns each
+frame's end state. ``receiver_run`` and ``receiver_output`` record states
+or w_r; the link's slice receive (``_recover``) writes ``w - w_r`` over the
+received slice itself and continues the next slice from the end state, so
+it holds the slice and the lockstep's step-major copy of it. Slices bound
+the lockstep's lanes, and with them its per-step temporaries (a 2**20
+sample slice of the default map: 6944 lanes, 56 KB each, below glibc's
+128 KB mmap threshold).
 """
 
 from __future__ import annotations
@@ -96,43 +106,76 @@ def _receive(w, init, params: SystemParams, states: bool) -> np.ndarray:
             f"{len(frames)} frames need as many start states, got {len(starts)}"
         )
     out = np.empty(frames.shape + ((3,) if states else ()))
+    _run(frames, starts, params, out)
+    return out.reshape(w.shape + out.shape[2:])
+
+
+def _recover(w, starts, params: SystemParams) -> np.ndarray:
+    """Write ``w - w_r`` over the received frames ``w`` and return the end states.
+
+    ``w`` is an owned float64 (F, m) array of received samples and
+    ``starts`` (F, 3) the receiver state before each frame's first sample.
+    Frame f becomes, bit for bit, ``w[f]`` minus receiver_output's w_r, and
+    row f of the result is the receiver state after its last sample, from
+    which the samples that follow continue. So one long series received
+    slice by slice equals it received whole, and the receive holds no array
+    besides ``w`` and the lockstep's step-major copy of it.
+    """
+    return _run(w, starts, params, None)
+
+
+def _run(frames, starts, params: SystemParams, out) -> np.ndarray:
+    """The receive engine on (F, n) ``frames``; returns the (F, 3) end states.
+
+    ``out`` takes the readouts (see _record); None writes the residual
+    ``frames - w_r`` over ``frames`` instead. Every long frame with stable
+    params runs block by block, the blocks of all such frames in one
+    lockstep; the sequential kernel runs the others.
+    """
     warm = None if _kernels.HAVE_NUMBA else _warmup_steps(params)
     long_enough = warm is not None and frames.shape[1] >= 2 * _block_length(warm)
     blocked = np.array(
         [long_enough and _stays_finite(f, s, params) for f, s in zip(frames, starts)],
         dtype=bool,
     )
+    target = frames if out is None else out
+    ends = np.empty((len(frames), 3))
     for f in np.flatnonzero(~blocked):
-        _receiver_chain(frames[f], starts[f], params, out[f])
+        ends[f] = _receiver_chain(frames[f], starts[f], params, target[f], out is None)
     if blocked.size and blocked.all():
-        _receiver_blocks(frames, starts, params, warm, out)
+        ends[:] = _receiver_blocks(frames, starts, params, warm, out)
     elif blocked.any():
-        part = np.empty((int(blocked.sum()), *out.shape[1:]))
-        _receiver_blocks(frames[blocked], starts[blocked], params, warm, part)
-        out[blocked] = part
-    return out.reshape(w.shape + out.shape[2:])
+        sub = frames[blocked]
+        part = None if out is None else np.empty((len(sub), *out.shape[1:]))
+        ends[blocked] = _receiver_blocks(sub, starts[blocked], params, warm, part)
+        target[blocked] = sub if out is None else part
+    return ends
 
 
-def _record(state, gamma: float, out) -> None:
+def _record(state, gamma: float, out, residual: bool = False) -> None:
     """Write the readout of ``state`` (3, ...) into ``out``.
 
     An ``out`` of the state's shape takes the state itself; one without
-    the component axis takes ``gamma*x + z``, rounded as that expression is.
+    the component axis takes ``gamma*x + z``, rounded as that expression is,
+    or with ``residual`` has it subtracted.
     """
     if out.ndim == state.ndim:
         out[...] = state
+    elif residual:
+        out -= gamma * state[0] + state[2]
     else:
         np.multiply(gamma, state[0], out=out)
         out += state[2]
 
 
-def _receiver_chain(w, start, params: SystemParams, out):
+def _receiver_chain(w, start, params: SystemParams, out, residual: bool = False):
     """The sequential kernel on ``w`` from ``start``; returns the state after it.
 
     Row k of ``out`` takes the readout (see _record) of the state at sample
-    k. The kernel runs ``_kernels.CHUNK`` samples at a time into one small
-    state buffer, each call continuing from the last one's end state, so
-    an output readout holds no states beyond that buffer.
+    k, or with ``residual`` has w_r subtracted, so ``out`` may be ``w``
+    itself. The kernel runs ``_kernels.CHUNK`` samples at a time into one
+    small state buffer, each call continuing from the last one's end state,
+    so an output readout holds no states beyond that buffer.
     """
     coefficients = (params.a, params.b, params.c, params.beta, params.gamma)
     buf = np.empty((min(len(w), _kernels.CHUNK), 3))
@@ -141,7 +184,7 @@ def _receiver_chain(w, start, params: SystemParams, out):
         chunk = w[lo : lo + _kernels.CHUNK]
         rows = buf[: len(chunk)]
         x, y, z = _kernels.receiver_chain(chunk, x, y, z, *coefficients, rows)
-        _record(rows.T, params.gamma, out[lo : lo + len(chunk)].T)
+        _record(rows.T, params.gamma, out[lo : lo + len(chunk)].T, residual)
     return np.array([x, y, z])
 
 
@@ -203,41 +246,44 @@ def _lockstep(state, wk, params: SystemParams, u):
 def _receiver_blocks(w, start, params: SystemParams, warm: int, out):
     """Block-parallel receiver_chain on F stacked frames, exact by construction.
 
-    ``w`` is (F, n), ``start`` (F, 3) and ``out`` (F, n, 3) for states or
-    (F, n) for the output (see _record). Block j of a frame covers rows
-    [j*block, (j+1)*block), where block comes from _block_length and is at
-    least ``warm``. Block 0 starts from the frame's ``start``. Every later
-    block starts from that state placed ``warm`` samples earlier (inside
-    the block before it) and runs over those samples first, which lets it
-    forget the wrong start (see _warmup_steps). The blocks of all frames
-    then step together as numpy vectors, so a sweep of frames pays for one
-    block's steps, not one per frame.
+    ``w`` is (F, n), ``start`` (F, 3) and ``out`` (F, n, 3) for states,
+    (F, n) for the output (see _record), or None to write ``w - w_r`` over
+    ``w``. Returns each frame's (F, 3) state after its last sample. Block j
+    of a frame covers rows [j*block, (j+1)*block), where block comes from
+    _block_length and is at least ``warm``. Block 0 starts from the frame's
+    ``start``. Every later block starts from that state placed ``warm``
+    samples earlier (inside the block before it) and runs over those
+    samples first, which lets it forget the wrong start (see
+    _warmup_steps). The blocks of all frames then step together as numpy
+    vectors, so a sweep of frames pays for one block's steps, not one per
+    frame.
 
     The steps read a step-major copy of the series, ``series[s, f, j]``
     being sample s of block j of frame f, so each step reads and writes
     contiguous rows; the warm-up reads are a view of the same copy, and a
     partial last block is padded with zeros. Each step's readout goes into
-    a step-major buffer (for the output, the series rows already read),
-    moved into ``out`` once at the end.
+    a step-major buffer (for the output, the series rows already read).
 
     A block is kept only if its first state equals, bit for bit, the true
     end state of the frame's block before it. All seams are compared at
     once; the sequential kernel re-runs each block that fails from the
-    true state, then the blocks after it until one matches.
+    true state, then the blocks after it until one matches, into the
+    step-major buffer. Only then do the readouts move into ``out`` (or
+    out of ``w``), so the re-runs read ``w`` as received.
     """
     frames, n = w.shape
     block = _block_length(warm)
     full, tail = divmod(n, block)
     lanes = full + (tail > 0)
     # zeros pad a partial last lane: the receiver is causal, so they change
-    # no readout before n, and no seam follows that lane's end state
+    # no readout before n, and the end state is taken before them
     series = np.zeros((block, frames, lanes))
     lane_rows = series.transpose(1, 2, 0)  # (F, lanes, block) view
     lane_rows[:, :full] = w[:, : full * block].reshape(frames, full, block)
     if tail:
         lane_rows[:, full, :tail] = w[:, full * block :]
     early = series[block - warm :, :, :-1]  # lane j's warm-up: lane j-1's last samples
-    states = out.ndim == 3
+    states = out is not None and out.ndim == 3
     rec = np.empty((block, 3, frames, lanes)) if states else series
     first = start.T[:, :, None]
     state = np.repeat(first, lanes - 1, axis=2)
@@ -248,14 +294,15 @@ def _receiver_blocks(w, start, params: SystemParams, warm: int, out):
         starts = state = np.concatenate([first, state], axis=2)
         u = np.empty(state.shape)
         for s in range(block):
+            if s == tail:
+                last = state[:, :, -1].copy()  # the last lane after its n - full*block samples
             stepped = _lockstep(state, series[s], params, u)
             _record(state, params.gamma, rec[s])  # after series[s] is read
             state = stepped
-    readouts = rec.transpose((2, 3, 0, 1) if states else (1, 2, 0))  # (F, lanes, block, ...)
-    out[:, : full * block].reshape(readouts[:, :full].shape)[...] = readouts[:, :full]
-    if tail:
-        out[:, full * block :] = readouts[:, full, :tail]
     ends = state
+    if not tail:
+        last = ends[:, :, -1].copy()
+    readouts = rec.transpose((2, 3, 0, 1) if states else (1, 2, 0))  # (F, lanes, block, ...)
     # bitwise, since == equates -0.0 and +0.0
     broken = (starts[:, :, 1:].view(np.int64) != ends[:, :, :-1].view(np.int64)).any(axis=0)
     checked = np.zeros(frames, dtype=int)  # blocks below this are re-run or right
@@ -266,9 +313,22 @@ def _receiver_blocks(w, start, params: SystemParams, warm: int, out):
         true = ends[:, f, j - 1]
         while j < lanes and starts[:, f, j].tobytes() != true.tobytes():
             lo = j * block
-            true = _receiver_chain(w[f, lo : lo + block], true, params, out[f, lo : lo + block])
+            rows = w[f, lo : lo + block]
+            true = _receiver_chain(rows, true, params, readouts[f, j, : len(rows)])
             j += 1
+        if j == lanes:
+            last[:, f] = true
         checked[f] = j
+    target = w if out is None else out
+    moves = [(target[:, : full * block].reshape(readouts[:, :full].shape), readouts[:, :full])]
+    if tail:
+        moves.append((target[:, full * block :], readouts[:, full, :tail]))
+    for dest, readout in moves:
+        if out is None:
+            dest -= readout
+        else:
+            dest[...] = readout
+    return last.T
 
 
 def response_estimate(w, states, gamma: float) -> np.ndarray:

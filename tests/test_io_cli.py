@@ -304,37 +304,41 @@ UNLOCKABLE = (
 
 
 class TestFileLinkPeakMemory:
-    """send-file holds w_star and one transmit chunk (8 B/sample). recv-file
-    at sigma 0 holds the file's series, the lockstep's step-major copy and
-    w_r, into which the recovered samples are written (24 B/sample). The
-    payload is a 0.25 s speech clip, about 209 000 samples."""
+    """send-file writes each transmit chunk as it comes, so it holds no
+    array of the series. recv-file holds one slice: its received samples,
+    over which the recovered ones are written, and the lockstep's
+    step-major copy (16 B per sample of a series that fits one slice), and
+    keeps only the decided bits. The payloads are a 0.25 s speech clip,
+    about 209 000 samples, and two images ten times apart in samples."""
 
     @pytest.fixture
     def link_files(self, tmp_path):
-        def send(name):
+        def send(payload):
             return main(
-                ["send-file", "--input", str(tmp_path / f"{name}.wav"),
-                 "--output", str(tmp_path / f"{name}.masked"), "--seed", "1",
+                ["send-file", "--input", str(tmp_path / payload),
+                 "--output", str(tmp_path / f"{payload}.masked"), "--seed", "1",
                  "--out-dir", str(tmp_path)]
             )
 
-        def recv(name):
+        def recv(payload):
             return main(
-                ["recv-file", "--input", str(tmp_path / f"{name}.masked"),
-                 "--output", str(tmp_path / f"{name}.out.wav"), "--seed", "2",
+                ["recv-file", "--input", str(tmp_path / f"{payload}.masked"),
+                 "--output", str(tmp_path / f"out-{payload}"), "--seed", "2",
                  "--out-dir", str(tmp_path)]
             )
 
         write_wav(tmp_path / "warm.wav", synth_speech(duration=0.05, seed=1))
         write_wav(tmp_path / "speech.wav", synth_speech(duration=0.25, seed=1))
-        assert send("warm") == 0 and recv("warm") == 0  # warm caches outside the trace
-        return send, recv, tmp_path / "speech.masked"
+        write_pgm(tmp_path / "short.pgm", synth_image(8, 8, seed=1))
+        write_pgm(tmp_path / "long.pgm", synth_image(48, 48, seed=1))
+        assert send("warm.wav") == 0 and recv("warm.wav") == 0  # warm caches outside the trace
+        return send, recv, tmp_path / "speech.wav.masked"
 
     @staticmethod
-    def traced(run):
+    def traced(run, payload="speech.wav"):
         tracemalloc.start()
         try:
-            assert run("speech") == 0
+            assert run(payload) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -348,6 +352,17 @@ class TestFileLinkPeakMemory:
         recv_peak = self.traced(recv)
         assert send_peak / n <= 10
         assert recv_peak / n <= 26
+
+    def test_peak_does_not_grow_with_the_payload(self, link_files, monkeypatch):
+        """In slices of 2**12 samples, a 48x48 image's 231 850 samples raise
+        neither command's peak by 256 KB over an 8x8 image's 23 450, both
+        several slices long: what grows is the codec's arrays and one byte
+        per bit, not the series (8 B/sample would be 1.7 MB)."""
+        send, recv, _ = link_files
+        monkeypatch.setattr(link, "RECEIVE_BATCH_SAMPLES", 1 << 12)
+        for run in (send, recv):
+            short, long = self.traced(run, "short.pgm"), self.traced(run, "long.pgm")
+            assert long - short < 2**18, (run.__name__, short, long)
 
 
 def masked_file(tmp_path, bits):
@@ -434,7 +449,7 @@ class TestUntrustedReceive:
         def unreachable(*args, **kwargs):
             raise AssertionError("received a series the receiver cannot lock to")
 
-        monkeypatch.setattr(link, "receiver_output", unreachable)
+        monkeypatch.setattr(link, "_recover", unreachable)
         path = masked_file(tmp_path, prbs(20, seed=3))
         raw = bytearray(path.read_bytes())
         raw[38:46] = struct.pack("<d", -0.5)  # the header's gamma, last of a, b, c, beta, gamma
@@ -480,6 +495,21 @@ class TestUntrustedReceive:
         code, err = recv(tmp_path, path, capsys)
         assert code == 2
         assert f"{path}: sample 50 is not finite ({sample})" in err
+
+    def test_non_finite_sample_in_a_later_slice(self, tmp_path, capsys, monkeypatch):
+        """The finite check runs slice by slice: a NaN in the third slice of
+        1000 samples is named by its index in the series, after two slices
+        were received, and nothing is written."""
+        monkeypatch.setattr(link, "RECEIVE_BATCH_SAMPLES", 1000)
+        path = masked_file(tmp_path, prbs(1000, seed=3))
+        raw = bytearray(path.read_bytes())
+        raw[98 + 8 * 2500 : 98 + 8 * 2501] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(raw))
+        code, err = recv(tmp_path, path, capsys)
+        assert code == 2
+        assert err == f"error: {path}: sample 2500 is not finite (nan)\n"
+        assert not (tmp_path / "x.wav").exists()
+        assert not (tmp_path / "recv_report.json").exists()
 
 
 @st.composite
@@ -542,6 +572,51 @@ def wav_bytes(channels=1, width=2):
         fh.setframerate(8000)
         fh.writeframes(bytes(channels * width * 64))
     return buf.getvalue()
+
+
+class TestSendStream:
+    """send-file writes the masked file's header, then each transmitter chunk
+    as it comes."""
+
+    def send(self, tmp_path, capsys):
+        payload = tmp_path / "image.pgm"
+        write_pgm(payload, synth_image(8, 8, seed=1))
+        out = tmp_path / "masked.bin"
+        code = main(
+            ["send-file", "--input", str(payload), "--output", str(out),
+             "--seed", "2", "--out-dir", str(tmp_path / "reports")]
+        )
+        return code, capsys.readouterr().err, out
+
+    def test_streamed_file_equals_the_whole_series_file(self, tmp_path, capsys):
+        code, _, out = self.send(tmp_path, capsys)
+        assert code == 0
+        series = read_masked_series(out)
+        bits = packet_to_bits(codecs.file_to_packet(tmp_path / "image.pgm", 0.22))
+        whole = mask_transmit(cl.DEFAULT_PARAMS, bits, ModulationConfig(), seed=2)
+        write_masked_series(tmp_path / "whole.bin", whole)
+        assert out.read_bytes() == (tmp_path / "whole.bin").read_bytes()
+        assert series.w_star.size > 2 * _kernels.CHUNK
+
+    def test_a_stream_that_fails_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        """A disk that fills after the first chunk exits 4 and leaves no
+        partial file at --output."""
+        chain = _kernels.masked_transmit_chain
+        calls = []
+
+        def fill_after_one_chunk(*args):
+            calls.append(1)
+            if len(calls) > 1:
+                raise OSError(28, "No space left on device")
+            return chain(*args)
+
+        monkeypatch.setattr(_kernels, "masked_transmit_chain", fill_after_one_chunk)
+        code, err, out = self.send(tmp_path, capsys)
+        assert code == 4
+        assert err == "i/o error: [Errno 28] No space left on device\n"
+        assert len(calls) == 2
+        assert not out.exists()
+        assert not (tmp_path / "reports").exists()
 
 
 class TestUntrustedSend:
@@ -1019,7 +1094,7 @@ class TestCli:
             raise AssertionError("reached after the output check")
 
         monkeypatch.setattr(cli, "file_to_packet", unreachable)
-        monkeypatch.setattr(cli, "mask_transmit", unreachable)
+        monkeypatch.setattr(cli, "_transmit", unreachable)
         for out, out_dir in output_directory_cases(tmp_path, "masked.bin"):
             code = main(
                 ["send-file", "--input", str(payload), "--output", str(out),
@@ -1083,8 +1158,8 @@ class TestCli:
         def unreachable(*args, **kwargs):
             raise AssertionError("reached after the output check")
 
-        monkeypatch.setattr(cli, "read_masked_series", unreachable)
-        monkeypatch.setattr(link, "receiver_output", unreachable)
+        monkeypatch.setattr(cli, "_open_masked_series", unreachable)
+        monkeypatch.setattr(link, "_recover", unreachable)
         for out, out_dir in output_directory_cases(tmp_path, "out.wav"):
             code = main(
                 ["recv-file", "--input", str(masked), "--output", str(out),
@@ -1106,7 +1181,7 @@ class TestCli:
         def unreachable(*args, **kwargs):
             raise AssertionError("reached after the seed check")
 
-        for stage in ("generate_trajectory", "file_to_packet", "mask_transmit"):
+        for stage in ("generate_trajectory", "file_to_packet", "_transmit"):
             monkeypatch.setattr(cli, stage, unreachable)
         argv = [command]
         if command == "send-file":
@@ -1133,10 +1208,10 @@ class TestCli:
         if command == "send-file":
             source = tmp_path / "speech.wav"
             write_wav(source, synth_speech(duration=0.05, seed=3))
-            stages = [(cli, "file_to_packet"), (cli, "mask_transmit")]
+            stages = [(cli, "file_to_packet"), (cli, "_transmit")]
         else:
             source = masked_file(tmp_path, prbs(20, seed=3))
-            stages = [(cli, "read_masked_series"), (link, "receiver_output")]
+            stages = [(cli, "_open_masked_series"), (link, "_recover")]
         for module, stage in stages:
             monkeypatch.setattr(module, stage, unreachable)
         out = tmp_path / "taken"
@@ -1193,7 +1268,8 @@ class TestCli:
         channel, start = link.channel_awgn, link.random_initial_state
 
         def record_channel(series, sigma, seed):
-            used[current]["channel"] = seed
+            # the receive draws each series' noise from one Generator of its seed
+            used[current]["channel"] = seed.bit_generator.seed_seq.entropy
             return channel(series, sigma, seed)
 
         def record_start(seed):

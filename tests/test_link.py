@@ -8,8 +8,8 @@ from scipy import optimize, special, stats
 
 import chaoslink as cl
 from chaoslink import analysis as an
-from chaoslink import _kernels, link
-from chaoslink.core_map import spawn_seeds
+from chaoslink import _kernels, link, sync
+from chaoslink.core_map import random_initial_state, spawn_seeds
 from chaoslink.link import (
     BerResult,
     ModulationConfig,
@@ -297,21 +297,23 @@ class TestUnmask:
         return peak / masked.w_star.size
 
     def test_receive_peak_memory_per_sample(self):
-        """The receive holds the received series, one step-major copy of it
-        that the lockstep overwrites with w_r, and w_r in sample order, into
-        which the recovered samples are written.
+        """The receive holds one slice: the received series, over which the
+        recovered samples are written, and the lockstep's step-major copy
+        of it, which it overwrites with w_r.
 
-        The series is test_peak_memory_per_sample's 215 250 samples. Three
-        float64 arrays make 24 B/sample. Holding the (n, 3) receiver
-        states, as the receive once did, reads about 48.
+        The series is test_peak_memory_per_sample's 215 250 samples, one
+        slice. Two float64 arrays make 16 B/sample, and read about 17.
+        Holding w_r in sample order beside them read about 25, and the
+        (n, 3) receiver states about 48.
         """
         assert self.receive_peak_per_sample(0.012) <= 40
 
     def test_noiseless_receive_peak_memory_per_sample(self):
-        """A noiseless channel passes the series itself, which the caller
-        already holds, and a lone frame is not stacked: two float64 arrays
-        make 16 B/sample. A copy of the series, as the receive once made,
-        reads about 25."""
+        """A noiseless channel passes a view of the series, which the caller
+        already holds; the receive copies it into the buffer it overwrites,
+        and a lone frame is not stacked: two float64 arrays make 16 B/sample.
+        A copy of the series beside w_r, as the receive once made, reads
+        about 25."""
         assert self.receive_peak_per_sample(0.0) <= 20
 
     def test_noiseless_receive_leaves_the_series_unchanged(self):
@@ -320,6 +322,119 @@ class TestUnmask:
         recovered = unmask_receive(masked, seed=3)
         assert masked.w_star.tobytes() == before
         assert not np.shares_memory(recovered, masked.w_star)
+
+
+def whole_series_receive(masked, seed, sigma=0.0, recv_params=None):
+    """The receive before slices: one channel draw over the whole series, one
+    receiver_output call, the residual, and the polarity from the pilot."""
+    _, ch_seed, rx_seed = spawn_seeds(seed, 3)
+    received = channel_awgn(masked.w_star, sigma, seed=ch_seed)
+    params = masked.params if recv_params is None else recv_params
+    recovered = received - sync.receiver_output(received, random_initial_state(rx_seed), params)
+    settle, preamble = masked.settle_steps, masked.preamble_samples
+    if preamble > settle and recovered[settle:preamble].mean() < -0.25 * masked.config.amplitude:
+        recovered = -recovered
+    return recovered[preamble:]
+
+
+class TestSlices:
+    """Slice oracles. A series longer than RECEIVE_BATCH_SAMPLES is received
+    in consecutive slices, each starting from the exact receiver state the
+    one before it ended in and drawing its noise from the series' one
+    Generator; the result equals whole_series_receive byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def interpreted(self, monkeypatch):
+        """The block path under numba too, as the interpreted backend runs it."""
+        monkeypatch.setattr(sync._kernels, "HAVE_NUMBA", False)
+
+    def test_plan(self, monkeypatch):
+        """Equal short series stack while they fit; a longer one goes alone,
+        one budget at a time."""
+        monkeypatch.setattr(link, "RECEIVE_BATCH_SAMPLES", 10)
+        assert list(link._slices([5, 5, 5, 12, 5, 4])) == [
+            [(0, 0, 5), (1, 0, 5)], [(2, 0, 5)], [(3, 0, 10)], [(3, 10, 12)], [(4, 0, 5)],
+            [(5, 0, 4)],
+        ]
+
+    def test_pilot_window_across_a_slice_boundary(self, monkeypatch):
+        """A two-symbol pilot, -3A then +A, spans samples 1000-1099 and a
+        slice ends at 1060. Its mean over both symbols, -A, flips the data;
+        the +A the last slice holds alone would not."""
+        settle, n, amp = 1000, 50, 0.07
+        cfg = ModulationConfig(amplitude=amp, samples_per_bit=n)
+        info = np.concatenate(
+            [np.zeros(settle), np.full(n, -3 * amp), np.full(n, amp),
+             nrz_waveform(prbs(400, seed=3), amp, n)]
+        )
+        x, y, z = cl.generate_trajectory(1, params=PARAMS, seed=3).states[0]
+        w_clean, *_ = _kernels.masked_transmit_chain(
+            info.tolist(), x, y, z, PARAMS.a, PARAMS.b, PARAMS.c, PARAMS.beta, PARAMS.gamma
+        )
+        masked = link.MaskedSeries(
+            np.array(w_clean) + info, cfg, PARAMS, seed=3, settle_steps=settle, pilot_bits=2
+        )
+        expected = whole_series_receive(masked, 11)
+        assert np.max(np.abs(expected + info[settle + 2 * n :])) < 1e-9  # flipped
+        monkeypatch.setattr(link, "RECEIVE_BATCH_SAMPLES", 1060)
+        assert unmask_receive(masked, seed=11).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.012])
+    @pytest.mark.parametrize("spb", [7, 50, 2000])
+    def test_symbols_across_slice_boundaries(self, monkeypatch, spb, sigma):
+        """The file link decides each slice's whole symbols as they come and
+        carries a cut symbol into the next slice (at N = 2000, across
+        three): its bits equal decide_zero on the whole-series receive."""
+        cfg = ModulationConfig(amplitude=0.07, samples_per_bit=spb)
+        masked = mask_transmit(PARAMS, prbs(40_000 // spb, seed=spb), cfg, seed=1)
+        expected = decide_zero(whole_series_receive(masked, 11, sigma), cfg)
+        monkeypatch.setattr(link, "RECEIVE_BATCH_SAMPLES", 1013)
+        header, read, _ = link._source(masked, 11)
+        bits = link._receive_bits(header, read, 11, sigma)
+        assert bits.tobytes() == expected.tobytes()
+
+    def test_seams_fail_at_slice_boundaries(self, monkeypatch):
+        """A two-step warm-up breaks nearly every seam, so the sequential
+        kernel re-runs each slice's blocks through its last, partial one,
+        whose end state starts the next slice."""
+        masked = mask_transmit(PARAMS, prbs(300, seed=5), CFG, seed=2)
+        expected = whole_series_receive(masked, 11, 0.012)
+        monkeypatch.setattr(sync, "_warmup_steps", lambda params: 2)
+        monkeypatch.setattr(link, "RECEIVE_BATCH_SAMPLES", 1001)
+        assert unmask_receive(masked, seed=11, noise_sigma=0.012).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("recv_params", [None, MISMATCHED], ids=["matched", "mismatch"])
+    def test_noise_drawn_slice_by_slice_equals_one_draw(self, monkeypatch, recv_params):
+        masked = mask_transmit(PARAMS, prbs(2000, seed=6), CFG, seed=4)
+        expected = whole_series_receive(masked, 9, 0.012, recv_params)
+        monkeypatch.setattr(link, "RECEIVE_BATCH_SAMPLES", 4099)
+        got = unmask_receive(masked, seed=9, noise_sigma=0.012, recv_params=recv_params)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_last_slice_shorter_than_two_blocks_runs_sequential(self, monkeypatch):
+        block = sync._block_length(sync._warmup_steps(PARAMS))
+        budget = 10 * block
+        masked = mask_transmit(PARAMS, prbs(300, seed=7), CFG, seed=3)
+        tail = masked.w_star.size % budget
+        assert 0 < tail < 2 * block
+        expected = whole_series_receive(masked, 11, 0.012)
+        chain = sync._receiver_chain
+        lengths = []
+
+        def logged(*args):
+            lengths.append(len(args[0]))
+            return chain(*args)
+
+        monkeypatch.setattr(sync, "_receiver_chain", logged)
+        monkeypatch.setattr(link, "RECEIVE_BATCH_SAMPLES", budget)
+        assert unmask_receive(masked, seed=11, noise_sigma=0.012).tobytes() == expected.tobytes()
+        assert tail in lengths
+
+    def test_frames_longer_than_a_slice_in_a_sweep(self, monkeypatch):
+        """ber_sweep's frames go one by one in slices once each exceeds the budget."""
+        expected = ber_sweep(PARAMS, [0.05, 0.1], CFG, n_bits=300, seed=4, noise_sigma=0.012)
+        monkeypatch.setattr(link, "RECEIVE_BATCH_SAMPLES", 3001)
+        assert ber_sweep(PARAMS, [0.05, 0.1], CFG, n_bits=300, seed=4, noise_sigma=0.012) == expected
 
 
 class TestMaskedSeries:
@@ -333,7 +448,7 @@ class TestMaskedSeries:
         def unreachable(*args, **kwargs):
             raise AssertionError("received a series the receiver cannot lock to")
 
-        monkeypatch.setattr(link, "receiver_output", unreachable)
+        monkeypatch.setattr(link, "_recover", unreachable)
         unstable = PARAMS.replace(gamma=-0.5)
         margins = cl.sync.stability_check(unstable)["margins"]
         with pytest.raises(UnstableCouplingError) as exc:
@@ -586,6 +701,10 @@ class TestOptimalThreshold:
 
 
 class TestBerMeasure:
+    def test_empty_sequences_refused(self):
+        with pytest.raises(ValueError, match="^no bits to measure: sent and recovered are empty$"):
+            ber_measure([], [])
+
     def test_zero_errors_upper_bound(self):
         bits = prbs(100_000, seed=1)
         result = ber_measure(bits, bits)
@@ -668,7 +787,7 @@ class TestEndToEnd:
         [
             (None, link.RECEIVE_BATCH_SAMPLES),
             (MISMATCHED, link.RECEIVE_BATCH_SAMPLES),
-            (None, 1),
+            (None, link.SETTLE_STEPS + (link.PILOT_BITS + 1500) * CFG.samples_per_bit),
         ],
         ids=["one-batch", "one-batch-mismatch", "frame-per-batch"],
     )
@@ -732,7 +851,8 @@ class TestEndToEnd:
         test_receive_peak_memory_per_sample). Holding the (F, n, 3)
         receiver states read about 48, and keeping each transmitted series
         through the receive as well about 56."""
-        monkeypatch.setattr(link, "RECEIVE_BATCH_SAMPLES", 1)
+        frame_samples = link.SETTLE_STEPS + (link.PILOT_BITS + 1000) * CFG.samples_per_bit
+        monkeypatch.setattr(link, "RECEIVE_BATCH_SAMPLES", frame_samples)
         ber_sweep(PARAMS, [0.05], CFG, n_bits=20, seed=1, noise_sigma=0.012)
         tracemalloc.start()
         try:
@@ -740,5 +860,4 @@ class TestEndToEnd:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        frame_samples = link.SETTLE_STEPS + (link.PILOT_BITS + 1000) * CFG.samples_per_bit
         assert peak / frame_samples <= 40
