@@ -32,23 +32,23 @@ from .codecs import (
 )
 from .core_map import DegenerateTrajectoryError, Trajectory, generate_trajectory
 from .io_formats import (
-    _open_masked_series,
-    _write_masked,
+    open_masked,
     write_csv,
     write_json_report,
+    write_masked,
     write_trajectory_csv,
     write_trajectory_dump,
 )
 from .link import (
     ModulationConfig,
-    _receive_bits,
-    _transmit,
     ber_measure,
     ber_predict,
     ber_sweep,
     prbs,
     prbs_seed,
+    receive_bits,
     run_link,
+    transmit,
 )
 from .params import SettlingConfig, SystemParams
 from .sync import fit_deviation_model, stability_check, sync_sweep
@@ -462,8 +462,8 @@ def cmd_send_file(settings: Settings) -> int:
     bits = packet_to_bits(packet)
     # the file header records this seed, so the transmitter uses it as given;
     # each chunk is written as the transmitter emits it
-    header, chunks = _transmit(params, bits, cfg, seed)
-    _write_masked(out, header, chunks)
+    header, chunks = transmit(params, bits, cfg, seed)
+    write_masked(out, header, chunks)
     report = _write(
         settings,
         "send_report.json",
@@ -484,8 +484,8 @@ def cmd_recv_file(settings: Settings) -> int:
     out = _output_path(settings)
     _check_out_dir(settings)
     # the file is received slice by slice, and only the decided bits are kept
-    with _open_masked_series(settings.args.input) as (header, read):
-        bits = _receive_bits(header, read, seed, settings["link.noise_sigma"])
+    with open_masked(settings.args.input) as (header, read):
+        bits = receive_bits(header, read, seed, settings["link.noise_sigma"])
     packet = bits_to_packet(bits)  # raises PacketCorruptionError on CRC failure
     packet_to_file(packet, out)
     verdict = stability_check(header.params)

@@ -6,11 +6,11 @@ format's fields (the last is the row count), then little-endian double
 rows. Writes take the rows as chunks and stream each one's own buffer, so
 send-file writes the transmitter's chunks as they come; a write that fails
 part way removes its file. Reads check the size before reading the body.
-The file link reads a masked series slice by slice (``_open_masked_series``),
+A masked-series file is a ``SeriesHeader`` and its samples: ``write_masked``
+writes them as they come, and ``open_masked`` reads them slice by slice,
 checking each slice's samples are finite, so a receive holds no
-whole-series array; ``read_masked_series`` reads it whole through the same
-reader. Every artifact embeds the map, the seed and the package version, so
-any output can be regenerated from its own header.
+whole-series array. Every artifact embeds the map, the seed and the package
+version, so any output can be regenerated from its own header.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .core_map import Trajectory, drive_output
-from .link import MaskedSeries, ModulationConfig, _Header, _require_finite
+from .link import ModulationConfig, SeriesHeader, require_finite
 from .params import SettlingConfig, SystemParams
 
 TRAJECTORY_MAGIC = b"CLTR"
@@ -162,20 +162,16 @@ def read_trajectory_dump(path) -> Trajectory:
         )
 
 
-def write_masked_series(path, masked: MaskedSeries) -> None:
-    """Binary masked-series file: header (params, modulation, seed) + samples.
+def write_masked(path, header: SeriesHeader, chunks) -> None:
+    """Binary masked-series file: ``header`` (params, modulation, seed,
+    length), then the samples ``chunks`` yields, written as they come (see
+    _write_binary): ``write_masked(path, *transmit(...))`` or, for a
+    MaskedSeries, ``write_masked(path, masked.header, [masked.w_star])``.
 
-    The file holds every field of ``MaskedSeries``: the transmitted w* and
-    the settings that demodulate it, which is all that leaves the
-    transmitter. So a separately invoked receiver process gets exactly what
-    the channel would deliver.
+    That is all that leaves the transmitter: the transmitted w* and the
+    settings that demodulate it. So a separately invoked receiver process
+    gets exactly what the channel would deliver.
     """
-    _write_masked(path, masked._header(), [masked.w_star])
-
-
-def _write_masked(path, header: _Header, chunks) -> None:
-    """The masked-series file of ``header``'s settings and the samples
-    ``chunks`` yields, written as they come (see _write_binary)."""
     cfg = header.config
     values = (
         cfg.amplitude, cfg.samples_per_bit, cfg.f_clk, cfg.bit_rate,
@@ -185,10 +181,10 @@ def _write_masked(path, header: _Header, chunks) -> None:
 
 
 @contextmanager
-def _open_masked_series(path):
+def open_masked(path):
     """A masked-series file, open for a slice-by-slice receive.
 
-    Yields ``(header, read)``: the file's _Header, built once the header
+    Yields ``(header, read)``: the file's SeriesHeader, built once the header
     and the file's size check out (so its lock, length and preamble rules
     hold), and ``read(lo, hi)``, which returns samples [lo, hi) as a new
     array after checking they are finite. Every fault raises a ValueError
@@ -201,7 +197,7 @@ def _open_masked_series(path):
         body = fh.tell()
         with _naming(path):
             config = ModulationConfig(amplitude=amplitude, samples_per_bit=spb, f_clk=f_clk)
-            header = _Header(config, params, seed, settle, pilot, n)
+            header = SeriesHeader(config, params, seed, settle, pilot, n)
 
         def read(lo, hi):
             fh.seek(body + 8 * lo)
@@ -209,19 +205,10 @@ def _open_masked_series(path):
             with _naming(path):
                 if samples.size != hi - lo:
                     raise ValueError(f"file ended at sample {lo + samples.size} of {n}")
-                _require_finite(samples, lo)
+                require_finite(samples, lo)
             return samples
 
         yield header, read
-
-
-def read_masked_series(path) -> MaskedSeries:
-    """The MaskedSeries a masked-series file holds."""
-    with _open_masked_series(path) as (header, read):
-        w_star = read(0, header.size)
-    return MaskedSeries(
-        w_star, header.config, header.params, header.seed, header.settle_steps, header.pilot_bits
-    )
 
 
 def write_csv(path, header, rows, metadata: dict) -> None:

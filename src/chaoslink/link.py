@@ -6,16 +6,19 @@ rides inside the synchronization signal it perturbs the receiver like channel
 noise; the integrate-and-dump filter averages each symbol's samples before
 thresholding, which recovers most of the signal-to-noise cost.
 
-One transmitter loop and one receive engine serve every caller. The
-transmitter (``_transmit``) emits its series one kernel chunk at a time:
-``mask_transmit`` collects the chunks, and send-file writes each as it
-comes. The receive (``_receive_slices``) works on owned slices of at most
-``RECEIVE_BATCH_SAMPLES`` samples, several equal short frames stacked or
-consecutive runs of one long series, each starting from the exact receiver
-state the last one ended in; ``unmask_receive``, ``run_link``,
-``ber_sweep`` and recv-file run it, and recv-file decides each slice's
-symbols as they come. So neither file command holds an array of the
-whole series, and every result equals a whole-series receive bit for bit.
+One transmitter loop and one receive engine serve every caller. A masked
+series is a ``SeriesHeader`` (its settings and length) plus its samples.
+``transmit`` returns the header and the series one kernel chunk at a time:
+``mask_transmit`` collects the chunks into a ``MaskedSeries``, and
+send-file writes each as it comes. The receive (``_receive_slices``) works
+on owned slices of at most ``RECEIVE_BATCH_SAMPLES`` samples, several
+equal short frames stacked or consecutive runs of one long series, each
+starting from the exact receiver state the last one ended in
+(``sync.recover_slice``); ``unmask_receive``, ``run_link`` and
+``ber_sweep`` run it, and ``receive_bits``, which recv-file runs, decides
+each slice's symbols as they come. So neither file command holds an array
+of the whole series, and every result equals a whole-series receive bit
+for bit.
 
 scipy subpackages are imported inside the functions that call them, so
 importing the package (and starting the CLI) loads none of them.
@@ -32,7 +35,7 @@ import numpy as np
 from . import _kernels
 from .core_map import generate_trajectory, random_initial_state, spawn_seeds
 from .params import SystemParams
-from .sync import _recover, stability_check
+from .sync import recover_slice, stability_check
 
 # preamble: unmasked settle steps, then one known '1' symbol for polarity
 SETTLE_STEPS = 200
@@ -63,18 +66,7 @@ class UnstableCouplingError(ValueError):
     """The configured coupling cannot synchronize, so masking would not recover."""
 
 
-def _require_lock(params: SystemParams) -> None:
-    """Raise UnstableCouplingError, with the margins, unless ``params`` passes
-    stability_check, the condition under which the substituting receiver
-    is sure to lock; the link's only gate on the map."""
-    verdict = stability_check(params)
-    if not verdict["stable"]:
-        raise UnstableCouplingError(
-            f"coupling cannot synchronize; margins {verdict['margins']}"
-        )
-
-
-def _require_finite(samples, first: int = 0) -> None:
+def require_finite(samples, first: int = 0) -> None:
     """Raise ValueError naming the first non-finite entry of ``samples``,
     which are samples ``first``, ``first + 1``, ... of a series: one NaN
     or inf sample would leave every later receiver state non-finite."""
@@ -115,19 +107,16 @@ class ModulationConfig:
         return self.f_clk / self.samples_per_bit
 
 
-def _preamble_samples(series) -> int:
-    """Settle window plus pilot symbols of a MaskedSeries or _Header."""
-    return series.settle_steps + series.pilot_bits * series.config.samples_per_bit
-
-
 @dataclass(frozen=True)
-class _Header:
+class SeriesHeader:
     """Everything of a masked series but its samples: its settings and its
     length ``size``, as a masked-series file's header holds them.
 
-    Building one checks each MaskedSeries rule that needs no sample: the
-    map passes stability_check (UnstableCouplingError otherwise), and the
-    preamble, of non-negative settle and pilot lengths, fits in ``size``
+    Building one checks every rule that needs no sample: the map passes
+    stability_check, the condition under which the substituting receiver
+    is sure to lock and the link's only gate on the map
+    (UnstableCouplingError, with the margins, otherwise); the settle and
+    pilot lengths are non-negative; and the preamble fits in ``size``
     samples. The streamed file link carries one beside its samples, whose
     finiteness the reader checks slice by slice.
     """
@@ -140,7 +129,11 @@ class _Header:
     size: int
 
     def __post_init__(self):
-        _require_lock(self.params)
+        verdict = stability_check(self.params)
+        if not verdict["stable"]:
+            raise UnstableCouplingError(
+                f"coupling cannot synchronize; margins {verdict['margins']}"
+            )
         for name in ("settle_steps", "pilot_bits"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -151,43 +144,40 @@ class _Header:
                 f"the {self.size} samples in the series"
             )
 
-    preamble_samples = property(_preamble_samples)
+    @property
+    def preamble_samples(self) -> int:
+        """Settle window plus pilot symbols."""
+        return self.settle_steps + self.pilot_bits * self.config.samples_per_bit
 
 
 @dataclass(frozen=True)
 class MaskedSeries:
-    """Transmitted masked scalar plus the metadata needed to demodulate it.
+    """Transmitted masked scalar w* and the header that demodulates it.
 
-    These are exactly the fields of a masked-series file: only w* leaves
+    These are exactly the contents of a masked-series file: only w* leaves
     the transmitter, and the receiver rebuilds everything else from it and
     the link's settings.
 
-    Every instance can be received: its map passes stability_check
-    (UnstableCouplingError otherwise), the preamble, of non-negative settle
-    and pilot lengths, fits in the series, and every sample is finite.
-    Each broken rule raises a ValueError.
+    Every instance can be received: its header holds the rules that need
+    no sample (see SeriesHeader), and ``w_star`` is one row of
+    ``header.size`` samples, every one finite; otherwise a ValueError.
     """
 
+    header: SeriesHeader
     w_star: np.ndarray
-    config: ModulationConfig
-    params: SystemParams
-    seed: int
-    settle_steps: int = SETTLE_STEPS
-    pilot_bits: int = PILOT_BITS
 
     def __post_init__(self):
         w_star = np.asarray(self.w_star, dtype=float)
         object.__setattr__(self, "w_star", w_star)
-        self._header()
-        _require_finite(w_star)
+        if w_star.shape != (self.header.size,):
+            raise ValueError(
+                f"w_star must be one row of {self.header.size} samples, got shape {w_star.shape}"
+            )
+        require_finite(w_star)
 
-    preamble_samples = property(_preamble_samples)
-
-    def _header(self) -> _Header:
-        return _Header(
-            self.config, self.params, self.seed, self.settle_steps, self.pilot_bits,
-            self.w_star.size,
-        )
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Samples [lo, hi), a view: the ``read`` of receive_bits."""
+        return self.w_star[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -279,49 +269,41 @@ def mask_transmit(
     A preamble of ``settle_steps`` unmasked samples plus one known '1'
     pilot symbol precedes the data for receiver convergence and polarity
     resolution. Unstable coupling is rejected up front. The series is the
-    chunks of _transmit, collected.
+    chunks of transmit, collected.
     """
-    header, chunks = _transmit(params, bits, cfg, seed, settle_steps)
+    header, chunks = transmit(params, bits, cfg, seed, settle_steps)
     w_star = np.empty(header.size)
     lo = 0
     for chunk in chunks:
         w_star[lo : lo + chunk.size] = chunk
         lo += chunk.size
-    return MaskedSeries(
-        w_star=w_star,
-        config=cfg,
-        params=params,
-        seed=seed,
-        settle_steps=settle_steps,
-        pilot_bits=PILOT_BITS,
-    )
+    return MaskedSeries(header, w_star)
 
 
-def _transmit(
+def transmit(
     params: SystemParams,
     bits,
     cfg: ModulationConfig,
     seed: int,
     settle_steps: int = SETTLE_STEPS,
 ):
-    """mask_transmit's checks, then its series one kernel chunk at a time.
+    """mask_transmit's series as its header, then its samples one kernel
+    chunk at a time.
 
-    Returns ``(header, chunks)``: the _Header of the series it will emit
-    and an iterator over its samples, ``_kernels.CHUNK`` at a time, which
+    Returns ``(header, chunks)``: the SeriesHeader of the series it will
+    emit, built first so that its rules run before any sample, and an
+    iterator over its samples, ``_kernels.CHUNK`` at a time, which
     send-file writes as they come. Each chunk's information signal
     (settle_steps zeros, then the NRZ waveform of the known '1' pilot and
     the data) is built from the symbols that cover it.
     """
-    if settle_steps < 0:
-        raise ValueError(f"settle_steps must be >= 0, got {settle_steps}")
-    _require_lock(params)
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 1 or bits.size == 0:
         raise ValueError("bits must be a non-empty 1-d sequence")
     spb = cfg.samples_per_bit
     symbols = np.concatenate([np.ones(PILOT_BITS, dtype=np.uint8), bits])
     n = settle_steps + symbols.size * spb
-    header = _Header(cfg, params, seed, settle_steps, PILOT_BITS, n)
+    header = SeriesHeader(cfg, params, seed, settle_steps, PILOT_BITS, n)
     start = generate_trajectory(1, params=params, seed=seed).states[0]
     coefficients = (params.a, params.b, params.c, params.beta, params.gamma)
 
@@ -387,13 +369,8 @@ def unmask_receive(
     than RECEIVE_BATCH_SAMPLES is received in slices (see
     _receive_slices), with the same result.
     """
-    ((_, recovered),) = _gather([_source(masked, seed)], noise_sigma, recv_params)
+    ((_, recovered),) = _gather([(masked.header, masked.read, seed)], noise_sigma, recv_params)
     return recovered
-
-
-def _source(masked: MaskedSeries, seed: int):
-    """``(header, read, seed)`` of ``masked`` for _receive_slices."""
-    return masked._header(), lambda lo, hi: masked.w_star[lo:hi], seed
 
 
 def _slices(sizes):
@@ -424,7 +401,7 @@ def _slices(sizes):
 def _receive_slices(sources, noise_sigma: float, recv_params: SystemParams | None):
     """The link's receive engine: unmask_receive on each series, one slice at a time.
 
-    ``sources`` yields ``(header, read, seed)`` per series: its _Header;
+    ``sources`` yields ``(header, read, seed)`` per series: its SeriesHeader;
     ``read(lo, hi)``, which returns samples [lo, hi) as a view or as an
     array of its own; and the master seed, split as unmask_receive splits
     it. The series are received in the slices _slices plans, and each
@@ -432,7 +409,7 @@ def _receive_slices(sources, noise_sigma: float, recv_params: SystemParams | Non
     noise Generator, which channel_awgn draws from slice by slice, and each
     slice starts from the exact receiver state the one before it of the
     same series ended in, so the result equals a whole-series receive bit
-    for bit. sync._recover writes ``received - w_r`` over the slice's
+    for bit. sync.recover_slice writes ``received - w_r`` over the slice's
     received buffer (stacked frames, or a lone run copied only if the
     channel passed a view), so a slice holds that buffer and the lockstep's
     step-major copy. The pilot's samples are gathered as they pass, and
@@ -467,7 +444,7 @@ def _receive_slices(sources, noise_sigma: float, recv_params: SystemParams | Non
             (w,) = received
             w = (w if w.base is None else w.copy())[None]  # a noiseless channel passes views
         del received
-        ends = _recover(w, np.stack([states[k] for k, _, _ in piece]), recv_params)
+        ends = recover_slice(w, np.stack([states[k] for k, _, _ in piece]), recv_params)
         for samples, end, (k, lo, hi) in zip(w, ends, piece):
             states[k] = end
             h = headers[k]
@@ -501,7 +478,7 @@ def _gather(sources, noise_sigma: float, recv_params: SystemParams | None):
             out = None
 
 
-def _receive_bits(header: _Header, read, seed: int, noise_sigma: float) -> np.ndarray:
+def receive_bits(header: SeriesHeader, read, seed: int, noise_sigma: float) -> np.ndarray:
     """decide_zero(unmask_receive(...)) on the series ``header`` and
     ``read`` describe (see _receive_slices), received slice by slice.
 
@@ -684,7 +661,8 @@ def _transmit_receive_frames(
     """
     def send(frame):
         bits, cfg, seed = frame
-        return _source(mask_transmit(params, bits, cfg, seed=spawn_seeds(seed, 3)[0]), seed)
+        masked = mask_transmit(params, bits, cfg, seed=spawn_seeds(seed, 3)[0])
+        return masked.header, masked.read, seed
 
     def link_pass(batch, run):
         for k, data in _gather(run(send, batch), noise_sigma, recv_params):

@@ -9,12 +9,12 @@ eigenvalues of the coupled matrix scaled by the worst-case fold slope.
 One engine (``_run``) receives a series or stacked frames, block-parallel
 in time and bit-identical to the sequential kernel, and returns each
 frame's end state. ``receiver_run`` and ``receiver_output`` record states
-or w_r; the link's slice receive (``_recover``) writes ``w - w_r`` over the
-received slice itself and continues the next slice from the end state, so
-it holds the slice and the lockstep's step-major copy of it. Slices bound
-the lockstep's lanes, and with them its per-step temporaries (a 2**20
-sample slice of the default map: 6944 lanes, 56 KB each, below glibc's
-128 KB mmap threshold).
+or w_r; ``recover_slice``, the link's slice receive, writes ``w - w_r``
+over the received slice itself and returns the end states, from which the
+next slice continues, so it holds the slice and the lockstep's step-major
+copy of it. Slices bound the lockstep's lanes, and with them its per-step
+temporaries (a 2**20 sample slice of the default map: 6944 lanes, 56 KB
+each, below glibc's 128 KB mmap threshold).
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def _receive(w, init, params: SystemParams, states: bool) -> np.ndarray:
     return out.reshape(w.shape + out.shape[2:])
 
 
-def _recover(w, starts, params: SystemParams) -> np.ndarray:
+def recover_slice(w, starts, params: SystemParams) -> np.ndarray:
     """Write ``w - w_r`` over the received frames ``w`` and return the end states.
 
     ``w`` is an owned float64 (F, m) array of received samples and

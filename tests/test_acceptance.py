@@ -345,7 +345,7 @@ def test_criterion_14_property_suites():
     pilot_and_data = nrz_waveform(
         np.concatenate([[1], bits]), CFG.amplitude, CFG.samples_per_bit
     )
-    info = np.concatenate([np.zeros(masked.settle_steps), pilot_and_data])
+    info = np.concatenate([np.zeros(masked.header.settle_steps), pilot_and_data])
     p = cl.DEFAULT_PARAMS
     x, y, z = cl.generate_trajectory(1, params=p, seed=3).states[0]
     w_clean, *_ = _kernels.masked_transmit_chain(

@@ -32,13 +32,13 @@ from chaoslink.codecs import (
     write_wav,
 )
 from chaoslink.io_formats import (
-    read_masked_series,
+    open_masked,
     read_trajectory_dump,
-    write_masked_series,
+    write_masked,
     write_trajectory_csv,
     write_trajectory_dump,
 )
-from chaoslink.link import MaskedSeries, ModulationConfig, mask_transmit, prbs
+from chaoslink.link import MaskedSeries, ModulationConfig, SeriesHeader, mask_transmit, prbs
 from chaoslink.signals import synth_image, synth_speech
 from chaoslink.sync import stability_check
 from test_codecs import hand_packet
@@ -130,13 +130,24 @@ class TestTrajectoryFiles:
             read_trajectory_dump(path)
 
 
+def write_series(path, masked):
+    """write_masked of a whole MaskedSeries, as one chunk."""
+    write_masked(path, masked.header, [masked.w_star])
+
+
+def read_series(path):
+    """The MaskedSeries a masked-series file holds, read whole through open_masked."""
+    with open_masked(path) as (header, read):
+        return MaskedSeries(header, read(0, header.size))
+
+
 class TestMaskedSeriesFile:
     def test_round_trip(self, tmp_path):
         cfg = ModulationConfig(amplitude=0.05, samples_per_bit=20)
         masked = mask_transmit(cl.DEFAULT_PARAMS, prbs(100, seed=3), cfg, seed=9)
         path = tmp_path / "series.bin"
-        write_masked_series(path, masked)
-        back = read_masked_series(path)
+        write_series(path, masked)
+        back = read_series(path)
         # the file holds every field of the series, so all of them come back
         for field in dataclasses.fields(MaskedSeries):
             sent, got = getattr(masked, field.name), getattr(back, field.name)
@@ -144,15 +155,15 @@ class TestMaskedSeriesFile:
                 assert got.tobytes() == sent.tobytes()
             else:
                 assert got == sent, field.name
-        assert back.config == cfg
-        assert back.seed == 9
-        assert back.preamble_samples == masked.preamble_samples
+        assert back.header.config == cfg
+        assert back.header.seed == 9
+        assert back.header.preamble_samples == masked.header.preamble_samples
 
     def test_bit_rate_slot_holds_the_derived_rate(self, tmp_path):
         cfg = ModulationConfig(samples_per_bit=20)
         masked = mask_transmit(cl.DEFAULT_PARAMS, prbs(10, seed=3), cfg, seed=9)
         path = tmp_path / "series.bin"
-        write_masked_series(path, masked)
+        write_series(path, masked)
         raw = bytearray(path.read_bytes())
         # bytes 66-74 of the header: 0.5 MHz / 20
         assert struct.unpack("<d", raw[66:74]) == (25_000.0,)
@@ -160,19 +171,16 @@ class TestMaskedSeriesFile:
         # at any N; the reader ignores the slot, so they still read
         raw[66:74] = struct.pack("<d", 1.0e4)
         path.write_bytes(raw)
-        back = read_masked_series(path)
-        assert back.config == cfg
-        assert back.config.bit_rate == 25_000.0
+        back = read_series(path)
+        assert back.header.config == cfg
+        assert back.header.config.bit_rate == 25_000.0
         assert back.w_star.tobytes() == masked.w_star.tobytes()
 
 
 def short_series(n):
     """A default-map MaskedSeries of ``n`` samples with no preamble."""
     w_star = np.random.default_rng(1).standard_normal(n)
-    return MaskedSeries(
-        w_star=w_star, config=ModulationConfig(), params=cl.DEFAULT_PARAMS, seed=1,
-        settle_steps=0, pilot_bits=0,
-    )
+    return MaskedSeries(SeriesHeader(ModulationConfig(), cl.DEFAULT_PARAMS, 1, 0, 0, n), w_star)
 
 
 def traced_peak(fn, *args):
@@ -197,15 +205,15 @@ class TestBinaryLayout:
         cfg = ModulationConfig(amplitude=0.05, samples_per_bit=20)
         masked = mask_transmit(cl.DEFAULT_PARAMS, prbs(10, seed=3), cfg, seed=9)
         path = tmp_path / "series.bin"
-        write_masked_series(path, masked)
+        write_series(path, masked)
         raw = path.read_bytes()
-        p = masked.params
+        h = masked.header
+        p = h.params
         assert raw[:4] == b"CLMS"
         assert struct.unpack("<H", raw[4:6]) == (1,)
         assert struct.unpack("<5d", raw[6:46]) == (p.a, p.b, p.c, p.beta, p.gamma)
         assert struct.unpack("<dIddqIIQ", raw[46:98]) == (
-            0.05, 20, 0.5e6, 25_000.0, 9, masked.settle_steps, masked.pilot_bits,
-            masked.w_star.size,
+            0.05, 20, 0.5e6, 25_000.0, 9, h.settle_steps, h.pilot_bits, masked.w_star.size,
         )
         assert raw[98:] == masked.w_star.tobytes()
 
@@ -243,8 +251,8 @@ class TestBinaryLayout:
     ):
         path = tmp_path / f"{kind}.bin"
         if kind == "masked":
-            write_masked_series(path, short_series(10))
-            read = read_masked_series
+            write_series(path, short_series(10))
+            read = read_series
         else:
             traj = cl.generate_trajectory(10, seed=1, settling=cl.SettlingConfig(t_n=2.5))
             write_trajectory_dump(path, traj)
@@ -264,7 +272,9 @@ class TestBinaryLayout:
         file and the value, and no file is left."""
         path = tmp_path / f"{kind}.bin"
         if kind == "masked":
-            write, item = write_masked_series, dataclasses.replace(short_series(10), seed=seed)
+            series = short_series(10)
+            header = dataclasses.replace(series.header, seed=seed)
+            write, item = write_series, dataclasses.replace(series, header=header)
         else:
             write, item = write_trajectory_dump, cl.generate_trajectory(10, seed=seed)
         with pytest.raises(ValueError) as info:
@@ -276,10 +286,10 @@ class TestBinaryLayout:
         """A 64 MiB file whose valid header declares 10 samples is refused
         from its header and its size alone, without reading the body."""
         path = tmp_path / "big.bin"
-        write_masked_series(path, short_series(10))
+        write_series(path, short_series(10))
         with open(path, "r+b") as fh:
             fh.truncate(64 * 2**20)  # sparse past the header and its 10 samples
-        peak, raised = traced_peak(read_masked_series, path)
+        peak, raised = traced_peak(read_series, path)
         assert str(raised) == f"{path}: expected 178 bytes for 10 rows, got {64 * 2**20}"
         assert peak < 2**20
 
@@ -289,11 +299,11 @@ class TestBinaryLayout:
         n = 10**6
         masked = short_series(n)
         path = tmp_path / "series.bin"
-        write_peak, raised = traced_peak(write_masked_series, path, masked)
+        write_peak, raised = traced_peak(write_series, path, masked)
         assert raised is None and write_peak <= n
-        read_peak, raised = traced_peak(read_masked_series, path)
+        read_peak, raised = traced_peak(read_series, path)
         assert raised is None and read_peak <= 10 * n
-        assert read_masked_series(path).w_star.tobytes() == masked.w_star.tobytes()
+        assert read_series(path).w_star.tobytes() == masked.w_star.tobytes()
 
 
 # the refusal of a map whose receiver cannot lock, as every command prints it
@@ -347,7 +357,7 @@ class TestFileLinkPeakMemory:
     def test_send_and_noiseless_receive_per_sample(self, link_files):
         send, recv, masked = link_files
         send_peak = self.traced(send)
-        n = read_masked_series(masked).w_star.size
+        n = read_series(masked).w_star.size
         assert 200_000 < n < 230_000
         recv_peak = self.traced(recv)
         assert send_peak / n <= 10
@@ -369,7 +379,7 @@ def masked_file(tmp_path, bits):
     """Write a short-symbol masked series carrying ``bits``."""
     cfg = ModulationConfig(samples_per_bit=4)
     path = tmp_path / "masked.bin"
-    write_masked_series(path, mask_transmit(cl.DEFAULT_PARAMS, bits, cfg, seed=1))
+    write_series(path, mask_transmit(cl.DEFAULT_PARAMS, bits, cfg, seed=1))
     return path
 
 
@@ -449,7 +459,7 @@ class TestUntrustedReceive:
         def unreachable(*args, **kwargs):
             raise AssertionError("received a series the receiver cannot lock to")
 
-        monkeypatch.setattr(link, "_recover", unreachable)
+        monkeypatch.setattr(link, "recover_slice", unreachable)
         path = masked_file(tmp_path, prbs(20, seed=3))
         raw = bytearray(path.read_bytes())
         raw[38:46] = struct.pack("<d", -0.5)  # the header's gamma, last of a, b, c, beta, gamma
@@ -541,7 +551,7 @@ class TestUntrustedMaskedFile:
         path = tmp_path / "masked.bin"
         path.write_bytes(raw)
         try:
-            series = read_masked_series(path)
+            series = read_series(path)
         except ValueError:
             return
         assert np.all(np.isfinite(series.w_star))
@@ -557,7 +567,7 @@ class TestUntrustedMaskedFile:
         path = tmp_path / "masked.bin"
         path.write_bytes(raw)
         try:
-            read_masked_series(path)
+            read_series(path)
         except ValueError as exc:
             assert str(exc).startswith(f"{path}: ")
             assert str(exc).count(str(path)) == 1
@@ -591,10 +601,10 @@ class TestSendStream:
     def test_streamed_file_equals_the_whole_series_file(self, tmp_path, capsys):
         code, _, out = self.send(tmp_path, capsys)
         assert code == 0
-        series = read_masked_series(out)
+        series = read_series(out)
         bits = packet_to_bits(codecs.file_to_packet(tmp_path / "image.pgm", 0.22))
         whole = mask_transmit(cl.DEFAULT_PARAMS, bits, ModulationConfig(), seed=2)
-        write_masked_series(tmp_path / "whole.bin", whole)
+        write_series(tmp_path / "whole.bin", whole)
         assert out.read_bytes() == (tmp_path / "whole.bin").read_bytes()
         assert series.w_star.size > 2 * _kernels.CHUNK
 
@@ -1094,7 +1104,7 @@ class TestCli:
             raise AssertionError("reached after the output check")
 
         monkeypatch.setattr(cli, "file_to_packet", unreachable)
-        monkeypatch.setattr(cli, "_transmit", unreachable)
+        monkeypatch.setattr(cli, "transmit", unreachable)
         for out, out_dir in output_directory_cases(tmp_path, "masked.bin"):
             code = main(
                 ["send-file", "--input", str(payload), "--output", str(out),
@@ -1158,8 +1168,8 @@ class TestCli:
         def unreachable(*args, **kwargs):
             raise AssertionError("reached after the output check")
 
-        monkeypatch.setattr(cli, "_open_masked_series", unreachable)
-        monkeypatch.setattr(link, "_recover", unreachable)
+        monkeypatch.setattr(cli, "open_masked", unreachable)
+        monkeypatch.setattr(link, "recover_slice", unreachable)
         for out, out_dir in output_directory_cases(tmp_path, "out.wav"):
             code = main(
                 ["recv-file", "--input", str(masked), "--output", str(out),
@@ -1181,7 +1191,7 @@ class TestCli:
         def unreachable(*args, **kwargs):
             raise AssertionError("reached after the seed check")
 
-        for stage in ("generate_trajectory", "file_to_packet", "_transmit"):
+        for stage in ("generate_trajectory", "file_to_packet", "transmit"):
             monkeypatch.setattr(cli, stage, unreachable)
         argv = [command]
         if command == "send-file":
@@ -1208,10 +1218,10 @@ class TestCli:
         if command == "send-file":
             source = tmp_path / "speech.wav"
             write_wav(source, synth_speech(duration=0.05, seed=3))
-            stages = [(cli, "file_to_packet"), (cli, "_transmit")]
+            stages = [(cli, "file_to_packet"), (cli, "transmit")]
         else:
             source = masked_file(tmp_path, prbs(20, seed=3))
-            stages = [(cli, "_open_masked_series"), (link, "_recover")]
+            stages = [(cli, "open_masked"), (link, "recover_slice")]
         for module, stage in stages:
             monkeypatch.setattr(module, stage, unreachable)
         out = tmp_path / "taken"

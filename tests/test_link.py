@@ -118,7 +118,7 @@ class TestMaskTransmit:
     def test_length_accounting(self):
         bits = prbs(64, seed=9)
         masked = mask_transmit(PARAMS, bits, CFG, seed=1)
-        assert masked.w_star.size == masked.preamble_samples + 64 * CFG.samples_per_bit
+        assert masked.w_star.size == masked.header.preamble_samples + 64 * CFG.samples_per_bit
 
     @pytest.mark.parametrize("chunk", [None, 37])
     @pytest.mark.parametrize("settle", [0, 4, 200, 5000])
@@ -272,10 +272,9 @@ class TestUnmask:
         w_clean, *_ = _kernels.masked_transmit_chain(
             info.tolist(), x, y, z, PARAMS.a, PARAMS.b, PARAMS.c, PARAMS.beta, PARAMS.gamma
         )
-        masked = link.MaskedSeries(
-            np.array(w_clean) + info, CFG, PARAMS, seed=3, settle_steps=settle, pilot_bits=2
-        )
-        assert masked.preamble_samples == settle + 2 * n
+        header = link.SeriesHeader(CFG, PARAMS, 3, settle, 2, info.size)
+        masked = link.MaskedSeries(header, np.array(w_clean) + info)
+        assert header.preamble_samples == settle + 2 * n
         recovered = unmask_receive(masked, seed=11)
         assert recovered.size == data.size
         assert np.max(np.abs(recovered + data)) < 1e-9
@@ -329,10 +328,11 @@ def whole_series_receive(masked, seed, sigma=0.0, recv_params=None):
     receiver_output call, the residual, and the polarity from the pilot."""
     _, ch_seed, rx_seed = spawn_seeds(seed, 3)
     received = channel_awgn(masked.w_star, sigma, seed=ch_seed)
-    params = masked.params if recv_params is None else recv_params
+    header = masked.header
+    params = header.params if recv_params is None else recv_params
     recovered = received - sync.receiver_output(received, random_initial_state(rx_seed), params)
-    settle, preamble = masked.settle_steps, masked.preamble_samples
-    if preamble > settle and recovered[settle:preamble].mean() < -0.25 * masked.config.amplitude:
+    settle, preamble = header.settle_steps, header.preamble_samples
+    if preamble > settle and recovered[settle:preamble].mean() < -0.25 * header.config.amplitude:
         recovered = -recovered
     return recovered[preamble:]
 
@@ -371,9 +371,8 @@ class TestSlices:
         w_clean, *_ = _kernels.masked_transmit_chain(
             info.tolist(), x, y, z, PARAMS.a, PARAMS.b, PARAMS.c, PARAMS.beta, PARAMS.gamma
         )
-        masked = link.MaskedSeries(
-            np.array(w_clean) + info, cfg, PARAMS, seed=3, settle_steps=settle, pilot_bits=2
-        )
+        header = link.SeriesHeader(cfg, PARAMS, 3, settle, 2, info.size)
+        masked = link.MaskedSeries(header, np.array(w_clean) + info)
         expected = whole_series_receive(masked, 11)
         assert np.max(np.abs(expected + info[settle + 2 * n :])) < 1e-9  # flipped
         monkeypatch.setattr(link, "RECEIVE_BATCH_SAMPLES", 1060)
@@ -389,8 +388,7 @@ class TestSlices:
         masked = mask_transmit(PARAMS, prbs(40_000 // spb, seed=spb), cfg, seed=1)
         expected = decide_zero(whole_series_receive(masked, 11, sigma), cfg)
         monkeypatch.setattr(link, "RECEIVE_BATCH_SAMPLES", 1013)
-        header, read, _ = link._source(masked, 11)
-        bits = link._receive_bits(header, read, 11, sigma)
+        bits = link.receive_bits(masked.header, masked.read, 11, sigma)
         assert bits.tobytes() == expected.tobytes()
 
     def test_seams_fail_at_slice_boundaries(self, monkeypatch):
@@ -438,9 +436,11 @@ class TestSlices:
 
 
 class TestMaskedSeries:
-    """A MaskedSeries that exists can be received: the three rules below are
-    checked where the series is built, by the transmitter or a file reader,
-    and so before any receive."""
+    """A MaskedSeries that exists can be received. Its SeriesHeader checks
+    the rules that need no sample (the lock gate and the preamble) and the
+    series those of its samples (one row, every one finite), where the
+    series is built, by the transmitter or a file reader, and so before any
+    receive."""
 
     MASKED = mask_transmit(PARAMS, prbs(64, seed=3), CFG, seed=1)
 
@@ -448,11 +448,11 @@ class TestMaskedSeries:
         def unreachable(*args, **kwargs):
             raise AssertionError("received a series the receiver cannot lock to")
 
-        monkeypatch.setattr(link, "_recover", unreachable)
+        monkeypatch.setattr(link, "recover_slice", unreachable)
         unstable = PARAMS.replace(gamma=-0.5)
         margins = cl.sync.stability_check(unstable)["margins"]
         with pytest.raises(UnstableCouplingError) as exc:
-            unmask_receive(dataclasses.replace(self.MASKED, params=unstable), seed=1)
+            dataclasses.replace(self.MASKED.header, params=unstable)
         assert str(exc.value) == f"coupling cannot synchronize; margins {margins}"
 
     @pytest.mark.parametrize("sample", [np.nan, np.inf, -np.inf])
@@ -462,13 +462,28 @@ class TestMaskedSeries:
         with pytest.raises(ValueError, match=rf"^sample 500 is not finite \({sample}\)$"):
             dataclasses.replace(self.MASKED, w_star=w_star)
 
+    @pytest.mark.parametrize("shape", ["two_rows", "scalar", "short_row"])
+    def test_samples_must_be_one_row_of_the_header_size(self, shape):
+        """Two stacked rows once built a series whose receive raised a
+        TypeError, and a 0-d one an IndexError; each is refused here."""
+        w = self.MASKED.w_star
+        w_star = {"two_rows": np.stack([w, w]), "scalar": w[0], "short_row": w[:-1]}[shape]
+        with pytest.raises(ValueError) as exc:
+            link.MaskedSeries(self.MASKED.header, w_star)
+        assert str(exc.value) == (
+            f"w_star must be one row of {w.size} samples, got shape {np.shape(w_star)}"
+        )
+
     @pytest.mark.filterwarnings("error")
     def test_preamble_must_fit_the_series(self):
+        header = self.MASKED.header
         with pytest.raises(ValueError, match="preamble of 300 samples .* exceeds the 150"):
-            dataclasses.replace(self.MASKED, w_star=self.MASKED.w_star[:150], settle_steps=250)
+            dataclasses.replace(header, settle_steps=250, size=150)
         # a series that is all preamble is whole, and carries no data
-        exact = dataclasses.replace(self.MASKED, w_star=self.MASKED.w_star[:300], settle_steps=250)
-        assert exact.preamble_samples == exact.w_star.size
+        exact = link.MaskedSeries(
+            dataclasses.replace(header, settle_steps=250, size=300), self.MASKED.w_star[:300]
+        )
+        assert exact.header.preamble_samples == exact.w_star.size
 
     @pytest.mark.parametrize("field, value", [("settle_steps", -3), ("pilot_bits", -1)])
     def test_negative_preamble_lengths_refused(self, field, value):
@@ -476,7 +491,7 @@ class TestMaskedSeries:
         received 1203 samples for 1000 data samples, pilot -1 1100."""
         masked = mask_transmit(PARAMS, prbs(20, seed=3), CFG, seed=1)
         with pytest.raises(ValueError, match=rf"^{field} must be >= 0, got {value}$"):
-            dataclasses.replace(masked, **{field: value})
+            dataclasses.replace(masked.header, **{field: value})
 
 
 class TestDecideZero:
