@@ -23,12 +23,20 @@ Serialized packet layout, all little-endian, sizes in bits:
 
     total_bits = 36*8 + 8*ceil(sum_c(32 + k_c*(value_bits + 16*is_magnitude))/8) + 32
 
+Memory follows what is kept. Lowfreq selection reads and writes only the
+kept prefix: an image's compressor gathers, and its decompressor scatters,
+just the first keep_count zigzag positions, and the encoder slices rather
+than indexes them. Bit fields pack and parse through words of their own
+byte width, ceil(width / 8) bytes: one for value_bits <= 8, two for the
+16-bit index deltas.
+
 scipy subpackages are imported inside the functions that call them, so
 importing the package (and starting the CLI) loads none of them.
 """
 
 from __future__ import annotations
 
+import numbers
 import struct
 import wave
 import zlib
@@ -84,7 +92,11 @@ class AudioClip:
 
 @dataclass(frozen=True)
 class GrayImage:
-    """8-bit grayscale image, row-major."""
+    """8-bit grayscale image, row-major.
+
+    Pixels of another dtype are truncated to uint8 after a check that they
+    lie in [0, 255]; a uint8 array needs no check.
+    """
 
     pixels: np.ndarray
 
@@ -92,7 +104,14 @@ class GrayImage:
         p = np.asarray(self.pixels)
         if p.ndim != 2:
             raise ValueError("pixels must be a 2-d array")
-        object.__setattr__(self, "pixels", p.astype(np.uint8))
+        if p.dtype != np.uint8:
+            # a NaN fails both comparisons
+            if p.size and not (p.min() >= 0 and p.max() <= 255):
+                raise ValueError(
+                    f"pixels must lie in [0, 255], got values in [{p.min()}, {p.max()}]"
+                )
+            p = p.astype(np.uint8)
+        object.__setattr__(self, "pixels", p)
 
     @property
     def height(self) -> int:
@@ -177,19 +196,28 @@ def _dct(x, axes, inverse: bool, overwrite: bool = False) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def zigzag_order(height: int, width: int) -> np.ndarray:
-    """Anti-diagonal traversal order (flattened indices) for an h x w grid.
+def zigzag_order(height: int, width: int, count: int | None = None) -> np.ndarray:
+    """Anti-diagonal traversal order (flattened indices) for an h x w grid:
+    its first ``count`` positions, or all of them.
 
     Anti-diagonal s holds the cells (i, s - i); even diagonals run up (i
     falling), odd ones down. Each is written as one numpy slice. Every
-    caller for one size shares the cached array, so it is read-only.
+    caller for one size and count shares the cached array, so it is
+    read-only.
     """
-    order = np.empty(height * width, dtype=np.int64)
+    if count is None:
+        count = height * width
+    elif not 0 <= count <= height * width:
+        raise ValueError(f"count must lie in [0, {height * width}], got {count}")
+    order = np.empty(count, dtype=np.int64)
     pos = 0
     for s in range(height + width - 1):
+        if pos == count:
+            break
         rows = np.arange(max(0, s - width + 1), min(s, height - 1) + 1)
         if s % 2 == 0:
             rows = rows[::-1]
+        rows = rows[: count - pos]
         # flat index i * width + (s - i)
         order[pos : pos + rows.size] = rows * (width - 1) + s
         pos += rows.size
@@ -204,6 +232,11 @@ def zigzag_order(height: int, width: int) -> np.ndarray:
 def _concat(arrays) -> np.ndarray:
     """The per-chunk arrays end to end as int64."""
     return np.concatenate([np.empty(0, dtype=np.int64), *arrays]).astype(np.int64)
+
+
+def _keep_count(keep_fraction: float, size: int) -> int:
+    """Coefficients a frame of ``size`` keeps: round(keep_fraction * size), at least one."""
+    return max(1, round(keep_fraction * size))
 
 
 def _chunk_sizes(count: int) -> list:
@@ -243,17 +276,24 @@ def _encode(coeffs, keep_fraction, selection, value_bits, **header) -> Coefficie
     is the chunk's max magnitude rounded to float32 (the precision it will
     travel at), so reconstruction from the in-memory packet matches
     reconstruction after serialization exactly. ``header`` holds the
-    packet's kind, dim0, dim1, frame_len and mean.
+    packet's kind, dim0, dim1, frame_len and mean, from which (frames, size)
+    follow; for lowfreq selection ``coeffs`` may hold just each frame's kept
+    prefix.
     """
-    frames, size = coeffs.shape
-    keep = max(1, round(keep_fraction * size))
-    pos = np.tile(np.arange(keep), (frames, 1))
-    if selection != "lowfreq":
+    frames, size = _frame_shape(
+        header["kind"], header["dim0"], header["dim1"], header["frame_len"]
+    )
+    keep = _keep_count(keep_fraction, size)
+    pos = None
+    if selection == "lowfreq":
+        chosen = coeffs[:, :keep]
+    else:
         order = np.argsort(-np.abs(coeffs), axis=1, kind="stable")[:, :keep]
         pos = np.sort(order, axis=1)
+        chosen = np.take_along_axis(coeffs, pos, axis=1)
     width = -(-keep // QUANT_CHUNK) * QUANT_CHUNK
     kept = np.zeros((frames, width))
-    kept[:, :keep] = np.take_along_axis(coeffs, pos, axis=1)
+    kept[:, :keep] = chosen
     chunks = kept.reshape(-1, QUANT_CHUNK)
     scales = np.max(np.abs(chunks), axis=1).astype(np.float32).astype(float)
     qmax = (1 << (value_bits - 1)) - 1
@@ -266,7 +306,7 @@ def _encode(coeffs, keep_fraction, selection, value_bits, **header) -> Coefficie
         selection=selection,
         value_bits=value_bits,
         scales=tuple(scales.tolist()),
-        indices=tuple(np.split(pos.ravel(), ends)) if selection == "magnitude" else None,
+        indices=None if pos is None else tuple(np.split(pos.ravel(), ends)),
         values=tuple(np.split(q.ravel(), ends)),
         **header,
     )
@@ -277,21 +317,25 @@ def _decode(packet: CoefficientPacket, order=None) -> np.ndarray:
 
     ``order`` maps each frame position to the slot it fills, as the image's
     zigzag order maps onto its raster grid; by default position k fills
-    slot k.
+    slot k. A lowfreq packet's positions are its first keep_count, so
+    ``order`` need hold no more than those.
     """
     frames, size = _frame_shape(packet.kind, packet.dim0, packet.dim1, packet.frame_len)
     keep = packet.keep_count
     qmax = (1 << (packet.value_bits - 1)) - 1
     steps = np.asarray(packet.scales, dtype=float) / qmax
     kept = _concat(packet.values) * np.repeat(steps, [len(v) for v in packet.values])
-    if packet.indices is None:
-        pos = np.tile(np.arange(keep), (frames, 1))
-    else:
-        pos = _concat(packet.indices).reshape(frames, keep)
-    if order is not None:
-        pos = order[pos]
+    kept = kept.reshape(frames, keep)
     coeffs = np.zeros((frames, size))
-    np.put_along_axis(coeffs, pos, kept.reshape(frames, keep), axis=1)
+    if packet.indices is not None:
+        pos = _concat(packet.indices).reshape(frames, keep)
+        if order is not None:
+            pos = order[pos]
+        np.put_along_axis(coeffs, pos, kept, axis=1)
+    elif order is not None:
+        coeffs[:, order[:keep]] = kept
+    else:
+        coeffs[:, :keep] = kept
     return coeffs
 
 
@@ -314,8 +358,9 @@ def compress_audio(
     zero-padded.
     """
     _check_encoding(keep_fraction, selection, value_bits)
-    if frame_len < 1:
-        raise ValueError(f"frame_len must be >= 1, got {frame_len}")
+    integral = isinstance(frame_len, numbers.Integral) and not isinstance(frame_len, bool)
+    if not integral or frame_len < 1:
+        raise ValueError(f"frame_len must be an integer >= 1, got {frame_len!r}")
     x = np.round(np.asarray(clip.samples, dtype=float) / 256)
     n = x.size
     if n == 0:
@@ -370,12 +415,14 @@ def compress_image(
             f"{MAX_PAYLOAD_SAMPLES}-sample payload limit"
         )
     # one float buffer: centred, then transformed, in place, and dropped
-    # once reordered, before the encoder allocates
+    # once reordered, before the encoder allocates; lowfreq selection
+    # gathers only the zigzag prefix it keeps
     pixels = img.pixels.astype(float)
     mean = float(np.float32(pixels.mean()))
     pixels -= mean
     spectrum = _dct(pixels, None, inverse=False, overwrite=True)
-    coeffs = spectrum.reshape(frames, size)[:, zigzag_order(img.height, img.width)]
+    count = _keep_count(keep_fraction, size) if selection == "lowfreq" else None
+    coeffs = spectrum.reshape(frames, size)[:, zigzag_order(img.height, img.width, count)]
     del pixels, spectrum
     return _encode(
         coeffs, keep_fraction, selection, value_bits,
@@ -389,13 +436,15 @@ def decompress_image(packet: CoefficientPacket) -> GrayImage:
         raise ValueError("not an image packet")
     h, w = packet.dim0, packet.dim1
     # one float buffer: coefficients scattered to raster order, transformed,
-    # shifted, rounded and clipped in place
-    grid = _decode(packet, zigzag_order(h, w)).reshape(h, w)
+    # shifted, rounded and clipped in place; a lowfreq packet reads only the
+    # zigzag prefix it fills
+    count = packet.keep_count if packet.indices is None else None
+    grid = _decode(packet, zigzag_order(h, w, count)).reshape(h, w)
     pixels = _dct(grid, None, inverse=True, overwrite=True)
     pixels += packet.mean
     np.round(pixels, out=pixels)
     np.clip(pixels, 0, 255, out=pixels)
-    return GrayImage(pixels=pixels)
+    return GrayImage(pixels=pixels.astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -425,20 +474,23 @@ def _payload_layout(index_counts, value_counts, value_bits: int) -> np.ndarray:
 
 def _uint_to_bits(values: np.ndarray, width: int) -> np.ndarray:
     """Low ``width`` bits of each value, MSB first, as one flat 0/1 array."""
-    words = (values & ((1 << width) - 1)).astype(">u4")
-    bits = np.unpackbits(words.view(np.uint8).reshape(-1, 4), axis=1)
-    return bits[:, 32 - width :].ravel()
+    nbytes = -(-width // 8)
+    words = (values & ((1 << width) - 1)).astype(f">u{nbytes}")
+    bits = np.unpackbits(words.view(np.uint8).reshape(-1, nbytes), axis=1)
+    return bits[:, 8 * nbytes - width :].ravel()
 
 
 def _bits_to_uint(bits: np.ndarray, width: int) -> np.ndarray:
     """Consecutive ``width``-bit MSB-first fields of ``bits`` as int64."""
-    padded = np.zeros((bits.size // width, 32), dtype=np.uint8)
-    padded[:, 32 - width :] = bits.reshape(-1, width)
-    return np.packbits(padded, axis=1).view(">u4").ravel().astype(np.int64)
+    nbytes = -(-width // 8)
+    padded = np.zeros((bits.size // width, 8 * nbytes), dtype=np.uint8)
+    padded[:, 8 * nbytes - width :] = bits.reshape(-1, width)
+    return np.packbits(padded, axis=1).view(f">u{nbytes}").ravel().astype(np.int64)
 
 
 def _bits_to_bytes(bits: np.ndarray) -> bytes:
-    return np.packbits(bits.astype(np.uint8)).tobytes()
+    """Pack a uint8 0/1 array, MSB first."""
+    return np.packbits(bits).tobytes()
 
 
 def _bytes_to_bits(raw: bytes) -> np.ndarray:
@@ -504,7 +556,7 @@ def bits_to_packet(bits) -> CoefficientPacket:
     Raises PacketCorruptionError with the failing section ("header" or
     "payload") and byte offset of the failed check.
     """
-    bits = np.asarray(bits).astype(np.uint8)
+    bits = np.asarray(bits, dtype=np.uint8)
     if bits.size < 36 * 8 + 32:
         raise PacketCorruptionError("header", 0, "too short for a packet")
     raw = _bits_to_bytes(bits[: (bits.size // 8) * 8])

@@ -27,6 +27,7 @@ importing the package (and starting the CLI) loads none of them.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -96,10 +97,10 @@ class ModulationConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.samples_per_bit < 1:
-            raise ValueError(
-                f"samples_per_bit must be >= 1, got {self.samples_per_bit}"
-            )
+        spb = self.samples_per_bit
+        integral = isinstance(spb, numbers.Integral) and not isinstance(spb, bool)
+        if not integral or spb < 1:
+            raise ValueError(f"samples_per_bit must be an integer >= 1, got {spb!r}")
 
     @property
     def bit_rate(self) -> float:

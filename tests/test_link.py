@@ -218,6 +218,13 @@ def test_modulation_amplitude_must_be_finite_and_positive(field, value):
         ModulationConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [0, -3, 2.5, 50.0, True])
+def test_modulation_samples_per_bit_must_be_an_integer_of_at_least_one(value):
+    # 2.5 would otherwise fail deep in numpy, at the transmitter's first repeat
+    with pytest.raises(ValueError, match=f"^samples_per_bit must be an integer >= 1, got {value!r}$"):
+        ModulationConfig(samples_per_bit=value)
+
+
 class TestUnmask:
     def test_noiseless_recovery_is_exact(self):
         bits = prbs(1000, seed=77)
