@@ -26,9 +26,12 @@ Serialized packet layout, all little-endian, sizes in bits:
 Memory follows what is kept. Lowfreq selection reads and writes only the
 kept prefix: an image's compressor gathers, and its decompressor scatters,
 just the first keep_count zigzag positions, and the encoder slices rather
-than indexes them. Bit fields pack and parse through words of their own
-byte width, ceil(width / 8) bytes: one for value_bits <= 8, two for the
-16-bit index deltas.
+than indexes them. Magnitude selection finds each frame's keep-th largest
+magnitude with one partition instead of sorting the frame. Every field
+sits at an offset the header fixes, so the packer writes, and the parser
+reads, each field through views of the packet's own bits, and bit fields
+go through words of their own byte width, ceil(width / 8) bytes: one for
+value_bits <= 8, two for the 16-bit index deltas.
 
 scipy subpackages are imported inside the functions that call them, so
 importing the package (and starting the CLI) loads none of them.
@@ -240,7 +243,16 @@ def _keep_count(keep_fraction: float, size: int) -> int:
 
 
 def _chunk_sizes(count: int) -> list:
-    return [min(QUANT_CHUNK, count - s) for s in range(0, count, QUANT_CHUNK)]
+    full, rem = divmod(count, QUANT_CHUNK)
+    return [QUANT_CHUNK] * full + ([rem] if rem else [])
+
+
+def _chunked(rows: np.ndarray) -> tuple:
+    """A (frames, keep) array as its chunks, frame by frame: slices of one
+    contiguous copy, 64 values each but a frame's last."""
+    keep = rows.shape[1]
+    rows = np.ascontiguousarray(rows)
+    return tuple(row[s : s + QUANT_CHUNK] for row in rows for s in range(0, keep, QUANT_CHUNK))
 
 
 def _frame_shape(kind: str, dim0: int, dim1: int, frame_len: int):
@@ -267,6 +279,37 @@ def _check_encoding(keep_fraction, selection, value_bits) -> None:
         raise ValueError(f"unknown selection rule {selection!r}")
 
 
+def _largest(coeffs: np.ndarray, keep: int) -> np.ndarray:
+    """Ascending positions of each row's ``keep`` largest magnitudes, ties
+    to the lowest positions: the first ``keep`` of a stable argsort of
+    ``-abs(coeffs)``, sorted.
+
+    One in-place partition of the magnitudes finds each row's keep-th
+    largest, t, and is freed; the rows are then compared with +-t. Every
+    position above t is kept, and the slots left go to the positions equal
+    to t, lowest first; ties are counted only on rows that have more of
+    them than free slots.
+    """
+    frames, size = coeffs.shape
+    mag = np.abs(coeffs)
+    mag.partition(size - keep, axis=1)
+    t = mag[:, size - keep, None].copy()
+    del mag
+    kept = coeffs > t
+    kept |= coeffs < -t
+    free = keep - np.count_nonzero(kept, axis=1)
+    tied = coeffs == t
+    tied |= coeffs == -t
+    over = np.flatnonzero(np.count_nonzero(tied, axis=1) > free)
+    if over.size:
+        tied[over] &= np.cumsum(tied[over], axis=1, dtype=np.int32) <= free[over, None]
+    kept |= tied
+    del tied
+    pos = np.flatnonzero(kept).reshape(frames, keep)
+    pos -= np.arange(0, frames * size, size)[:, None]
+    return pos
+
+
 def _encode(coeffs, keep_fraction, selection, value_bits, **header) -> CoefficientPacket:
     """Select, quantize and chunk every row of a (frames, size) coefficient array.
 
@@ -288,8 +331,7 @@ def _encode(coeffs, keep_fraction, selection, value_bits, **header) -> Coefficie
     if selection == "lowfreq":
         chosen = coeffs[:, :keep]
     else:
-        order = np.argsort(-np.abs(coeffs), axis=1, kind="stable")[:, :keep]
-        pos = np.sort(order, axis=1)
+        pos = _largest(coeffs, keep)
         chosen = np.take_along_axis(coeffs, pos, axis=1)
     width = -(-keep // QUANT_CHUNK) * QUANT_CHUNK
     kept = np.zeros((frames, width))
@@ -300,14 +342,13 @@ def _encode(coeffs, keep_fraction, selection, value_bits, **header) -> Coefficie
     # a zero scale means an all-zero chunk, which quantizes to zeros
     q = np.round(chunks / np.where(scales == 0.0, 1.0, scales)[:, None] * qmax)
     q = np.clip(q, -qmax, qmax).astype(np.int32).reshape(frames, width)[:, :keep]
-    ends = np.cumsum(np.tile(_chunk_sizes(keep), frames))[:-1]
     return CoefficientPacket(
         keep_count=keep,
         selection=selection,
         value_bits=value_bits,
         scales=tuple(scales.tolist()),
-        indices=None if pos is None else tuple(np.split(pos.ravel(), ends)),
-        values=tuple(np.split(q.ravel(), ends)),
+        indices=None if pos is None else _chunked(pos),
+        values=_chunked(q),
         **header,
     )
 
@@ -453,39 +494,69 @@ def decompress_image(packet: CoefficientPacket) -> GrayImage:
 # Every payload field has a width the header fixes before any bit is read:
 # per chunk a 32-bit float32 scale, then (magnitude mode) one 16-bit position
 # delta per kept value, then the kept values at value_bits each, all MSB
-# first. The layout labels each payload bit with the class of its field, so
-# the packer scatters, and the parser gathers, one class at a time.
+# first. Every frame has the same chunks, keep // 64 of 64 values and then
+# one of keep % 64 if that is not zero, so the payload is a (frames,
+# frame_bits) bit array whose full chunks are one (frames, full, chunk_bits)
+# view and whose partial chunks are another. The packer writes, and the
+# parser reads, each field of a block of chunks with one slice assignment.
 
-_SCALE, _INDEX, _VALUE = 0, 1, 2
 
+def _chunk_blocks(payload: np.ndarray, keep: int, per_value: int) -> list:
+    """A (frames, frame_bits) payload's chunks as blocks of like chunks.
 
-def _payload_layout(index_counts, value_counts, value_bits: int) -> np.ndarray:
-    """Field class (_SCALE, _INDEX or _VALUE) of every payload bit, in order."""
-    lengths = np.column_stack(
-        [
-            np.full(len(value_counts), 32),
-            INDEX_BITS * np.asarray(index_counts, dtype=np.int64),
-            value_bits * np.asarray(value_counts, dtype=np.int64),
-        ]
-    )
-    classes = np.array([_SCALE, _INDEX, _VALUE], dtype=np.uint8)
-    return np.repeat(np.tile(classes, len(value_counts)), lengths.ravel())
+    Each block is (view, first, count, size): its ``count`` chunks of
+    ``size`` values, from a frame's chunk ``first`` on, as a (frames, count,
+    32 + size * per_value) view of ``payload``.
+    """
+    frames = payload.shape[0]
+    full, rem = divmod(keep, QUANT_CHUNK)
+    chunk_bits = 32 + QUANT_CHUNK * per_value
+    split = full * chunk_bits
+    blocks = []
+    if full:
+        view = payload[:, :split].reshape(frames, full, chunk_bits)
+        blocks.append((view, 0, full, QUANT_CHUNK))
+    if rem:
+        view = payload[:, split:].reshape(frames, 1, 32 + rem * per_value)
+        blocks.append((view, full, 1, rem))
+    return blocks
 
 
 def _uint_to_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """Low ``width`` bits of each value, MSB first, as one flat 0/1 array."""
+    """Low ``width`` bits of each value, MSB first, as an (n, width) 0/1 view."""
     nbytes = -(-width // 8)
     words = (values & ((1 << width) - 1)).astype(f">u{nbytes}")
-    bits = np.unpackbits(words.view(np.uint8).reshape(-1, nbytes), axis=1)
-    return bits[:, 8 * nbytes - width :].ravel()
+    return np.unpackbits(words.view(np.uint8)).reshape(-1, 8 * nbytes)[:, 8 * nbytes - width :]
 
 
-def _bits_to_uint(bits: np.ndarray, width: int) -> np.ndarray:
-    """Consecutive ``width``-bit MSB-first fields of ``bits`` as int64."""
+def _fields(blocks, width: int, skip: int):
+    """Per block, the columns of a frame's (frames, keep) values it holds and
+    their ``width``-bit fields as a (frames, count, size, width) view; the
+    fields start ``skip`` bits per value after each chunk's scale."""
+    for view, first, count, size in blocks:
+        start = 32 + size * skip
+        cols = slice(first * QUANT_CHUNK, first * QUANT_CHUNK + count * size)
+        fields = view[:, :, start : start + size * width]
+        yield cols, fields.reshape(view.shape[0], count, size, width)
+
+
+def _write_fields(blocks, values: np.ndarray, width: int, skip: int) -> None:
+    """Write (frames, keep) ``values`` as ``width``-bit fields into their chunks."""
+    frames, keep = values.shape
+    bits = _uint_to_bits(values, width).reshape(frames, keep, width)
+    for cols, fields in _fields(blocks, width, skip):
+        fields[...] = bits[:, cols].reshape(fields.shape)
+
+
+def _read_fields(blocks, frames: int, keep: int, width: int, skip: int) -> np.ndarray:
+    """The (frames, keep) ``width``-bit fields of the chunks as unsigned
+    words of their byte width."""
     nbytes = -(-width // 8)
-    padded = np.zeros((bits.size // width, 8 * nbytes), dtype=np.uint8)
-    padded[:, 8 * nbytes - width :] = bits.reshape(-1, width)
-    return np.packbits(padded, axis=1).view(f">u{nbytes}").ravel().astype(np.int64)
+    padded = np.zeros((frames, keep, 8 * nbytes), dtype=np.uint8)
+    bits = padded[:, :, 8 * nbytes - width :]
+    for cols, fields in _fields(blocks, width, skip):
+        bits[:, cols].reshape(fields.shape)[...] = fields
+    return np.packbits(padded).view(f">u{nbytes}").reshape(frames, keep)
 
 
 def _bits_to_bytes(bits: np.ndarray) -> bytes:
@@ -497,8 +568,52 @@ def _bytes_to_bits(raw: bytes) -> np.ndarray:
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
 
 
+def _check_chunks(packet: CoefficientPacket, frames: int) -> np.ndarray:
+    """Refuse a packet whose chunks its header cannot describe, naming the
+    field; return its values end to end as int32.
+
+    The header fixes frames x ceil(keep_count / 64) chunks of known sizes,
+    and value_bits fixes the range of a two's complement value.
+    """
+    sizes = _chunk_sizes(packet.keep_count)
+    per_value = {"values": packet.values}
+    if packet.selection == "magnitude":
+        if packet.indices is None:
+            raise ValueError("indices: a magnitude packet needs positions")
+        per_value["indices"] = packet.indices
+    counted = {"values": packet.values, "scales": packet.scales, **per_value}
+    for name, chunks in counted.items():
+        if len(chunks) != frames * len(sizes):
+            raise ValueError(
+                f"{name}: {len(chunks)} chunks, the header describes "
+                f"{frames} x {len(sizes)}"
+            )
+    layout = sizes * frames
+    for name, chunks in per_value.items():
+        lengths = [len(c) for c in chunks]
+        if lengths != layout:
+            c = next(c for c, (got, size) in enumerate(zip(lengths, layout)) if got != size)
+            raise ValueError(f"{name}: chunk {c} holds {lengths[c]}, its layout {layout[c]}")
+    q = np.concatenate([np.empty(0, dtype=np.int32), *packet.values])
+    low, high = -(1 << (packet.value_bits - 1)), (1 << (packet.value_bits - 1)) - 1
+    if q.size and not (q.min() >= low and q.max() <= high):
+        v = q[np.flatnonzero((q < low) | (q > high))[0]]
+        raise ValueError(
+            f"values: {v} outside [{low}, {high}] at value_bits {packet.value_bits}"
+        )
+    return q.astype(np.int32, copy=False)
+
+
 def packet_to_bits(packet: CoefficientPacket) -> np.ndarray:
-    """Serialize a packet to a self-delimiting bit stream (uint8 0/1 array)."""
+    """Serialize a packet to a self-delimiting bit stream (uint8 0/1 array).
+
+    Raises ValueError, naming the field, for a packet its header cannot
+    describe: a chunk count or chunk size other than the layout's, a value
+    outside value_bits, or positions delta coding cannot carry.
+    """
+    frames, _ = _frame_shape(packet.kind, packet.dim0, packet.dim1, packet.frame_len)
+    keep = packet.keep_count
+    q = _check_chunks(packet, frames).reshape(frames, keep)
     kind = 0 if packet.kind == "audio" else 1
     sel = 0 if packet.selection == "lowfreq" else 1
     header = struct.pack(
@@ -518,36 +633,45 @@ def packet_to_bits(packet: CoefficientPacket) -> np.ndarray:
     header += struct.pack("<I", zlib.crc32(header))
 
     n = len(packet.values)
-    value_counts = [len(v) for v in packet.values]
-    index_counts, deltas = [0] * n, _concat([])
+    per_frame = -(-keep // QUANT_CHUNK)
+    index_bits = 0
     if packet.selection == "magnitude":
-        index_counts = [len(p) for p in packet.indices]
-        positions = _concat(packet.indices)
+        index_bits = INDEX_BITS
+        positions = _concat(packet.indices).reshape(frames, keep)
         # each chunk's deltas count from position -1
-        previous = np.roll(positions, 1)
-        ends = np.cumsum(index_counts)
-        starts = ends - index_counts
-        previous[starts[starts < positions.size]] = -1
-        deltas = positions - previous - 1
-        too_far = np.flatnonzero(deltas >= 1 << INDEX_BITS)
-        if too_far.size:
+        deltas = np.diff(positions, axis=1, prepend=-1) - 1
+        deltas[:, QUANT_CHUNK::QUANT_CHUNK] = positions[:, QUANT_CHUNK::QUANT_CHUNK]
+        bad = np.flatnonzero((deltas < 0) | (deltas >= 1 << INDEX_BITS))
+        if bad.size:
             # fields go out in order, so a bad scale up to this chunk wins
-            chunk = np.searchsorted(ends, too_far[0], "right")
+            f, k = divmod(int(bad[0]), keep)
+            chunk = f * per_frame + k // QUANT_CHUNK
             struct.pack(f">{chunk + 1}f", *packet.scales[: chunk + 1])
+            if deltas.flat[bad[0]] < 0:
+                raise ValueError(f"indices: chunk {chunk} does not ascend from 0")
             raise ValueError(
                 "coefficient positions too sparse for 16-bit deltas; "
                 "use lowfreq selection for payloads this large"
             )
     # struct's float32 conversion raises on overflow, as a field-by-field pack would
-    scale_bits = _bytes_to_bits(struct.pack(f">{n}f", *packet.scales[:n]))
-    layout = _payload_layout(index_counts, value_counts, packet.value_bits)
-    payload = np.empty(layout.size, dtype=np.uint8)
-    payload[layout == _SCALE] = scale_bits
-    payload[layout == _INDEX] = _uint_to_bits(deltas, INDEX_BITS)
-    payload[layout == _VALUE] = _uint_to_bits(_concat(packet.values), packet.value_bits)
-    payload_bytes = _bits_to_bytes(payload)
-    footer = struct.pack("<I", zlib.crc32(payload_bytes))
-    return _bytes_to_bits(header + payload_bytes + footer)
+    scale_bits = _bytes_to_bits(struct.pack(f">{n}f", *packet.scales))
+    frame_bits = 32 * per_frame + keep * (index_bits + packet.value_bits)
+    end = 36 * 8 + frames * frame_bits
+    out = np.empty(36 * 8 + 8 * -(-frames * frame_bits // 8) + 32, dtype=np.uint8)
+    out[: 36 * 8] = _bytes_to_bits(header)
+    blocks = _chunk_blocks(
+        out[36 * 8 : end].reshape(frames, frame_bits), keep, index_bits + packet.value_bits
+    )
+    scale_bits = scale_bits.reshape(frames, per_frame, 32)
+    for view, first, count, _ in blocks:
+        view[:, :, :32] = scale_bits[:, first : first + count]
+    if index_bits:
+        _write_fields(blocks, deltas, INDEX_BITS, 0)
+    _write_fields(blocks, q, packet.value_bits, index_bits)
+    out[end:-32] = 0
+    crc = zlib.crc32(np.packbits(out[36 * 8 : -32]))
+    out[-32:] = _bytes_to_bits(struct.pack("<I", crc))
+    return out
 
 
 def bits_to_packet(bits) -> CoefficientPacket:
@@ -589,9 +713,11 @@ def bits_to_packet(bits) -> CoefficientPacket:
             "header", 20, f"keep_count {keep} outside [1, {limit}]"
         )
     selection = "lowfreq" if sel == 0 else "magnitude"
-    per_coeff = value_bits + (INDEX_BITS if selection == "magnitude" else 0)
+    index_bits = INDEX_BITS if selection == "magnitude" else 0
+    per_coeff = value_bits + index_bits
     # sizes from the header are checked as numbers before anything is allocated
-    needed = -(-keep // QUANT_CHUNK) * frames
+    sizes = _chunk_sizes(keep)
+    needed = len(sizes) * frames
     if needed != n_chunks:
         raise PacketCorruptionError(
             "header", 24, f"{n_chunks} chunks, layout needs {needed}"
@@ -600,7 +726,8 @@ def bits_to_packet(bits) -> CoefficientPacket:
     # overflow the float64 decode, so finiteness is the whole check
     if not np.isfinite(mean):
         raise PacketCorruptionError("header", 28, f"mean {mean} is not finite")
-    payload_bits = 32 * n_chunks + per_coeff * keep * frames
+    frame_bits = 32 * len(sizes) + per_coeff * keep
+    payload_bits = frames * frame_bits
     payload_bytes_len = (payload_bits + 7) // 8
     total_bytes = 36 + payload_bytes_len + 4
     if bits.size < total_bytes * 8:
@@ -610,48 +737,55 @@ def bits_to_packet(bits) -> CoefficientPacket:
         raise PacketCorruptionError(
             "header", 8, f"{samples} decoded samples exceed {MAX_PAYLOAD_SAMPLES}"
         )
-    payload_raw = raw[36 : 36 + payload_bytes_len]
+    payload_raw = memoryview(raw)[36 : 36 + payload_bytes_len]
     (payload_crc,) = struct.unpack(
         "<I", raw[36 + payload_bytes_len : 36 + payload_bytes_len + 4]
     )
     if zlib.crc32(payload_raw) != payload_crc:
         raise PacketCorruptionError("payload", 36, "payload CRC mismatch")
 
-    counts = np.tile(_chunk_sizes(keep), frames)
-    index_counts = counts if selection == "magnitude" else np.zeros_like(counts)
-    layout = _payload_layout(index_counts, counts, value_bits)
-    payload = _bytes_to_bits(payload_raw)[:payload_bits]
-    ends = np.cumsum(counts)
-    scales = struct.unpack(f">{n_chunks}f", _bits_to_bytes(payload[layout == _SCALE]))
+    def chunk_byte(c, bits_in):
+        """Byte offset of the bit ``bits_in`` into chunk ``c``."""
+        f, j = divmod(c, len(sizes))
+        return 36 + (f * frame_bits + j * (32 + QUANT_CHUNK * per_coeff) + bits_in) // 8
+
+    # the CRC has passed, so the input's own payload bits are read in place
+    payload = bits[36 * 8 : 36 * 8 + payload_bits].reshape(frames, frame_bits)
+    blocks = _chunk_blocks(payload, keep, per_coeff)
+    scale_bits = np.empty((frames, len(sizes), 32), dtype=np.uint8)
+    for view, first, count, _ in blocks:
+        scale_bits[:, first : first + count] = view[:, :, :32]
+    scales = struct.unpack(f">{n_chunks}f", _bits_to_bytes(scale_bits))
     bad = np.flatnonzero(~np.isfinite(scales))
     if bad.size:
         # the first bad chunk, at the byte where its scale starts
         c = int(bad[0])
-        start = 32 * c + per_coeff * int(ends[c] - counts[c])
         raise PacketCorruptionError(
-            "payload", 36 + start // 8, f"chunk {c} scale {scales[c]} is not finite"
+            "payload", chunk_byte(c, 0), f"chunk {c} scale {scales[c]} is not finite"
         )
     indices = None
-    if selection == "magnitude":
+    if index_bits:
         # positions restart from -1 in every chunk
-        steps = np.cumsum(_bits_to_uint(payload[layout == _INDEX], INDEX_BITS) + 1)
-        before = np.concatenate(([0], steps))[ends - counts]
-        positions = steps - np.repeat(before, counts) - 1
-        bad = np.flatnonzero(positions[ends - 1] >= limit)
+        positions = _read_fields(blocks, frames, keep, INDEX_BITS, 0).astype(np.int64)
+        positions += 1
+        for _, first, count, size in blocks:
+            cols = positions[:, first * QUANT_CHUNK : first * QUANT_CHUNK + count * size]
+            chunk_positions = cols.reshape(frames, count, size)
+            np.cumsum(chunk_positions, axis=2, out=chunk_positions)
+        positions -= 1
+        last = positions[:, np.cumsum(sizes) - 1]
+        bad = np.flatnonzero(last >= limit)
         if bad.size:
             # the first bad chunk, at the bit where its last delta ends
             c = int(bad[0])
-            start = 32 * c + per_coeff * int(ends[c] - counts[c])
-            index_end = start + 32 + INDEX_BITS * int(counts[c])
             raise PacketCorruptionError(
                 "payload",
-                36 + index_end // 8,
-                f"position {positions[ends[c] - 1]} >= {limit}",
+                chunk_byte(c, 32 + INDEX_BITS * sizes[c % len(sizes)]),
+                f"position {last.flat[c]} >= {limit}",
             )
-        indices = tuple(np.split(positions, ends)[:-1])
-    q = _bits_to_uint(payload[layout == _VALUE], value_bits)
+        indices = _chunked(positions)
+    q = _read_fields(blocks, frames, keep, value_bits, index_bits).astype(np.int32)
     q -= (q >> (value_bits - 1)) << value_bits  # two's complement sign
-    values = tuple(np.split(q.astype(np.int32), ends)[:-1])
     return CoefficientPacket(
         kind=kind,
         dim0=dim0,
@@ -663,7 +797,7 @@ def bits_to_packet(bits) -> CoefficientPacket:
         mean=float(mean),
         scales=scales,
         indices=indices,
-        values=values,
+        values=_chunked(q),
     )
 
 

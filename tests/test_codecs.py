@@ -517,30 +517,35 @@ class TestImageCodec:
     def test_peak_memory_per_pixel(self):
         """Compress holds one float buffer, transformed in place, and gathers
         only the zigzag prefix it keeps: 9.3 B/pixel at keep 0.165 (the
-        whole-spectrum zigzag gather, 16; the copying codec, 24). Decompress
-        scatters into one raster buffer and transforms, shifts, rounds and
-        clips it in place: 8 B/pixel plus the 1-byte image (the copying
-        codec, 32)."""
+        whole-spectrum zigzag gather, 16; the copying codec, 24). Magnitude
+        selection gathers the whole spectrum and partitions one copy of its
+        magnitudes in place: 16.0 B/pixel (a stable argsort of -|c|, 24.0).
+        Decompress scatters into one raster buffer and transforms, shifts,
+        rounds and clips it in place: 8 B/pixel plus the 1-byte image (the
+        copying codec, 32)."""
         img = synth_image(640, 640, seed=1)
         packet = compress_image(img, 0.165)
         decompress_image(packet)  # warm caches outside the trace
+        compress_image(img, 0.165, selection="magnitude")
         runs = {
             "compress": (lambda: compress_image(img, 0.165), 12),
+            "magnitude compress": (lambda: compress_image(img, 0.165, selection="magnitude"), 20),
             "decompress": (lambda: decompress_image(packet), 20),
         }
         for name, (run, bound) in runs.items():
             assert traced_peak(run) / img.pixels.size <= bound, name
 
     def test_packet_layer_peak_memory_per_bit(self):
-        """Bit fields pack through words of their own byte width, one byte
-        for 8-bit values, so on a 640x640 lowfreq packet the packer peaks at
-        4.1 B/bit and the parser at 5.3 B/bit (through 4-byte words, 8.2
-        and 9.5)."""
+        """Fields are written into, and read from, views of the packet's own
+        bits, through words of their own byte width, so on a 640x640 lowfreq
+        packet the packer peaks at 2.6 B/bit and the parser at 1.6 B/bit
+        (with a per-bit layout and one mask per field class, 4.1 and 5.3;
+        through 4-byte words, 8.2 and 9.5)."""
         bits = packet_to_bits(compress_image(synth_image(640, 640, seed=1), 0.165))
         packet = bits_to_packet(bits)
         runs = {
-            "packet_to_bits": (lambda: packet_to_bits(packet), 5),
-            "bits_to_packet": (lambda: bits_to_packet(bits), 7),
+            "packet_to_bits": (lambda: packet_to_bits(packet), 3.5),
+            "bits_to_packet": (lambda: bits_to_packet(bits), 2.5),
         }
         for name, (run, bound) in runs.items():
             assert traced_peak(run) / bits.size <= bound, name
@@ -582,6 +587,87 @@ class TestImageCodec:
         for _ in range(20):
             random_sel = rng.choice(flat.size, size=keep, replace=False)
             assert best <= np.sum(np.delete(flat, random_sel) ** 2) + 1e-9
+
+
+def argsort_largest(coeffs, keep):
+    """Magnitude selection by a stable argsort of -|c|, sorted: the first
+    ``keep`` largest magnitudes of each row, ties to the lowest positions."""
+    return np.sort(np.argsort(-np.abs(coeffs), axis=1, kind="stable")[:, :keep], axis=1)
+
+
+def argsort_packet(compress, *args, **kwargs):
+    """What ``compress`` returns with argsort_largest as its magnitude selection."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codecs, "_largest", argsort_largest)
+        return compress(*args, **kwargs)
+
+
+def assert_same_packet(got, expected):
+    assert packet_bytes(got) == packet_bytes(expected)
+    assert packet_to_bits(got).tobytes() == packet_to_bits(expected).tobytes()
+
+
+# few distinct magnitudes, signed zeros among them, so that rows tie often
+tied_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 7.0, 5e-324])
+
+
+class TestMagnitudeSelection:
+    """Selection by partition against a stable argsort of -|c|."""
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.integers(1, 200)),
+            elements=st.one_of(tied_values, st.floats(-1e6, 1e6)),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_positions_match_argsort(self, coeffs, data):
+        size = coeffs.shape[1]
+        keep = data.draw(st.one_of(st.sampled_from([1, size]), st.integers(1, size)))
+        got = codecs._largest(coeffs, keep)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, argsort_largest(coeffs, keep))
+
+    @given(
+        hnp.arrays(np.int16, st.integers(1, 700), elements=st.integers(-3, 3)),
+        st.integers(1, 150),
+        st.integers(2, 16),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_audio_packets_match_argsort(self, samples, frame_len, value_bits, data):
+        # a last frame shorter than frame_len is zero-padded: ties at zero
+        clip = AudioClip(samples.astype(np.int32) * 256, 8000)
+        keep = data.draw(st.one_of(st.sampled_from([1, frame_len]), st.integers(1, frame_len)))
+        args = (clip, keep / frame_len, "magnitude", value_bits, frame_len)
+        assert_same_packet(compress_audio(*args), argsort_packet(compress_audio, *args))
+
+    @given(
+        st.tuples(st.integers(1, 24), st.integers(1, 24)),
+        st.sampled_from(["constant", "two_levels", "random"]),
+        st.integers(0, 255),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_image_packets_match_argsort(self, shape, content, level, data):
+        rng = np.random.default_rng(level)
+        pixels = {
+            "constant": np.full(shape, level),
+            "two_levels": rng.integers(0, 2, shape) * level,
+            "random": rng.integers(0, 256, shape),
+        }[content]
+        img = GrayImage(pixels.astype(np.uint8))
+        size = img.pixels.size
+        keep = data.draw(st.one_of(st.sampled_from([1, size]), st.integers(1, size)))
+        args = (img, keep / size, "magnitude")
+        assert_same_packet(compress_image(*args), argsort_packet(compress_image, *args))
+
+    @pytest.mark.parametrize("keep_fraction", [1e-9, 0.22, 1.0])
+    def test_speech_packets_match_argsort(self, keep_fraction):
+        args = (synth_speech(duration=1.3, seed=3), keep_fraction, "magnitude")
+        assert_same_packet(compress_audio(*args), argsort_packet(compress_audio, *args))
 
 
 class TestSerialization:
@@ -690,10 +776,11 @@ class TestPacketHeaderChecks:
         assert bits_to_packet(with_header(bits, dim1=rate)).dim1 == rate
 
     def test_audio_frame_len_zero(self):
-        # no frame length: the keep_count check refuses it, before any frame count is used
+        # no frame length: the keep_count check refuses it, before any frame
+        # count is used; packet_to_bits refuses to write its one chunk
         packet = hand_packet("audio", dim0=16, frame_len=0, keep=1)
         with pytest.raises(PacketCorruptionError, match=r"keep_count 1 outside \[1, 0\]") as info:
-            bits_to_packet(packet_to_bits(packet))
+            bits_to_packet(reference_packet_to_bits(packet))
         assert (info.value.section, info.value.offset) == ("header", 20)
 
     def test_audio_keep_count_above_frame_len(self):
@@ -707,10 +794,11 @@ class TestPacketHeaderChecks:
             bits_to_packet(with_header(bits, keep_count=65))
 
     def test_audio_chunk_count_must_cover_every_frame(self):
-        # 40 samples in 16-sample frames need 3 chunks of 2 kept values
+        # 40 samples in 16-sample frames need 3 chunks of 2 kept values;
+        # packet_to_bits refuses to write one
         packet = hand_packet("audio", dim0=40, frame_len=16, keep=2)
         with pytest.raises(PacketCorruptionError) as info:
-            bits_to_packet(packet_to_bits(packet))
+            bits_to_packet(reference_packet_to_bits(packet))
         assert info.value.offset == 24
 
     def test_audio_frame_count_from_samples(self):
@@ -874,6 +962,66 @@ class TestPacketLayer:
             with pytest.raises(PacketCorruptionError, match="position 128 >= 128") as info:
                 parse(bits)
             assert (info.value.section, info.value.offset) == ("payload", offset)
+
+
+class TestPacketToBitsRefuses:
+    """packet_to_bits writes only what the header can describe, and names the field."""
+
+    @staticmethod
+    def lowfreq_16x16():
+        packet = compress_image(synth_image(16, 16, seed=1), 0.5)
+        assert [len(v) for v in packet.values] == [64, 64]
+        return packet
+
+    @pytest.mark.parametrize(
+        "field, change, message",
+        [
+            ("values", lambda v: (v[0][:60], v[1]), r"^values: chunk 0 holds 60, its layout 64$"),
+            ("values", lambda v: v[:1], r"^values: 1 chunks, the header describes 1 x 2$"),
+            ("scales", lambda s: s[:1], r"^scales: 1 chunks, the header describes 1 x 2$"),
+            (
+                "values",
+                lambda v: (v[0], np.full(64, 1000, np.int32)),
+                r"^values: 1000 outside \[-128, 127\] at value_bits 8$",
+            ),
+            ("values", lambda v: (v[0], np.full(64, -129)), r"^values: -129 outside \[-128, 127\]"),
+        ],
+        ids=["short_chunk", "missing_chunk", "missing_scale", "value_too_large", "value_too_small"],
+    )
+    def test_lowfreq(self, field, change, message):
+        packet = self.lowfreq_16x16()
+        packet = dataclasses.replace(packet, **{field: change(getattr(packet, field))})
+        with pytest.raises(ValueError, match=message):
+            packet_to_bits(packet)
+
+    def test_magnitude_index_chunks(self):
+        packet = compress_image(synth_image(16, 16, seed=1), 0.5, selection="magnitude")
+        short = dataclasses.replace(packet, indices=(packet.indices[0], packet.indices[1][:-1]))
+        with pytest.raises(ValueError, match=r"^indices: chunk 1 holds 63, its layout 64$"):
+            packet_to_bits(short)
+        with pytest.raises(ValueError, match=r"^indices: 1 chunks"):
+            packet_to_bits(dataclasses.replace(packet, indices=packet.indices[:1]))
+
+    def test_descending_positions(self):
+        packet = hand_packet("image", dim0=8, frame_len=0, keep=3, positions=[0, 9, 4])
+        with pytest.raises(ValueError, match=r"^indices: chunk 0 does not ascend"):
+            packet_to_bits(packet)
+
+    def test_audio_frames_counted_from_samples(self):
+        # 40 samples in 16-sample frames: 3 frames of one chunk each
+        with pytest.raises(ValueError, match=r"^values: 1 chunks, the header describes 3 x 1$"):
+            packet_to_bits(hand_packet("audio", dim0=40, frame_len=16, keep=2))
+
+    @pytest.mark.parametrize("value_bits", [2, 8, 9, 16])
+    def test_extreme_values_round_trip(self, value_bits):
+        low, high = -(1 << (value_bits - 1)), (1 << (value_bits - 1)) - 1
+        packet = dataclasses.replace(
+            hand_packet("image", dim0=8, frame_len=0, keep=2),
+            value_bits=value_bits, values=(np.array([low, high], dtype=np.int32),),
+        )
+        bits = packet_to_bits(packet)
+        assert bits.tobytes() == reference_packet_to_bits(packet).tobytes()
+        assert list(bits_to_packet(bits).values[0]) == [low, high]
 
 
 class TestUntrustedPacket:
